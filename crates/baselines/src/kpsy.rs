@@ -14,23 +14,24 @@
 //! `O(L_e^{φ−1})` — the resource-competitive `O(T^{0.62})` listening
 //! defense.
 //!
-//! Unlike [`crate::ksy`]'s closed-form two-player run, this roster
-//! executes **slot-by-slot on the exact engine**, so the whole adversary
-//! zoo applies unchanged and outcomes carry real energy ledgers. There
-//! is deliberately one implementation for both fingerprint eras: the
-//! sparse secret schedules defeat the SoA engine's aggregated listener
-//! settlement (each node's activity pattern is an individually drawn
-//! subset, not an i.i.d. per-slot coin), so `rcb_sim::Scenario::kpsy`
-//! lowers era 1 and era 2 onto this same driver and the fast engines
-//! reject the protocol with a typed error.
+//! Unlike [`crate::ksy`]'s closed-form two-player run, this driver
+//! executes slot by slot on the exact engine, so the whole adversary zoo
+//! applies unchanged and outcomes carry real energy ledgers. A player
+//! acts only in its secret slots, and its next one is simply the next
+//! entry of its sorted plan: players park in `rcb-radio`'s [`WakeQueue`]
+//! and a slot touches only the players that act in it, while the air
+//! itself (Carol's turn, listener resolution, the report) is the shared
+//! [`Medium`]. The phase-level engines have no KPSY model, so
+//! `rcb_sim::Scenario::kpsy` rejects them with a typed error.
 
-use rcb_auth::{Authority, KeyId, Payload as MessageBytes, Signed, Verifier};
+use rcb_auth::{Authority, Payload as MessageBytes};
 use rcb_core::{gossip_outcome, BroadcastOutcome};
 use rcb_radio::{
-    Action, Adversary, Budget, EngineConfig, EngineScratch, ExactEngine, NodeProtocol, Payload,
-    Reception, RunReport, Slot,
+    Adversary, Budget, ChannelId, Medium, Payload, Reception, RunReport, Slot, Spectrum,
+    StopReason, WakeQueue,
 };
 use rcb_rng::{subset::sample_distinct, SeedTree, SimRng};
+use rcb_telemetry::{Collector, EngineProfile, MetricId, NoopCollector};
 
 use crate::ksy::PHI;
 
@@ -76,208 +77,80 @@ fn epoch_quota(len: u64) -> u64 {
     ((len as f64).powf(PHI - 1.0).ceil() as u64).min(len)
 }
 
-/// The shared epoch clock + secret slot plan of one KPSY player.
-///
-/// At each epoch boundary the player draws `R_e` distinct slots of the
-/// epoch from its private stream; between boundaries it walks the sorted
-/// plan with a cursor.
+/// Bucket count of the players' wake queue. A player has one pending
+/// wake at a time, so a drain scans only its bucket's `≈ (n + 1)/64`
+/// parked players; a wheel as long as the horizon would instead keep
+/// every slot's burst of due players allocated for the whole run.
+const WAKE_BUCKETS: u64 = 64;
+
+/// The epoch containing `slot`: `⌊log2(slot + 2)⌋`.
+fn epoch_of(slot: u64) -> u32 {
+    63 - (slot + 2).leading_zeros()
+}
+
+/// One player's secret schedule: its private stream and the sorted
+/// plan of the epoch it is in.
 #[derive(Debug)]
-struct EpochPlan {
-    /// Current epoch (0 = no epoch entered yet).
+struct Plan {
+    rng: SimRng,
+    /// The epoch `slots` covers (0 before the first draw).
     epoch: u32,
-    /// First slot past the current epoch.
-    epoch_end: u64,
-    /// Absolute indices of this epoch's active slots, sorted.
+    /// Absolute indices of the epoch's secret slots, ascending.
     slots: Vec<u64>,
-    /// Cursor into `slots`.
+    /// Index of the next unvisited entry of `slots`.
     cursor: usize,
 }
 
-impl EpochPlan {
-    fn new() -> Self {
+impl Plan {
+    fn new(rng: SimRng) -> Self {
         Self {
+            rng,
             epoch: 0,
-            epoch_end: 0,
             slots: Vec::new(),
             cursor: 0,
         }
     }
 
-    /// Advances the epoch clock to cover `slot`, redrawing the secret
-    /// plan at each boundary crossed (`active` gates the draw: a player
-    /// that will sleep the whole epoch — e.g. Alice past her horizon —
-    /// must not consume stream randomness).
-    fn roll_to(&mut self, slot: Slot, rng: &mut SimRng) {
-        while slot.index() >= self.epoch_end {
-            self.epoch += 1;
-            let len = 1u64 << self.epoch;
-            let start = epoch_start(self.epoch);
-            self.epoch_end = start + len;
-            let quota = epoch_quota(len);
-            self.slots = sample_distinct(rng, len, quota);
+    /// The player's next secret slot below `horizon`. A spent plan draws
+    /// the next epoch's `R_e` distinct slots from the private stream —
+    /// but never for an epoch starting at or past the horizon, where the
+    /// player has terminated.
+    fn next_slot(&mut self, horizon: u64) -> Option<u64> {
+        if self.cursor == self.slots.len() {
+            let epoch = self.epoch + 1;
+            let start = epoch_start(epoch);
+            if start >= horizon {
+                return None;
+            }
+            let len = 1u64 << epoch;
+            self.slots = sample_distinct(&mut self.rng, len, epoch_quota(len));
             self.slots.sort_unstable();
             for s in &mut self.slots {
                 *s += start;
             }
+            self.epoch = epoch;
             self.cursor = 0;
         }
-    }
-
-    /// Whether `slot` is one of the epoch's secret active slots.
-    fn is_active(&mut self, slot: Slot) -> bool {
-        while self.cursor < self.slots.len() && self.slots[self.cursor] < slot.index() {
-            self.cursor += 1;
-        }
-        self.cursor < self.slots.len() && self.slots[self.cursor] == slot.index()
-    }
-}
-
-/// Alice under KPSY: transmits `m` in `R_e` secret uniform slots per
-/// epoch until the horizon.
-#[derive(Debug)]
-struct KpsyAlice {
-    signed_m: Signed,
-    horizon: u64,
-    plan: EpochPlan,
-    done: bool,
-}
-
-impl NodeProtocol for KpsyAlice {
-    fn act(&mut self, slot: Slot, rng: &mut SimRng) -> Action {
-        if slot.index() >= self.horizon {
-            self.done = true;
-            return Action::Sleep;
-        }
-        self.plan.roll_to(slot, rng);
-        if self.plan.is_active(slot) {
-            Action::Send(Payload::Broadcast(self.signed_m.clone()))
-        } else {
-            Action::Sleep
-        }
-    }
-    fn on_reception(&mut self, _: Slot, _: Reception) {}
-    fn has_terminated(&self) -> bool {
-        self.done
-    }
-    fn is_informed(&self) -> bool {
-        true
-    }
-}
-
-/// A KPSY node: listens in `R_e` secret slots per epoch until informed;
-/// from the next epoch boundary on, relays in `R_e` secret slots
-/// instead. A node informed mid-epoch sleeps out the rest of that epoch
-/// (the listening plan's unused tail is simply never executed — the
-/// engine charges only performed actions, mirroring the receiver refund
-/// of [`crate::ksy`]).
-#[derive(Debug)]
-struct KpsyNode {
-    verifier: Verifier,
-    alice_key: KeyId,
-    horizon: u64,
-    plan: EpochPlan,
-    /// Epoch in which the node became informed (it starts relaying at
-    /// the *next* boundary; `u32::MAX` = uninformed).
-    informed_epoch: u32,
-    message: Option<Signed>,
-    done: bool,
-}
-
-impl NodeProtocol for KpsyNode {
-    fn act(&mut self, slot: Slot, rng: &mut SimRng) -> Action {
-        if slot.index() >= self.horizon {
-            self.done = true;
-            return Action::Sleep;
-        }
-        self.plan.roll_to(slot, rng);
-        if !self.plan.is_active(slot) {
-            return Action::Sleep;
-        }
-        match &self.message {
-            None => Action::Listen,
-            Some(m) if self.plan.epoch > self.informed_epoch => {
-                Action::Send(Payload::Broadcast(m.clone()))
-            }
-            // Informed mid-epoch: sit out the rest of the listening plan.
-            Some(_) => Action::Sleep,
-        }
-    }
-    fn on_reception(&mut self, _: Slot, reception: Reception) {
-        if let Reception::Frame(Payload::Broadcast(signed)) = reception {
-            if signed.signer() == self.alice_key && self.verifier.verify_signed(&signed) {
-                self.message = Some(signed);
-                self.informed_epoch = self.plan.epoch;
-            }
-        }
-    }
-    fn has_terminated(&self) -> bool {
-        self.done
-    }
-    fn is_informed(&self) -> bool {
-        self.message.is_some()
-    }
-}
-
-/// One KPSY roster slot: Alice or a node.
-///
-/// Homogeneous roster type for the engine's monomorphized fast path.
-#[derive(Debug)]
-enum KpsyParticipant {
-    Alice(KpsyAlice),
-    Node(KpsyNode),
-}
-
-impl NodeProtocol for KpsyParticipant {
-    #[inline]
-    fn act(&mut self, slot: Slot, rng: &mut SimRng) -> Action {
-        match self {
-            KpsyParticipant::Alice(a) => a.act(slot, rng),
-            KpsyParticipant::Node(n) => n.act(slot, rng),
-        }
-    }
-    #[inline]
-    fn channel(&self, slot: Slot) -> rcb_radio::ChannelId {
-        match self {
-            KpsyParticipant::Alice(a) => a.channel(slot),
-            KpsyParticipant::Node(n) => n.channel(slot),
-        }
-    }
-    #[inline]
-    fn on_budget_exhausted(&mut self, slot: Slot) {
-        match self {
-            KpsyParticipant::Alice(a) => a.on_budget_exhausted(slot),
-            KpsyParticipant::Node(n) => n.on_budget_exhausted(slot),
-        }
-    }
-    #[inline]
-    fn on_reception(&mut self, slot: Slot, reception: Reception) {
-        match self {
-            KpsyParticipant::Alice(a) => a.on_reception(slot, reception),
-            KpsyParticipant::Node(n) => n.on_reception(slot, reception),
-        }
-    }
-    #[inline]
-    fn has_terminated(&self) -> bool {
-        match self {
-            KpsyParticipant::Alice(a) => a.has_terminated(),
-            KpsyParticipant::Node(n) => n.has_terminated(),
-        }
-    }
-    #[inline]
-    fn is_informed(&self) -> bool {
-        match self {
-            KpsyParticipant::Alice(a) => a.is_informed(),
-            KpsyParticipant::Node(n) => n.is_informed(),
-        }
+        let slot = self.slots[self.cursor];
+        self.cursor += 1;
+        (slot < horizon).then_some(slot)
     }
 }
 
 /// Reusable scratch for batched KPSY runs.
 #[derive(Debug, Default)]
 pub struct KpsyScratch {
-    roster: Vec<KpsyParticipant>,
     budgets: Vec<Budget>,
-    engine: EngineScratch,
+    /// Index 0 = Alice, `1..=n` = nodes.
+    plans: Vec<Plan>,
+    /// Epoch in which each player became informed (`u32::MAX` while
+    /// uninformed; Alice holds `m` from epoch 0): a player relays in the
+    /// epochs after it, and an informed node sits out the rest of its
+    /// listening plan.
+    informed_epoch: Vec<u32>,
+    wake: WakeQueue,
+    due: Vec<(u64, u32)>,
+    medium: Medium,
 }
 
 impl KpsyScratch {
@@ -291,10 +164,9 @@ impl KpsyScratch {
 /// Runs the KPSY jamming defense on the exact engine and reports the
 /// outcome plus the raw engine report.
 ///
-/// This is the execution engine behind `rcb_sim::Scenario::kpsy` (both
-/// fingerprint eras — see the module docs); prefer the `Scenario`
-/// builder in application code. Batched callers should use
-/// [`execute_kpsy_in`] with a per-worker [`KpsyScratch`].
+/// This is the execution engine behind `rcb_sim::Scenario::kpsy`; prefer
+/// the `Scenario` builder in application code. Batched callers should
+/// use [`execute_kpsy_in`] with a per-worker [`KpsyScratch`].
 ///
 /// # Example
 ///
@@ -326,51 +198,117 @@ pub fn execute_kpsy_in(
     adversary: &mut dyn Adversary,
     scratch: &mut KpsyScratch,
 ) -> (BroadcastOutcome, RunReport) {
+    execute_kpsy_with(config, adversary, scratch, &NoopCollector)
+}
+
+/// [`execute_kpsy_in`] with a telemetry collector attached. Telemetry
+/// is purely observational: counts batch in an [`EngineProfile`] behind
+/// one hoisted `enabled` check and flush once at run end.
+#[must_use]
+pub fn execute_kpsy_with<C: Collector + ?Sized>(
+    config: &KpsyConfig,
+    adversary: &mut dyn Adversary,
+    scratch: &mut KpsyScratch,
+    collector: &C,
+) -> (BroadcastOutcome, RunReport) {
     let seeds = SeedTree::new(config.seed);
     let mut authority = Authority::new(seeds.leaf_seed("auth-domain", 0));
     let alice_key = authority.issue_key();
     let verifier = authority.verifier();
-    let signed_m = alice_key.sign(&MessageBytes::from_static(b"kpsy payload m"));
+    let alice_id = alice_key.id();
+    let m = Payload::Broadcast(alice_key.sign(&MessageBytes::from_static(b"kpsy payload m")));
+    let n = config.n as usize;
+    let horizon = config.horizon;
+    let telemetry = collector.enabled();
+    let mut prof = EngineProfile::new();
 
-    scratch.roster.clear();
-    scratch.roster.reserve(config.n as usize + 1);
-    scratch.roster.push(KpsyParticipant::Alice(KpsyAlice {
-        signed_m,
-        horizon: config.horizon,
-        plan: EpochPlan::new(),
-        done: false,
-    }));
-    for _ in 0..config.n {
-        scratch.roster.push(KpsyParticipant::Node(KpsyNode {
-            verifier,
-            alice_key: alice_key.id(),
-            horizon: config.horizon,
-            plan: EpochPlan::new(),
-            informed_epoch: u32::MAX,
-            message: None,
-            done: false,
-        }));
-    }
-    scratch.budgets.clear();
-    scratch
-        .budgets
-        .resize(config.n as usize + 1, Budget::unlimited());
-    let engine = ExactEngine::new(EngineConfig {
-        max_slots: config.horizon + 2,
-        trace_capacity: config.trace_capacity,
-        ..EngineConfig::default()
-    });
-    let report = engine.run_with_roster_typed_in(
-        &mut scratch.engine,
-        &mut scratch.roster,
-        &scratch.budgets,
+    let KpsyScratch {
+        budgets,
+        plans,
+        informed_epoch,
+        wake,
+        due,
+        medium,
+    } = scratch;
+    budgets.clear();
+    budgets.resize(n + 1, Budget::unlimited());
+    medium.reset(
+        budgets,
         config.carol_budget,
-        adversary,
-        &seeds,
+        Spectrum::single(),
+        config.trace_capacity,
     );
+    informed_epoch.clear();
+    informed_epoch.resize(n + 1, u32::MAX);
+    informed_epoch[0] = 0;
+    plans.clear();
+    plans.extend((0..=n).map(|i| Plan::new(seeds.stream("participant", i as u64))));
+    wake.reset_with_buckets(n + 1, horizon, WAKE_BUCKETS);
+    for (i, plan) in plans.iter_mut().enumerate() {
+        if let Some(slot) = plan.next_slot(horizon) {
+            wake.schedule(i as u32, slot);
+        }
+    }
 
-    let outcome = gossip_outcome(config.n, &report);
-    (outcome, report)
+    // Every player terminates in slot `horizon`, which it sleeps
+    // through, so the run spans slots `0..=horizon`, each with Carol's
+    // turn.
+    for slot_idx in 0..=horizon {
+        wake.drain_due(slot_idx, due);
+        if telemetry && !due.is_empty() {
+            prof.wake_drains += 1;
+            prof.wake_drained += due.len() as u64;
+            collector.observe(MetricId::EngineWakeDrainBatch, due.len() as f64);
+        }
+        for &(_, player) in due.iter() {
+            let i = player as usize;
+            let plan = &mut plans[i];
+            if informed_epoch[i] == u32::MAX {
+                medium.listen(player, ChannelId::ZERO);
+            } else if plan.epoch > informed_epoch[i] {
+                medium.send(player, ChannelId::ZERO, m.clone());
+            }
+            if let Some(next) = plan.next_slot(horizon) {
+                wake.schedule(player, next);
+            }
+        }
+        if telemetry && !medium.listeners().is_empty() {
+            prof.listener_passes += 1;
+            prof.listeners_resolved += medium.listeners().len() as u64;
+        }
+        medium.carol_turn(Slot::new(slot_idx), adversary, |air| {
+            air.hear_all(|_, pid, reception| {
+                if let Reception::Frame(Payload::Broadcast(signed)) = reception {
+                    if signed.signer() == alice_id && verifier.verify_signed(signed) {
+                        // The epoch heard in, not the plan's: a listener
+                        // on its epoch's last secret slot has already
+                        // drawn the next epoch's plan.
+                        informed_epoch[pid.index() as usize] = epoch_of(slot_idx);
+                    }
+                }
+            });
+        });
+    }
+
+    let slots = horizon + 1;
+    if telemetry {
+        prof.slots = slots;
+        prof.adversary_plans = slots;
+        // Floyd sampling draws once per planned slot.
+        prof.rng_draws = plans
+            .iter()
+            .map(|p| (1..=p.epoch).map(|e| epoch_quota(1 << e)).sum::<u64>())
+            .sum();
+        prof.flush(collector);
+    }
+    let informed = informed_epoch.iter().map(|&e| e != u32::MAX).collect();
+    let report = medium.report(
+        slots,
+        StopReason::AllTerminated,
+        informed,
+        vec![true; n + 1],
+    );
+    (gossip_outcome(config.n, &report), report)
 }
 
 #[cfg(test)]
@@ -385,6 +323,10 @@ mod tests {
         assert_eq!(epoch_start(2), 2);
         assert_eq!(epoch_start(3), 6);
         assert_eq!(epoch_quota(2), 2);
+        for (slot, epoch) in [(0, 1), (1, 1), (2, 2), (5, 2), (6, 3), (13, 3), (14, 4)] {
+            assert_eq!(epoch_of(slot), epoch, "slot {slot}");
+            assert!(epoch_start(epoch) <= slot && slot < epoch_start(epoch + 1));
+        }
         // L = 1024: quota = ⌈1024^0.618⌉ = 73.
         assert_eq!(epoch_quota(1024), 73);
     }

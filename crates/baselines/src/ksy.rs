@@ -22,7 +22,6 @@
 
 use rand::Rng;
 use rcb_rng::{subset::sample_distinct, SeedTree, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// The golden ratio φ.
 pub const PHI: f64 = 1.618_033_988_749_895;
@@ -40,7 +39,7 @@ pub struct KsyConfig {
 }
 
 /// What a KSY-style run measured.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct KsyOutcome {
     /// Whether the message was delivered.
     pub delivered: bool,

@@ -49,7 +49,7 @@ pub use epidemic::{
     execute_epidemic_soa, execute_epidemic_soa_in, execute_epidemic_soa_with, EpidemicConfig,
     EpidemicSoaScratch,
 };
-pub use kpsy::{execute_kpsy, execute_kpsy_in, KpsyConfig, KpsyScratch};
+pub use kpsy::{execute_kpsy, execute_kpsy_in, execute_kpsy_with, KpsyConfig, KpsyScratch};
 pub use naive::{
     execute_naive_soa, execute_naive_soa_in, execute_naive_soa_with, NaiveConfig, NaiveSoaScratch,
 };

@@ -3,9 +3,8 @@
 //!
 //! A naive roster engine walks all `n + 1` state machines every slot,
 //! drawing per-slot Bernoullis even for devices that sleep with
-//! probability `1 − O(2^{−i})` — that was the retired era-1 path. This
-//! driver replaces that walk
-//! with an event queue: within a *segment* — a maximal slot range over
+//! probability `1 − O(2^{−i})`. This driver replaces that walk with an
+//! event queue: within a *segment* — a maximal slot range over
 //! which a device class's action probabilities are constant (a phase, or
 //! a §4.2 g-loop subsegment of one) — each live device's next action slot
 //! is drawn geometrically and parked in a bucketed [`WakeQueue`]. A slot
@@ -27,18 +26,18 @@
 //!
 //! Per-slot action *marginals* match the Figure 1/2 state machines
 //! exactly; receptions, noisy counts, informs, budget charges, and the
-//! adversary's [`SlotObservation`] are fully materialized (no deferred
-//! settlement — unlike the gossip driver, request-phase noise is
-//! per-node state). Termination timing replicates the protocol
-//! slot-for-slot: judged devices go quiet on the round-boundary slot,
-//! relayers terminate *after* acting on their step's final slot, and
-//! late recruits wait (sending decoys) until the next request phase.
+//! adversary's [`SlotObservation`](rcb_radio::SlotObservation) are fully
+//! materialized (no deferred settlement — unlike the gossip driver,
+//! request-phase noise is per-node state). Termination timing replicates
+//! the protocol slot-for-slot: judged devices go quiet on the
+//! round-boundary slot, relayers terminate *after* acting on their
+//! step's final slot, and late recruits wait (sending decoys) until the
+//! next request phase.
 
 use rcb_auth::{Authority, Payload as MessageBytes};
 use rcb_radio::{
-    resolve_for_listener_on, Adversary, AdversaryCtx, Budget, ChannelId, ChannelLoad, ChannelStats,
-    EnergyLedger, JamPlan, Op, ParticipantId, Payload, PayloadKind, Reception, RunReport, Slot,
-    SlotObservation, SlotRecord, Spectrum, StopReason, Trace, WakeQueue,
+    Adversary, Budget, ChannelId, Medium, Payload, Reception, RunReport, Slot, Spectrum,
+    StopReason, WakeQueue,
 };
 use rcb_rng::{CounterRng, Geometric, SeedTree};
 use rcb_telemetry::{Collector, EngineProfile, MetricId, NoopCollector};
@@ -93,7 +92,8 @@ enum Role {
     Waiting,
 }
 
-/// §4.2 g-loop segment count (1 = disabled), matching `ReceiverNode`.
+/// §4.2 g-loop segment count (1 = disabled): `⌈log2 ν⌉` halvings of the
+/// nack/relay probability under a polynomial size overestimate `ν`.
 fn g_segments(params: &Params) -> u64 {
     match params.size_knowledge() {
         SizeKnowledge::PolynomialOverestimate { nu } => {
@@ -188,7 +188,7 @@ fn build_segments(params: &Params, schedule: &RoundSchedule) -> Vec<Segment> {
 
 /// The first slot strictly after `slot` whose schedule position is a
 /// request phase — when an `Informed { relay_step: None }` node next
-/// acts as such and terminates (era-1 `act_informed`).
+/// acts as such and terminates.
 fn next_request_slot(schedule: &RoundSchedule, slot: u64, round: u32, phase: PhaseKind) -> u64 {
     let len = schedule.phase_len(round);
     let start = schedule.round_start(round);
@@ -236,7 +236,7 @@ pub struct BroadcastSoaScratch {
     schedule: Option<RoundSchedule>,
     segments: Vec<Segment>,
     /// `(boundary slot, round judged at it)` — request-phase judgements
-    /// fire on the first slot after each round (era-1 `pending_eval`).
+    /// fire on the first slot after each round.
     judges: Vec<(u64, u32)>,
     budgets: Vec<Budget>,
     // Per-device state, index 0 = Alice.
@@ -256,14 +256,7 @@ pub struct BroadcastSoaScratch {
     term: WakeQueue,
     due: Vec<(u64, u32)>,
     term_due: Vec<(u64, u32)>,
-    // Engine working buffers.
-    ledger: EnergyLedger,
-    load: ChannelLoad,
-    executed_jam: JamPlan,
-    jammed_channels: Vec<ChannelId>,
-    correct_sends: Vec<(ParticipantId, ChannelId, PayloadKind)>,
-    listeners: Vec<(ParticipantId, ChannelId)>,
-    delivered_listeners: Vec<(ParticipantId, ChannelId)>,
+    medium: Medium,
 }
 
 impl BroadcastSoaScratch {
@@ -350,25 +343,18 @@ impl BroadcastSoaScratch {
             term,
             due,
             term_due,
-            ledger,
-            load,
-            executed_jam,
-            jammed_channels,
-            correct_sends,
-            listeners,
-            delivered_listeners,
+            medium,
             ..
         } = self;
         let schedule = schedule.as_ref().expect("built above");
         let max_slots = schedule.total_slots() + 4;
 
-        ledger.reset_on(budgets, config.carol_budget, spectrum);
-        load.reset_for(spectrum);
-        executed_jam.clear();
-        jammed_channels.clear();
-        correct_sends.clear();
-        listeners.clear();
-        delivered_listeners.clear();
+        medium.reset(
+            budgets,
+            config.carol_budget,
+            spectrum,
+            config.trace_capacity,
+        );
         rngs.clear();
         rngs.extend((0..=n).map(|i| CounterRng::new(seeds.leaf_seed("participant", i as u64))));
         status.clear();
@@ -386,8 +372,6 @@ impl BroadcastSoaScratch {
         act_until.resize(n + 1, u64::MAX);
         wake.reset(n + 1, max_slots);
         term.reset(n + 1, max_slots);
-        let mut trace = Trace::with_capacity(config.trace_capacity);
-        let mut delivered_on_zero = 0u64;
         // Telemetry: one hoisted bool gates all bookkeeping; counts batch
         // in a plain-integer profile and flush once after the loop.
         let telemetry = collector.enabled();
@@ -400,8 +384,6 @@ impl BroadcastSoaScratch {
         let mut uninf_cls = class((0.0, 0.0));
         let mut relay_cls = class((0.0, 0.0));
         let mut wait_cls = class((0.0, 0.0));
-        let mut jammed_slots = 0u64;
-        let mut noisy_slots = 0u64;
         let mut slot_idx = 0u64;
 
         let stop_reason = loop {
@@ -417,8 +399,7 @@ impl BroadcastSoaScratch {
             let seg = segments[seg_idx];
             if seg.start == slot_idx {
                 // Round boundary: judge the request phase that just ended
-                // (all of its receptions are in), then reset counters —
-                // exactly era-1's deferred `pending_eval`.
+                // (all of its receptions are in), then reset counters.
                 while judge_idx < judges.len() && judges[judge_idx].0 == slot_idx {
                     let round = judges[judge_idx].1;
                     judge_idx += 1;
@@ -476,14 +457,6 @@ impl BroadcastSoaScratch {
                     }
                 }
             }
-
-            let slot = Slot::new(slot_idx);
-            load.clear();
-            correct_sends.clear();
-            listeners.clear();
-            executed_jam.clear();
-            jammed_channels.clear();
-            delivered_listeners.clear();
 
             // 1. Devices due this slot act: pick an arm, charge it, and
             //    re-draw the next wake.
@@ -543,28 +516,9 @@ impl BroadcastSoaScratch {
                     }
                 };
                 match send {
-                    Some(payload) => {
-                        if ledger
-                            .charge_participant_on(nu, Op::Send, ChannelId::ZERO)
-                            .is_charged()
-                        {
-                            correct_sends.push((
-                                ParticipantId::new(node),
-                                ChannelId::ZERO,
-                                payload.kind(),
-                            ));
-                            load.push(ChannelId::ZERO, payload);
-                        }
-                    }
-                    None => {
-                        if ledger
-                            .charge_participant_on(nu, Op::Listen, ChannelId::ZERO)
-                            .is_charged()
-                        {
-                            listeners.push((ParticipantId::new(node), ChannelId::ZERO));
-                        }
-                    }
-                }
+                    Some(payload) => medium.send(node, ChannelId::ZERO, payload),
+                    None => medium.listen(node, ChannelId::ZERO),
+                };
                 if let Some(geo) = &cls.geo {
                     let t = slot_idx + 1 + geo.sample(rng);
                     if t <= act_until[nu] {
@@ -573,134 +527,73 @@ impl BroadcastSoaScratch {
                 }
             }
 
-            // 2. Carol plans; reactive Carol additionally sees the RSSI bit.
-            let ctx = AdversaryCtx {
-                budget_remaining: ledger.carol_remaining(),
-                spent: ledger.carol_spend().total(),
-            };
-            let mut mv = adversary.plan(slot, &ctx);
-            if adversary.is_reactive() {
-                let activity = !load.is_quiet();
-                mv = adversary.react(slot, activity, mv);
-            }
-            for tx in mv.sends {
-                assert!(
-                    spectrum.contains(tx.channel),
-                    "byzantine send targets {} outside the {spectrum}",
-                    tx.channel
-                );
-                if ledger.charge_carol_on(Op::Send, tx.channel).is_charged() {
-                    load.push(tx.channel, tx.payload);
-                }
-            }
-            for (channel, directive) in mv.jam {
-                assert!(
-                    spectrum.contains(channel),
-                    "jam directive targets {channel} outside the {spectrum}"
-                );
-                if ledger.charge_carol_on(Op::Jam, channel).is_charged() {
-                    executed_jam.set(channel, directive);
-                    jammed_channels.push(channel);
-                }
-            }
-            let jam_executed = executed_jam.is_active();
-            if jam_executed {
-                jammed_slots += 1;
-            }
-            if jam_executed || !load.is_quiet() {
-                noisy_slots += 1;
-            }
-
-            // 3. Resolve every listener exactly: informs flip state and
-            //    schedule the node's (now known) termination slot;
-            //    request-phase noise feeds the judgement counters.
-            let mut delivered = 0u32;
-            if telemetry && !listeners.is_empty() {
+            // 2. Carol's turn, then every listener resolves exactly:
+            //    informs flip state and schedule the node's (now known)
+            //    termination slot; request-phase noise feeds the
+            //    judgement counters.
+            if telemetry && !medium.listeners().is_empty() {
                 prof.listener_passes += 1;
-                prof.listeners_resolved += listeners.len() as u64;
+                prof.listeners_resolved += medium.listeners().len() as u64;
             }
-            for &(pid, channel) in listeners.iter() {
-                let reception = resolve_for_listener_on(pid, channel, load, executed_jam);
-                if matches!(reception, Reception::Silence) {
-                    continue;
-                }
-                let node = pid.index();
-                let nu = node as usize;
-                let mut informs = false;
-                if let Reception::Frame(payload) = &reception {
-                    delivered += 1;
-                    delivered_on_zero += 1;
-                    delivered_listeners.push((pid, channel));
-                    if nu != 0 && status[nu] == 0 {
-                        if let Payload::Broadcast(signed) = payload {
-                            informs = signed.signer() == alice_id && verifier.verify_signed(signed);
-                        }
+            medium.carol_turn(Slot::new(slot_idx), adversary, |air| {
+                air.hear_all(|_, pid, reception| {
+                    if matches!(reception, Reception::Silence) {
+                        return;
                     }
-                }
-                if informs {
-                    status[nu] = 1;
-                    informed[nu] = true;
-                    let (rr, rs) = match seg.phase {
-                        PhaseKind::Inform => (seg.round, 1u32),
-                        PhaseKind::Propagation { step } if step < prop_steps => {
-                            (seg.round, step + 1)
-                        }
-                        // Too late in the round for a relay duty.
-                        _ => (seg.round, 0),
-                    };
-                    relay_round[nu] = rr;
-                    relay_step[nu] = rs;
-                    let done_at = if rs != 0 {
-                        // Done at the end of its relay step — still acting
-                        // on that step's final slot (era-1 `act_informed`).
-                        schedule.round_start(rr) + (u64::from(rs) + 1) * schedule.phase_len(rr) - 1
-                    } else {
-                        next_request_slot(schedule, slot_idx, seg.round, seg.phase)
-                    };
-                    act_until[nu] = if rs != 0 { done_at } else { done_at - 1 };
-                    term.schedule(node, done_at);
-                    // Re-draw under the informed class for the rest of the
-                    // current segment (relay duty, if any, starts at a
-                    // future segment boundary).
-                    wake.cancel(node);
-                    if let Some(geo) = &wait_cls.geo {
-                        let t = slot_idx + 1 + geo.sample(&mut rngs[nu]);
-                        if t <= act_until[nu] {
-                            wake.schedule(node, t);
-                        }
+                    let node = pid.index();
+                    let nu = node as usize;
+                    let mut informs = false;
+                    if let Reception::Frame(Payload::Broadcast(signed)) = reception {
+                        informs = nu != 0
+                            && status[nu] == 0
+                            && signed.signer() == alice_id
+                            && verifier.verify_signed(signed);
                     }
-                } else if matches!(seg.phase, PhaseKind::Request) && status[nu] == 0 {
-                    // Nacks, forged frames, jamming, collisions: all noisy,
-                    // none distinguishable (Alice shares the tally rule).
-                    noisy[nu] += 1;
-                }
-            }
-
-            // 4. Full-information feedback to the adaptive adversary.
-            adversary.observe(
-                slot,
-                &SlotObservation {
-                    correct_sends: correct_sends.as_slice(),
-                    listeners: listeners.as_slice(),
-                    jam_executed,
-                    jammed_channels: jammed_channels.as_slice(),
-                    delivered: delivered_listeners.as_slice(),
-                },
-            );
-            if config.trace_capacity > 0 {
-                trace.push(SlotRecord {
-                    slot: slot_idx,
-                    transmissions: load.total().min(u16::MAX as usize) as u16,
-                    jammed_channels: executed_jam.active_channel_count().min(u16::MAX as usize)
-                        as u16,
-                    listeners: listeners.len() as u32,
-                    delivered,
+                    if informs {
+                        status[nu] = 1;
+                        informed[nu] = true;
+                        let (rr, rs) = match seg.phase {
+                            PhaseKind::Inform => (seg.round, 1u32),
+                            PhaseKind::Propagation { step } if step < prop_steps => {
+                                (seg.round, step + 1)
+                            }
+                            // Too late in the round for a relay duty.
+                            _ => (seg.round, 0),
+                        };
+                        relay_round[nu] = rr;
+                        relay_step[nu] = rs;
+                        let done_at = if rs != 0 {
+                            // Done at the end of its relay step — still
+                            // acting on that step's final slot.
+                            schedule.round_start(rr) + (u64::from(rs) + 1) * schedule.phase_len(rr)
+                                - 1
+                        } else {
+                            next_request_slot(schedule, slot_idx, seg.round, seg.phase)
+                        };
+                        act_until[nu] = if rs != 0 { done_at } else { done_at - 1 };
+                        term.schedule(node, done_at);
+                        // Re-draw under the informed class for the rest of
+                        // the current segment (relay duty, if any, starts
+                        // at a future segment boundary).
+                        wake.cancel(node);
+                        if let Some(geo) = &wait_cls.geo {
+                            let t = slot_idx + 1 + geo.sample(&mut rngs[nu]);
+                            if t <= act_until[nu] {
+                                wake.schedule(node, t);
+                            }
+                        }
+                    } else if matches!(seg.phase, PhaseKind::Request) && status[nu] == 0 {
+                        // Nacks, forged frames, jamming, collisions: all
+                        // noisy, none distinguishable (Alice shares the
+                        // tally rule).
+                        noisy[nu] += 1;
+                    }
                 });
-            }
+            });
 
-            // 5. Terminations determined earlier land now: the device set
-            //    its done flag while acting this slot (era-1 shape), so
-            //    `live` reflects it from the next slot on.
+            // 3. Terminations determined earlier land now: the device set
+            //    its done flag while acting this slot, so `live` reflects
+            //    it from the next slot on.
             term.drain_due(slot_idx, term_due);
             for &(_, term_node) in term_due.iter() {
                 let node = term_node as usize;
@@ -722,34 +615,7 @@ impl BroadcastSoaScratch {
         }
 
         let terminated: Vec<bool> = status.iter().map(|&s| s == 2).collect();
-        let channel_stats: Vec<ChannelStats> = spectrum
-            .channels()
-            .map(|c| {
-                let i = c.index() as usize;
-                let correct = ledger.correct_channel_spend()[i];
-                let carol = ledger.carol_channel_spend()[i];
-                ChannelStats {
-                    correct_sends: correct.sends,
-                    correct_listens: correct.listens,
-                    byz_sends: carol.sends,
-                    jammed_slots: carol.jams,
-                    delivered: delivered_on_zero,
-                }
-            })
-            .collect();
-        let report = RunReport {
-            slots_elapsed: slot_idx,
-            stop_reason,
-            participant_costs: ledger.all_participant_spend(),
-            participant_refusals: (0..=n).map(|i| ledger.participant_refusals(i)).collect(),
-            carol_cost: ledger.carol_spend(),
-            informed: std::mem::take(informed),
-            terminated,
-            jammed_slots,
-            noisy_slots,
-            channel_stats,
-            trace,
-        };
+        let report = medium.report(slot_idx, stop_reason, std::mem::take(informed), terminated);
         let outcome = summarize(params, schedule, &report);
         (outcome, report)
     }
@@ -787,7 +653,7 @@ fn role_class<'a>(
 mod tests {
     use super::*;
     use crate::params::DecoyConfig;
-    use rcb_radio::{AdversaryMove, SilentAdversary};
+    use rcb_radio::{AdversaryCtx, AdversaryMove, SilentAdversary};
 
     fn params(n: u64, min_term: u32) -> Params {
         Params::builder(n)

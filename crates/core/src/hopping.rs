@@ -169,7 +169,6 @@ pub fn execute_hopping_soa_with<C: Collector + ?Sized>(
         max_slots: config.horizon + 2,
         trace_capacity: config.trace_capacity,
         spectrum,
-        ..EngineConfig::default()
     };
     let report = run_gossip_soa_with(
         &engine_config,

@@ -40,11 +40,9 @@
 //! * [`Params`] — validated protocol parameters and derived budgets;
 //! * [`RoundSchedule`] / [`PhaseKind`] — the slot → (round, phase) map;
 //! * [`probabilities`] — the Figure 1/2 formulas, in one auditable place;
-//! * [`Alice`] and [`ReceiverNode`] — the state machines, pluggable into
-//!   `rcb-radio`'s exact engine;
-//! * [`BroadcastSoaScratch`] — exact-engine orchestration on the
-//!   sleep-skipping SoA engine, with in-place state reuse across runs,
-//!   producing a [`BroadcastOutcome`];
+//! * [`BroadcastSoaScratch`] — the exact Figure 1/2 state machines as
+//!   one sleep-skipping driver on `rcb-radio`'s wake queue, with in-place
+//!   state reuse across runs, producing a [`BroadcastOutcome`];
 //! * [`execute_hopping_soa`] / [`HoppingConfig`] — the multi-channel
 //!   epidemic-style random-hopping broadcast, the first `C > 1`
 //!   workload;
@@ -72,7 +70,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod alice;
 mod broadcast;
 mod epoch_hopping;
 mod era2;
@@ -80,13 +77,11 @@ pub mod fast;
 pub mod fast_mc;
 pub mod fluid;
 mod hopping;
-mod node;
 mod outcome;
 mod params;
 pub mod probabilities;
 mod schedule;
 
-pub use alice::Alice;
 pub use broadcast::{stopped_cleanly, RunConfig};
 pub use epoch_hopping::{
     execute_epoch_hopping_soa, execute_epoch_hopping_soa_in, execute_epoch_hopping_soa_with,
@@ -97,7 +92,6 @@ pub use hopping::{
     execute_hopping_soa, execute_hopping_soa_in, execute_hopping_soa_with, gossip_outcome,
     HoppingConfig, HoppingSoaScratch,
 };
-pub use node::ReceiverNode;
 pub use outcome::{BroadcastOutcome, EngineKind};
 pub use params::{DecoyConfig, Params, ParamsBuilder, ParamsError, SizeKnowledge, Variant};
 pub use schedule::{phase_exponent, Cursor, PhaseKind, RoundSchedule, SlotPosition};

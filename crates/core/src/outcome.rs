@@ -1,10 +1,9 @@
 //! Outcome types shared by the exact and fast simulation paths.
 
 use rcb_radio::CostBreakdown;
-use serde::{Deserialize, Serialize};
 
 /// Which simulator produced an outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// The slot-by-slot per-node engine (ground truth).
     Exact,
@@ -16,7 +15,7 @@ pub enum EngineKind {
 }
 
 /// Everything an experiment needs to know about one broadcast execution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BroadcastOutcome {
     /// Number of correct receiver nodes.
     pub n: u64,

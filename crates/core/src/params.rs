@@ -10,10 +10,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Which pseudocode the probabilities follow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
     /// Figure 1: the `k = 2` presentation (`2 ln n / 2^i` for Alice,
     /// `4e(c+1)/2^i` propagation listening). Only valid with `k = 2`.
@@ -31,7 +29,7 @@ pub enum Variant {
 /// collide with `m` like any transmission, so listen probabilities are
 /// boosted by `listen_boost` to compensate (the paper's re-proof of
 /// Lemma 1 does the same with its own constants).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecoyConfig {
     /// Per-slot decoy probability is `rate / n`. The paper uses
     /// `3/(4ε′n)`; with its w.h.p.-proof-sized `ε′` that saturates the
@@ -58,7 +56,7 @@ impl DecoyConfig {
 }
 
 /// §4.2: what nodes know about the system size `n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SizeKnowledge {
     /// Nodes know `n` exactly (the baseline model).
     Exact,
@@ -89,7 +87,7 @@ pub enum SizeKnowledge {
 /// assert!(params.node_budget() > 0);
 /// # Ok::<(), rcb_core::ParamsError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Params {
     n: u64,
     k: u32,

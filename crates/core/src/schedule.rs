@@ -14,12 +14,10 @@
 //! function of the slot index — which is what this module provides. Both
 //! the protocol state machines and the adversary strategies consult it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::params::Params;
 
 /// Which phase of a round a slot belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhaseKind {
     /// Alice transmits `m`; uninformed nodes sample listen slots.
     Inform,

@@ -204,8 +204,8 @@ pub trait Adversary {
     /// those slots even though nodes did pay for listens there —
     /// aggregate accounting stays exact, identities don't. An adversary
     /// whose strategy reads listener identities returns `true` here to
-    /// force per-slot materialization (at era-1 cost). Sends, jams, and
-    /// deliveries are always exact regardless.
+    /// force per-slot materialization (at the cost of a per-slot listener
+    /// walk). Sends, jams, and deliveries are always exact regardless.
     fn wants_listener_identities(&self) -> bool {
         false
     }

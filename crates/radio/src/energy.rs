@@ -9,12 +9,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::spectrum::{ChannelId, Spectrum};
 
 /// An energy budget: a cap on total units spendable, or unlimited.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Budget(Option<u64>);
 
 impl Budget {
@@ -90,7 +88,7 @@ impl ChargeOutcome {
 }
 
 /// Per-participant spend, broken down by operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CostBreakdown {
     /// Units spent transmitting.
     pub sends: u64,

@@ -32,8 +32,8 @@
 //! Zheng 2019/2020), every radio operation targets a channel
 //! `c ∈ 0..C` of a [`Spectrum`]:
 //!
-//! * a device's [`NodeProtocol::channel`] hook names the channel its
-//!   send/listen lands on (default: [`ChannelId::ZERO`]);
+//! * every [`Medium::send`] and [`Medium::listen`] names the channel it
+//!   lands on (single-channel drivers use [`ChannelId::ZERO`]);
 //! * transmissions are grouped by channel into a [`ChannelLoad`], and a
 //!   listener tuned to channel `c` perceives **only** that channel's
 //!   traffic and jamming — resolution inspects one bucket per listener
@@ -53,43 +53,31 @@
 //!
 //! # Quick start
 //!
+//! The exact drivers (`rcb-core`'s ε-BROADCAST, the gossip driver in this
+//! crate, `rcb-baselines`' KPSY) all run their slots on one [`Medium`]:
+//! they commit the devices that act, then hand the slot to Carol's turn.
+//!
 //! ```
 //! use rcb_radio::{
-//!     Action, Budget, EngineConfig, ExactEngine, NodeProtocol, Reception,
-//!     SilentAdversary, Slot,
+//!     Budget, ChannelId, Medium, Payload, Reception, SilentAdversary, Slot, Spectrum, StopReason,
 //! };
-//! use rcb_rng::{SeedTree, SimRng};
 //!
-//! /// A sender that transmits in every slot until slot 10.
-//! struct Beacon;
-//! impl NodeProtocol for Beacon {
-//!     fn act(&mut self, slot: Slot, _rng: &mut SimRng) -> Action {
-//!         Action::Send(rcb_radio::Payload::Nack)
-//!     }
-//!     fn on_reception(&mut self, _: Slot, _: Reception) {}
-//!     fn has_terminated(&self) -> bool { false }
-//!     fn is_informed(&self) -> bool { true }
+//! // Device 0 beacons every slot; device 1 listens until it hears a frame.
+//! let mut medium = Medium::new();
+//! medium.reset(&[Budget::unlimited(); 2], Budget::unlimited(), Spectrum::single(), 0);
+//! let mut heard = false;
+//! let mut slot = 0;
+//! while !heard {
+//!     medium.send(0, ChannelId::ZERO, Payload::Nack);
+//!     medium.listen(1, ChannelId::ZERO);
+//!     medium.carol_turn(Slot::new(slot), &mut SilentAdversary, |air| {
+//!         air.hear_all(|_, _, reception| heard = matches!(reception, Reception::Frame(_)));
+//!     });
+//!     slot += 1;
 //! }
-//!
-//! /// A receiver that listens until it hears anything.
-//! struct Ear { heard: bool }
-//! impl NodeProtocol for Ear {
-//!     fn act(&mut self, _: Slot, _: &mut SimRng) -> Action {
-//!         if self.heard { Action::Sleep } else { Action::Listen }
-//!     }
-//!     fn on_reception(&mut self, _: Slot, r: Reception) {
-//!         if matches!(r, Reception::Frame(_)) { self.heard = true; }
-//!     }
-//!     fn has_terminated(&self) -> bool { self.heard }
-//!     fn is_informed(&self) -> bool { self.heard }
-//! }
-//!
-//! let participants: Vec<Box<dyn NodeProtocol>> =
-//!     vec![Box::new(Beacon), Box::new(Ear { heard: false })];
-//! let budgets = vec![Budget::unlimited(); 2];
-//! let report = ExactEngine::new(EngineConfig::default())
-//!     .run(participants, budgets, &mut SilentAdversary, &SeedTree::new(1));
-//! assert!(report.all_terminated_or_informed());
+//! let report = medium.report(slot, StopReason::AllTerminated, vec![true; 2], vec![true; 2]);
+//! assert_eq!(report.participant_costs[1].listens, 1);
+//! assert_eq!(report.channel_stats[0].delivered, 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -115,9 +103,9 @@ pub use channel::{
     JamPlanIntoIter,
 };
 pub use energy::{Budget, ChargeOutcome, CostBreakdown, EnergyLedger, Op};
-pub use engine::{ChannelStats, EngineConfig, EngineScratch, ExactEngine, RunReport, StopReason};
+pub use engine::{ChannelStats, EngineConfig, Medium, RunReport, StopReason};
 pub use message::{Payload, PayloadKind};
-pub use participant::{Action, NodeProtocol, ParticipantId, Reception};
+pub use participant::{ParticipantId, Reception};
 pub use slot::Slot;
 pub use soa::{run_gossip_soa_in, run_gossip_soa_with, GossipSoaScratch, GossipSpec, WakeQueue};
 pub use spectrum::{ChannelId, Spectrum};

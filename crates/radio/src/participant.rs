@@ -1,19 +1,15 @@
-//! Participants, their per-slot actions, and what they hear.
+//! Participant identities and what a listener hears.
 
 use std::fmt;
 
-use rcb_rng::SimRng;
-use serde::{Deserialize, Serialize};
-
 use crate::message::Payload;
-use crate::slot::Slot;
 
 /// Index of a correct participant in a simulation roster.
 ///
 /// By convention (established by `rcb-core`'s orchestration) index 0 is
 /// Alice and `1..=n` are the receiver nodes, but the engine itself treats
 /// all participants uniformly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ParticipantId(u32);
 
 impl ParticipantId {
@@ -42,29 +38,6 @@ impl From<u32> for ParticipantId {
     }
 }
 
-/// What a device does in one slot.
-///
-/// The radio is half-duplex: a device cannot send and listen in the same
-/// slot, hence a single action — this is also why "p cannot hear its own
-/// transmissions" (§2, request phase) holds by construction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Action {
-    /// Radio off. Free (sleep power is negligible on sensor motes).
-    Sleep,
-    /// Transmit one frame. Costs one energy unit.
-    Send(Payload),
-    /// Receive for the whole slot. Costs one energy unit.
-    Listen,
-}
-
-impl Action {
-    /// Whether this action uses the radio (and therefore costs energy).
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        !matches!(self, Action::Sleep)
-    }
-}
-
 /// What a listening device hears in one slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reception {
@@ -87,126 +60,9 @@ impl Reception {
     }
 }
 
-/// A correct participant's protocol logic, driven slot-by-slot by the
-/// engine.
-///
-/// Implementations are state machines: [`act`](NodeProtocol::act) is called
-/// exactly once per slot while the participant has not terminated, and
-/// [`on_reception`](NodeProtocol::on_reception) is called in the same slot
-/// if (and only if) the action was [`Action::Listen`].
-pub trait NodeProtocol {
-    /// Decides this slot's action. `rng` is the participant's private
-    /// deterministic stream.
-    fn act(&mut self, slot: Slot, rng: &mut SimRng) -> Action;
-
-    /// The channel this slot's action targets, when the action is
-    /// [`Action::Send`] or [`Action::Listen`].
-    ///
-    /// Called by the engine *after* [`act`](Self::act) in the same slot,
-    /// and only for active actions. Channel-hopping protocols draw their
-    /// hop inside `act` (where the private RNG is available), store it,
-    /// and report it here.
-    ///
-    /// The default pins every operation to
-    /// [`ChannelId::ZERO`](crate::ChannelId::ZERO): existing
-    /// single-channel protocols need no changes, consume no extra RNG
-    /// draws, and behave bit-for-bit identically on a single-channel
-    /// [`Spectrum`](crate::Spectrum) — the `C = 1` equivalence guarantee.
-    fn channel(&self, slot: Slot) -> crate::spectrum::ChannelId {
-        let _ = slot;
-        crate::spectrum::ChannelId::ZERO
-    }
-
-    /// Delivers what was heard. Called only for slots where `act` returned
-    /// [`Action::Listen`] (and the energy charge succeeded).
-    fn on_reception(&mut self, slot: Slot, reception: Reception);
-
-    /// Notifies that the requested action was suppressed because the
-    /// participant's energy budget is exhausted. The default keeps the
-    /// state machine running (it simply slept instead).
-    fn on_budget_exhausted(&mut self, slot: Slot) {
-        let _ = slot;
-    }
-
-    /// Whether this participant has terminated its protocol. Once true the
-    /// engine stops scheduling it; it must stay true.
-    fn has_terminated(&self) -> bool;
-
-    /// Whether this participant holds the broadcast message `m`. (For
-    /// sender-side participants this is trivially true.)
-    fn is_informed(&self) -> bool;
-}
-
-/// Delegation through mutable references, so the engine's monomorphized
-/// roster loop can be instantiated at `P = &mut dyn NodeProtocol` — the
-/// dynamic-dispatch path is just another instantiation of the one slot
-/// loop, not a second implementation.
-impl<T: NodeProtocol + ?Sized> NodeProtocol for &mut T {
-    #[inline]
-    fn act(&mut self, slot: Slot, rng: &mut SimRng) -> Action {
-        (**self).act(slot, rng)
-    }
-    #[inline]
-    fn channel(&self, slot: Slot) -> crate::spectrum::ChannelId {
-        (**self).channel(slot)
-    }
-    #[inline]
-    fn on_reception(&mut self, slot: Slot, reception: Reception) {
-        (**self).on_reception(slot, reception)
-    }
-    #[inline]
-    fn on_budget_exhausted(&mut self, slot: Slot) {
-        (**self).on_budget_exhausted(slot)
-    }
-    #[inline]
-    fn has_terminated(&self) -> bool {
-        (**self).has_terminated()
-    }
-    #[inline]
-    fn is_informed(&self) -> bool {
-        (**self).is_informed()
-    }
-}
-
-/// Delegation through boxes: a `Vec<Box<dyn NodeProtocol>>` roster runs
-/// on the engine directly, with no intermediate re-borrowed vector.
-impl<T: NodeProtocol + ?Sized> NodeProtocol for Box<T> {
-    #[inline]
-    fn act(&mut self, slot: Slot, rng: &mut SimRng) -> Action {
-        (**self).act(slot, rng)
-    }
-    #[inline]
-    fn channel(&self, slot: Slot) -> crate::spectrum::ChannelId {
-        (**self).channel(slot)
-    }
-    #[inline]
-    fn on_reception(&mut self, slot: Slot, reception: Reception) {
-        (**self).on_reception(slot, reception)
-    }
-    #[inline]
-    fn on_budget_exhausted(&mut self, slot: Slot) {
-        (**self).on_budget_exhausted(slot)
-    }
-    #[inline]
-    fn has_terminated(&self) -> bool {
-        (**self).has_terminated()
-    }
-    #[inline]
-    fn is_informed(&self) -> bool {
-        (**self).is_informed()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn action_activity() {
-        assert!(!Action::Sleep.is_active());
-        assert!(Action::Listen.is_active());
-        assert!(Action::Send(Payload::Nack).is_active());
-    }
 
     #[test]
     fn reception_noisiness() {

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A discrete time slot index.
 ///
 /// Newtype over `u64` so slot arithmetic cannot be confused with counts or
@@ -18,9 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.index(), 15);
 /// assert_eq!(s - Slot::new(10), 5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Slot(u64);
 
 impl Slot {

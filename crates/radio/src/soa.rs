@@ -1,11 +1,12 @@
-//! The era-2 sleep-skipping slot engine for gossip-shaped workloads.
+//! The sleep-skipping slot driver for gossip-shaped workloads, and the
+//! [`WakeQueue`] every exact driver parks its devices in.
 //!
-//! The era-1 engine ([`ExactEngine`](crate::ExactEngine)) walks every
-//! live participant every slot — `O(n)` per slot even when almost every
-//! node sleeps, which is the common case for the gossip baselines (an
-//! uninformed node acts with probability `listen_p`, an informed relayer
-//! with probability `λ/n`). This module re-architects that hot path
-//! around structure-of-arrays state and event scheduling:
+//! Walking every live participant every slot costs `O(n)` per slot even
+//! when almost every node sleeps, which is the common case for the
+//! gossip baselines (an uninformed node acts with probability
+//! `listen_p`, an informed relayer with probability `λ/n`). This driver
+//! is built around structure-of-arrays state and event scheduling
+//! instead:
 //!
 //! * **SoA rosters** — informed flags, draw counters, and scheduling
 //!   state live in contiguous arrays indexed by node id instead of being
@@ -24,34 +25,35 @@
 //!   binomial draw and bulk-charged. Slots where a frame *could*
 //!   deliver materialize the full listener set exactly.
 //!
-//! The result is statistically equivalent to a naive per-slot roster
-//! walk (the retired era-1 loop) but runs in time proportional to the
-//! *events* in a run rather than `n × slots`. It is **not**
-//! stream-compatible with that loop — fingerprints bumped to era 2.
+//! The result is statistically equivalent to a per-slot roster walk but
+//! runs in time proportional to the *events* in a run rather than
+//! `n × slots`. What happens on the air — Carol's turn, listener
+//! resolution, the report — is the shared [`Medium`].
 //!
 //! Exactness boundaries: per-slot listener *identities* are not
 //! materialized in inert slots, so [`SlotObservation::listeners`] is
 //! empty there (aggregate energy accounting is still exact). Tracing
 //! (`trace_capacity > 0`) or an adversary returning `true` from
 //! [`Adversary::wants_listener_identities`] forces full per-slot
-//! materialization, restoring era-1 observability at era-1-like cost.
-//! Traced and untraced runs of one seed are identically distributed but
-//! not bit-identical.
+//! materialization, restoring full observability at the cost of a
+//! per-slot listener walk. Traced and untraced runs of one seed are
+//! identically distributed but not bit-identical.
+//!
+//! [`SlotObservation::listeners`]: crate::SlotObservation::listeners
 
 use rand::Rng;
 use rcb_rng::subset::sample_distinct;
 use rcb_rng::{Binomial, CounterRng, Geometric, SeedTree};
 use rcb_telemetry::{Collector, EngineProfile, MetricId, NoopCollector};
 
-use crate::adversary::{Adversary, AdversaryCtx, SlotObservation};
-use crate::channel::{resolve_for_listener_on, ChannelLoad, JamDirective, JamPlan};
+use crate::adversary::Adversary;
+use crate::channel::JamDirective;
 use crate::energy::{Budget, EnergyLedger, Op};
-use crate::engine::{ChannelStats, EngineConfig, RunReport, StopReason};
+use crate::engine::{EngineConfig, Medium, RunReport, StopReason};
 use crate::message::Payload;
-use crate::participant::{ParticipantId, Reception};
+use crate::participant::Reception;
 use crate::slot::Slot;
 use crate::spectrum::ChannelId;
-use crate::trace::{SlotRecord, Trace};
 
 /// Upper bound on wheel size — beyond this, far-future wakes alias into
 /// earlier buckets and are skipped during drains (correctly, at a small
@@ -90,8 +92,9 @@ impl WakeQueue {
         self.reset_with_buckets(nodes, horizon, buckets);
     }
 
-    /// [`reset`](Self::reset) with an explicit power-of-two bucket count
-    /// (test hook for exercising bucket aliasing on short horizons).
+    /// [`reset`](Self::reset) with an explicit power-of-two bucket count:
+    /// a smaller wheel aliases far-future wakes into shared buckets,
+    /// trading drain scans for bucket memory.
     pub fn reset_with_buckets(&mut self, nodes: usize, horizon: u64, buckets: u64) {
         assert!(
             buckets.is_power_of_two(),
@@ -202,17 +205,10 @@ pub struct GossipSpec {
 }
 
 /// Reusable cross-run scratch for [`run_gossip_soa_in`] — the SoA state
-/// arrays plus the per-slot buffers shared with the era-1 engine shape.
+/// arrays plus the run's [`Medium`].
 #[derive(Debug, Default)]
 pub struct GossipSoaScratch {
-    ledger: EnergyLedger,
-    load: ChannelLoad,
-    correct_sends: Vec<(ParticipantId, ChannelId, crate::message::PayloadKind)>,
-    listeners: Vec<(ParticipantId, ChannelId)>,
-    executed_jam: JamPlan,
-    jammed_channels: Vec<ChannelId>,
-    delivered_listeners: Vec<(ParticipantId, ChannelId)>,
-    delivered_by_channel: Vec<u64>,
+    medium: Medium,
     rngs: Vec<CounterRng>,
     informed: Vec<bool>,
     pool: Vec<u32>,
@@ -342,13 +338,12 @@ fn settle_epoch_inert(
 }
 
 /// Runs a gossip-shaped broadcast on the sleep-skipping engine and
-/// returns a [`RunReport`] of the era-1 shape.
+/// returns its [`RunReport`].
 ///
 /// `is_informing` decides whether a delivered frame informs an
 /// uninformed node (signature verification lives with the caller, which
 /// keeps this driver payload-agnostic). `config` supplies the spectrum,
-/// slot cap, and trace capacity exactly as for the era-1 engine; per
-/// the module docs, `trace_capacity > 0` or an adversary that
+/// slot cap, and trace capacity; per the module docs, `trace_capacity > 0` or an adversary that
 /// [`wants_listener_identities`](Adversary::wants_listener_identities)
 /// switches the run to full per-slot listener materialization.
 ///
@@ -425,14 +420,7 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
     let mut prof = EngineProfile::new();
 
     let GossipSoaScratch {
-        ledger,
-        load,
-        correct_sends,
-        listeners,
-        executed_jam,
-        jammed_channels,
-        delivered_listeners,
-        delivered_by_channel,
+        medium,
         rngs,
         informed,
         pool,
@@ -446,15 +434,7 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
     } = scratch;
 
     // Re-shape every buffer in place (allocation-free once warm).
-    ledger.reset_on(budgets, carol_budget, spectrum);
-    load.reset_for(spectrum);
-    executed_jam.clear();
-    jammed_channels.clear();
-    correct_sends.clear();
-    listeners.clear();
-    delivered_listeners.clear();
-    delivered_by_channel.clear();
-    delivered_by_channel.resize(channels as usize, 0);
+    medium.reset(budgets, carol_budget, spectrum, config.trace_capacity);
     rngs.clear();
     rngs.extend((0..=n).map(|i| CounterRng::new(seeds.leaf_seed("participant", i as u64))));
     let mut engine_rng = CounterRng::new(seeds.leaf_seed("era2-engine", 0));
@@ -482,7 +462,6 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
         epoch_detected.resize(n + 1, false);
         epoch_noisy.resize(channels as usize, 0);
     }
-    let mut trace = Trace::with_capacity(config.trace_capacity);
 
     let alice_geo = (spec.alice_send_p > 0.0)
         .then(|| Geometric::new(spec.alice_send_p).expect("validated above"));
@@ -494,24 +473,22 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
     }
 
     let mut inert_slots = 0u64;
-    let mut jammed_slots = 0u64;
-    let mut noisy_slots = 0u64;
     let mut slot_idx = 0u64;
     let stop_reason = loop {
         if slot_idx >= config.max_slots {
             break StopReason::SlotCapReached;
         }
-        // Era-1 termination shape: Alice and (in horizon mode) the nodes
-        // set their done flags while acting slot `horizon`, so from the
-        // next slot's perspective everyone is terminated. Naive-mode
-        // nodes terminate individually on informing.
+        // Termination shape: Alice and (in horizon mode) the nodes set
+        // their done flags while acting slot `horizon`, so from the next
+        // slot's perspective everyone is terminated. Naive-mode nodes
+        // terminate individually on informing.
         let alice_terminated = slot_idx > spec.horizon;
         let nodes_terminated = if spec.terminate_on_inform {
             pool.is_empty()
         } else {
             slot_idx > spec.horizon
         };
-        if config.stop_when_all_terminated && alice_terminated && nodes_terminated {
+        if alice_terminated && nodes_terminated {
             break StopReason::AllTerminated;
         }
         // Epoch boundary: settle every dormant node's deferred listens
@@ -528,7 +505,7 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
                 let prev = epoch_channel[i];
                 if node > 0 && pool_pos[i] != u32::MAX {
                     let (heard, charged) = settle_epoch_inert(
-                        ledger,
+                        &mut medium.ledger,
                         &mut rngs[i],
                         node,
                         prev,
@@ -562,14 +539,6 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
             }
         }
 
-        let slot = Slot::new(slot_idx);
-        load.clear();
-        correct_sends.clear();
-        listeners.clear();
-        executed_jam.clear();
-        jammed_channels.clear();
-        delivered_listeners.clear();
-
         // 1. Senders due this slot transmit and re-draw their next wake.
         wake.drain_due(slot_idx, due);
         if telemetry && !due.is_empty() {
@@ -596,13 +565,7 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
             } else {
                 pick_channel(rng, hop, channels)
             };
-            if ledger
-                .charge_participant_on(node as usize, Op::Send, channel)
-                .is_charged()
-            {
-                correct_sends.push((ParticipantId::new(node), channel, spec.payload.kind()));
-                load.push(channel, spec.payload.clone());
-            }
+            medium.send(node, channel, spec.payload.clone());
             let geo = if node == 0 { &alice_geo } else { &relay_geo };
             if let Some(geo) = geo {
                 let gap = geo.sample(rng);
@@ -610,172 +573,22 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
             }
         }
 
-        // 2. Carol plans; reactive Carol additionally sees the RSSI bit.
-        let ctx = AdversaryCtx {
-            budget_remaining: ledger.carol_remaining(),
-            spent: ledger.carol_spend().total(),
-        };
-        let mut mv = adversary.plan(slot, &ctx);
-        if adversary.is_reactive() {
-            let activity = !load.is_quiet();
-            mv = adversary.react(slot, activity, mv);
-        }
-        for tx in mv.sends {
-            assert!(
-                spectrum.contains(tx.channel),
-                "byzantine send targets {} outside the {spectrum}",
-                tx.channel
-            );
-            if ledger.charge_carol_on(Op::Send, tx.channel).is_charged() {
-                load.push(tx.channel, tx.payload);
-            }
-        }
-        for (channel, directive) in mv.jam {
-            assert!(
-                spectrum.contains(channel),
-                "jam directive targets {channel} outside the {spectrum}"
-            );
-            if ledger.charge_carol_on(Op::Jam, channel).is_charged() {
-                executed_jam.set(channel, directive);
-                jammed_channels.push(channel);
-            }
-        }
-        let jam_executed = executed_jam.is_active();
-        if jam_executed {
-            jammed_slots += 1;
-        }
-        if jam_executed || !load.is_quiet() {
-            noisy_slots += 1;
-        }
-
-        // 3. Listeners. A slot can change listener state (or deliver any
-        //    frame) only if some channel carries exactly one transmission
-        //    not blanket-jammed; otherwise every listen resolves to
-        //    silence or noise and is deferred to settlement.
+        // 2. Carol's turn. Listeners: a slot can change listener state
+        //    (or deliver any frame) only if some channel carries exactly
+        //    one transmission not blanket-jammed; otherwise every listen
+        //    resolves to silence or noise and is deferred to settlement.
         let listen_open = spec.terminate_on_inform || slot_idx < spec.horizon;
-        let mut delivered = 0u32;
-        if listen_open && !pool.is_empty() {
-            let mut interesting = materialize_all;
-            if !interesting {
-                for c in 0..channels {
-                    let ch = ChannelId::new(c);
-                    if load.on(ch).len() == 1
-                        && !matches!(executed_jam.directive_on(ch), JamDirective::All)
-                    {
-                        interesting = true;
-                        break;
-                    }
-                }
+        medium.carol_turn(Slot::new(slot_idx), adversary, |air| {
+            if !listen_open || pool.is_empty() {
+                return;
             }
-            if interesting {
-                // Materialize the exact listener set: count, identities,
-                // and per-listener channels, in roster order.
-                let u = pool.len() as u64;
-                let k = if spec.listen_p >= 1.0 {
-                    u
-                } else if spec.listen_p <= 0.0 {
-                    0
-                } else {
-                    Binomial::new(u, spec.listen_p)
-                        .expect("validated above")
-                        .sample(&mut engine_rng)
-                };
-                ids.clear();
-                if k == u {
-                    ids.extend_from_slice(pool);
-                } else {
-                    ids.extend(
-                        sample_distinct(&mut engine_rng, u, k)
-                            .into_iter()
-                            .map(|i| pool[i as usize]),
-                    );
-                }
-                ids.sort_unstable();
-                if telemetry {
-                    prof.listener_passes += 1;
-                    prof.listeners_resolved += ids.len() as u64;
-                    // One binomial for the count, one subset sample for
-                    // identities, one channel pick per listener when
-                    // hopping off the epoch schedule.
-                    prof.rng_draws += 2;
-                    if !epoch_mode && hop && channels > 1 {
-                        prof.rng_draws += ids.len() as u64;
-                    }
-                }
-                for &node in ids.iter() {
-                    let rng = &mut rngs[node as usize];
-                    let channel = if epoch_mode {
-                        ChannelId::new(epoch_channel[node as usize])
-                    } else {
-                        pick_channel(rng, hop, channels)
-                    };
-                    if ledger
-                        .charge_participant_on(node as usize, Op::Listen, channel)
-                        .is_charged()
-                    {
-                        listeners.push((ParticipantId::new(node), channel));
-                    }
-                }
-                for &(pid, channel) in listeners.iter() {
-                    let reception = resolve_for_listener_on(pid, channel, load, executed_jam);
-                    if epoch_mode && reception.is_noisy() {
-                        epoch_detected[pid.index() as usize] = true;
-                    }
-                    if let Reception::Frame(payload) = reception {
-                        delivered += 1;
-                        delivered_by_channel[channel.index() as usize] += 1;
-                        delivered_listeners.push((pid, channel));
-                        let node = pid.index();
-                        if !informed[node as usize] && is_informing(&payload) {
-                            informed[node as usize] = true;
-                            let pos = pool_pos[node as usize] as usize;
-                            pool.swap_remove(pos);
-                            if pos < pool.len() {
-                                pool_pos[pool[pos] as usize] = pos as u32;
-                            }
-                            pool_pos[node as usize] = u32::MAX;
-                            let charged = if epoch_mode {
-                                // Prior epochs settled at their
-                                // boundaries; only the current epoch's
-                                // inert listens remain.
-                                let ch = epoch_channel[node as usize];
-                                settle_epoch_inert(
-                                    ledger,
-                                    &mut rngs[node as usize],
-                                    node,
-                                    ch,
-                                    epoch_inert,
-                                    epoch_noisy[ch as usize],
-                                    spec.listen_p,
-                                )
-                                .1
-                            } else {
-                                settle_inert(
-                                    ledger,
-                                    &mut rngs[node as usize],
-                                    node,
-                                    inert_slots,
-                                    spec.listen_p,
-                                    hop,
-                                    channels,
-                                )
-                            };
-                            if telemetry {
-                                prof.settled_listens += charged;
-                            }
-                            if !spec.terminate_on_inform {
-                                if let Some(geo) = &relay_geo {
-                                    let gap = geo.sample(&mut rngs[node as usize]);
-                                    wake.schedule(
-                                        node,
-                                        slot_idx.saturating_add(1).saturating_add(gap),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-            } else {
+            let interesting = materialize_all
+                || (0..channels).any(|c| {
+                    let ch = ChannelId::new(c);
+                    air.load.on(ch).len() == 1
+                        && !matches!(air.jam.directive_on(ch), JamDirective::All)
+                });
+            if !interesting {
                 inert_slots += 1;
                 if epoch_mode {
                     // Track which channels a deferred listener would have
@@ -785,37 +598,111 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
                     epoch_inert += 1;
                     for c in 0..channels {
                         let ch = ChannelId::new(c);
-                        if !load.on(ch).is_empty()
-                            || matches!(executed_jam.directive_on(ch), JamDirective::All)
+                        if !air.load.on(ch).is_empty()
+                            || matches!(air.jam.directive_on(ch), JamDirective::All)
                         {
                             epoch_noisy[c as usize] += 1;
                         }
                     }
                 }
+                return;
             }
-        }
-
-        // 4. Full-information feedback to the adaptive adversary.
-        adversary.observe(
-            slot,
-            &SlotObservation {
-                correct_sends: correct_sends.as_slice(),
-                listeners: listeners.as_slice(),
-                jam_executed,
-                jammed_channels: jammed_channels.as_slice(),
-                delivered: delivered_listeners.as_slice(),
-            },
-        );
-
-        if config.trace_capacity > 0 {
-            trace.push(SlotRecord {
-                slot: slot_idx,
-                transmissions: load.total().min(u16::MAX as usize) as u16,
-                jammed_channels: executed_jam.active_channel_count().min(u16::MAX as usize) as u16,
-                listeners: listeners.len() as u32,
-                delivered,
+            // Materialize the exact listener set: count, identities, and
+            // per-listener channels, in roster order.
+            let u = pool.len() as u64;
+            let k = if spec.listen_p >= 1.0 {
+                u
+            } else if spec.listen_p <= 0.0 {
+                0
+            } else {
+                Binomial::new(u, spec.listen_p)
+                    .expect("validated above")
+                    .sample(&mut engine_rng)
+            };
+            ids.clear();
+            if k == u {
+                ids.extend_from_slice(pool);
+            } else {
+                ids.extend(
+                    sample_distinct(&mut engine_rng, u, k)
+                        .into_iter()
+                        .map(|i| pool[i as usize]),
+                );
+            }
+            ids.sort_unstable();
+            if telemetry {
+                prof.listener_passes += 1;
+                prof.listeners_resolved += ids.len() as u64;
+                // One binomial for the count, one subset sample for
+                // identities, one channel pick per listener when hopping
+                // off the epoch schedule.
+                prof.rng_draws += 2;
+                if !epoch_mode && hop && channels > 1 {
+                    prof.rng_draws += ids.len() as u64;
+                }
+            }
+            for &node in ids.iter() {
+                let channel = if epoch_mode {
+                    ChannelId::new(epoch_channel[node as usize])
+                } else {
+                    pick_channel(&mut rngs[node as usize], hop, channels)
+                };
+                air.listen(node, channel);
+            }
+            air.hear_all(|ledger, pid, reception| {
+                if epoch_mode && reception.is_noisy() {
+                    epoch_detected[pid.index() as usize] = true;
+                }
+                let Reception::Frame(payload) = reception else {
+                    return;
+                };
+                let node = pid.index();
+                if informed[node as usize] || !is_informing(payload) {
+                    return;
+                }
+                informed[node as usize] = true;
+                let pos = pool_pos[node as usize] as usize;
+                pool.swap_remove(pos);
+                if pos < pool.len() {
+                    pool_pos[pool[pos] as usize] = pos as u32;
+                }
+                pool_pos[node as usize] = u32::MAX;
+                let charged = if epoch_mode {
+                    // Prior epochs settled at their boundaries; only the
+                    // current epoch's inert listens remain.
+                    let ch = epoch_channel[node as usize];
+                    settle_epoch_inert(
+                        ledger,
+                        &mut rngs[node as usize],
+                        node,
+                        ch,
+                        epoch_inert,
+                        epoch_noisy[ch as usize],
+                        spec.listen_p,
+                    )
+                    .1
+                } else {
+                    settle_inert(
+                        ledger,
+                        &mut rngs[node as usize],
+                        node,
+                        inert_slots,
+                        spec.listen_p,
+                        hop,
+                        channels,
+                    )
+                };
+                if telemetry {
+                    prof.settled_listens += charged;
+                }
+                if !spec.terminate_on_inform {
+                    if let Some(geo) = &relay_geo {
+                        let gap = geo.sample(&mut rngs[node as usize]);
+                        wake.schedule(node, slot_idx.saturating_add(1).saturating_add(gap));
+                    }
+                }
             });
-        }
+        });
 
         slot_idx += 1;
     };
@@ -828,7 +715,7 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
             let charged = if epoch_mode {
                 let ch = epoch_channel[node as usize];
                 settle_epoch_inert(
-                    ledger,
+                    &mut medium.ledger,
                     &mut rngs[node as usize],
                     node,
                     ch,
@@ -839,7 +726,7 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
                 .1
             } else {
                 settle_inert(
-                    ledger,
+                    &mut medium.ledger,
                     &mut rngs[node as usize],
                     node,
                     inert_slots,
@@ -871,41 +758,13 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
     } else {
         vec![alice_done; n + 1]
     };
-    let channel_stats = spectrum
-        .channels()
-        .map(|c| {
-            let i = c.index() as usize;
-            let correct = ledger.correct_channel_spend()[i];
-            let carol = ledger.carol_channel_spend()[i];
-            ChannelStats {
-                correct_sends: correct.sends,
-                correct_listens: correct.listens,
-                byz_sends: carol.sends,
-                jammed_slots: carol.jams,
-                delivered: delivered_by_channel[i],
-            }
-        })
-        .collect();
-
-    RunReport {
-        slots_elapsed: slot_idx,
-        stop_reason,
-        participant_costs: ledger.all_participant_spend(),
-        participant_refusals: (0..=n).map(|i| ledger.participant_refusals(i)).collect(),
-        carol_cost: ledger.carol_spend(),
-        informed: std::mem::take(informed),
-        terminated,
-        jammed_slots,
-        noisy_slots,
-        channel_stats,
-        trace,
-    }
+    medium.report(slot_idx, stop_reason, std::mem::take(informed), terminated)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{AdversaryMove, SilentAdversary};
+    use crate::adversary::{AdversaryCtx, AdversaryMove, SilentAdversary};
     use crate::spectrum::Spectrum;
 
     fn quiet_spec(n: u64, horizon: u64) -> GossipSpec {
@@ -947,7 +806,6 @@ mod tests {
             max_slots: horizon + 2,
             trace_capacity,
             spectrum,
-            ..EngineConfig::default()
         }
     }
 
@@ -1140,7 +998,7 @@ mod tests {
     #[test]
     fn naive_mode_uninformed_nodes_listen_past_the_horizon_to_the_cap() {
         // Carol outlasts the horizon: receivers never inform and keep
-        // listening until the slot cap, exactly like era 1.
+        // listening until the slot cap.
         let spec = GossipSpec {
             n: 4,
             horizon: 30,

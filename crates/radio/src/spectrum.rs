@@ -14,8 +14,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A radio channel index, `0 ≤ c < C`.
 ///
 /// Newtype over `u16` so channel arithmetic cannot be confused with slot
@@ -29,9 +27,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(spectrum.contains(ChannelId::new(3)));
 /// assert!(!spectrum.contains(ChannelId::new(4)));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ChannelId(u16);
 
 impl ChannelId {
@@ -77,7 +73,7 @@ impl From<u16> for ChannelId {
 /// assert_eq!(s.channels().count(), 8);
 /// assert_eq!(Spectrum::default(), Spectrum::single());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Spectrum {
     channels: u16,
 }

@@ -4,12 +4,10 @@
 //! runs cannot exhaust memory. Traces support debugging, the blocked-phase
 //! post-mortems in tests, and the EXPERIMENTS.md narrative plots.
 
-use serde::{Deserialize, Serialize};
-
 use crate::slot::Slot;
 
 /// Compact per-slot summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotRecord {
     /// The slot index.
     pub slot: u64,
@@ -54,7 +52,7 @@ impl SlotRecord {
 /// assert_eq!(trace.len(), 2);           // capped
 /// assert_eq!(trace.dropped(), 3);       // but counted
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     records: Vec<SlotRecord>,
     cap: usize,

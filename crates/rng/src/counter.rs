@@ -1,11 +1,10 @@
 //! Counter-based per-participant randomness for the era-2 exact engine.
 //!
-//! The era-1 slot loop hands every participant a stateful
-//! [`Xoshiro256PlusPlus`](crate::Xoshiro256PlusPlus) stream, which means a
-//! node's draws depend on *how many* draws it has made — fine for a loop
-//! that visits every node every slot, but hostile to sleep-skipping, where
-//! a node's next action is sampled directly and whole stretches of slots
-//! are never visited. [`CounterRng`] decouples the stream from the visit
+//! A stateful [`Xoshiro256PlusPlus`](crate::Xoshiro256PlusPlus) stream
+//! makes a node's draws depend on *how many* draws it has made — fine
+//! for a loop that visits every node every slot, but hostile to
+//! sleep-skipping, where a node's next action is sampled directly and
+//! whole stretches of slots are never visited. [`CounterRng`] decouples the stream from the visit
 //! pattern: the `i`-th word of a node's stream is a pure function of
 //! `(key, i)`, so the engine can jump a node's draw counter forward, park
 //! it in a wakeup queue, and resume its stream later without replaying the

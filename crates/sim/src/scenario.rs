@@ -7,7 +7,7 @@ use std::sync::Arc;
 use rcb_adversary::StrategySpec;
 use rcb_baselines::ksy::{run_ksy, KsyConfig, KsyOutcome};
 use rcb_baselines::{
-    execute_epidemic_soa_with, execute_kpsy_in, execute_naive_soa_with, EpidemicConfig,
+    execute_epidemic_soa_with, execute_kpsy_with, execute_naive_soa_with, EpidemicConfig,
     EpidemicSoaScratch, KpsyConfig, KpsyScratch, NaiveConfig, NaiveSoaScratch,
 };
 use rcb_core::fast::{run_fast_with, FastConfig};
@@ -404,11 +404,11 @@ pub struct Scenario {
 
 /// Reusable per-worker scratch for batched scenario execution.
 ///
-/// Holds one scratch per exact-engine protocol family (roster, budget
-/// vector, and the engine's [`rcb_radio::EngineScratch`] working
-/// buffers); a batch worker resets them in place across its trials, so
-/// steady-state trial execution performs no per-trial allocation beyond
-/// the outcome itself.
+/// Holds one scratch per exact-engine protocol family (per-device state,
+/// wake queues, and the engine's [`rcb_radio::Medium`]); a batch worker
+/// resets them in place across its trials, so steady-state trial
+/// execution performs little per-trial allocation beyond the outcome
+/// itself.
 #[derive(Debug, Default)]
 pub struct ScenarioScratch {
     broadcast_soa: BroadcastSoaScratch,
@@ -837,10 +837,8 @@ impl Scenario {
         outcome
     }
 
-    /// KPSY runs slot-by-slot on the exact roster engine in **both**
-    /// eras: its sparse secret schedules defeat the SoA engine's
-    /// aggregated listener settlement, so there is deliberately one
-    /// slot-level implementation (see `rcb_baselines::execute_kpsy`).
+    /// KPSY on the exact engine: players park in the wake queue until
+    /// their next secret slot (see `rcb_baselines::execute_kpsy`).
     fn run_kpsy(
         &self,
         scratch: &mut ScenarioScratch,
@@ -854,10 +852,11 @@ impl Scenario {
             trace_capacity: self.trace_capacity,
             seed,
         };
-        let (broadcast, report) = execute_kpsy_in(
+        let (broadcast, report) = execute_kpsy_with(
             &config,
             self.schedule_free_adversary(seed).as_mut(),
             &mut scratch.kpsy,
+            self.collector(),
         );
         self.exact_outcome(broadcast, report, seed)
     }

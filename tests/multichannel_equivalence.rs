@@ -351,10 +351,8 @@ fn hopping_c4_channel_lagged_matches_pinned_fingerprint() {
 
 #[test]
 fn devirtualized_path_reproduces_pinned_fingerprints_under_scratch_reuse() {
-    // The engine-hot-path overhaul (typed enum rosters on the
-    // monomorphized slot loop, active-set compaction, per-worker
-    // EngineScratch reuse, single-thread batch override) must be
-    // invisible: repeated runs through ONE ScenarioScratch, and a
+    // Per-worker scratch reuse and the single-thread batch override
+    // must be invisible: repeated runs through ONE ScenarioScratch, and a
     // threads(1) run_batch, all land on the exact fingerprints pinned
     // when the adversary subsystem was introduced — across protocol ×
     // adversary × C ∈ {1, 4}.
@@ -587,6 +585,81 @@ fn kpsy_continuous_matches_pinned_fingerprint() {
         },
     );
     assert_eq!(outcome.jam_slots_by_channel(), vec![600]);
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+#[test]
+fn kpsy_zoo_matches_pinned_digests() {
+    // KPSY across the single-channel zoo: one FNV-1a digest per
+    // (strategy, n) of the rendered outcomes (telemetry stripped),
+    // folded over horizon × Carol budget × trace capacity × seed in this
+    // fixed order — 540 runs. Captured on the per-participant roster
+    // loop before KPSY moved onto the wake queue.
+    use evildoers::sim::KpsySpec;
+    const PINS: [(&str, u64, u64); 15] = [
+        ("silent", 1, 0x7b17_4765_1f41_bc9b),
+        ("silent", 12, 0xa293_d273_0c48_c54f),
+        ("silent", 64, 0x0094_4880_11fe_a435),
+        ("continuous", 1, 0xaa96_ba55_43c7_9de5),
+        ("continuous", 12, 0xe75a_dbdb_ee4e_f153),
+        ("continuous", 64, 0xe906_456d_a6df_37fb),
+        ("random(p=0.5)", 1, 0x0cf1_636f_0bb8_026f),
+        ("random(p=0.5)", 12, 0xde61_6555_04e8_769b),
+        ("random(p=0.5)", 64, 0xc9d9_4706_f3a6_c9c5),
+        ("bursty(16/48)", 1, 0x2b7a_40fc_8a8e_a1eb),
+        ("bursty(16/48)", 12, 0x449c_d2ac_27a5_f00b),
+        ("bursty(16/48)", 64, 0xbb49_75dc_c219_50dd),
+        ("lagged-reactive", 1, 0x801f_62bd_e54f_6233),
+        ("lagged-reactive", 12, 0x3d45_3856_16dd_5d9b),
+        ("lagged-reactive", 64, 0x8ee1_05fd_12b9_23b9),
+    ];
+    let strategies = [
+        StrategySpec::Silent,
+        StrategySpec::Continuous,
+        StrategySpec::Random(0.5),
+        StrategySpec::Bursty { burst: 16, gap: 48 },
+        StrategySpec::LaggedReactive,
+    ];
+    let mut actual = Vec::new();
+    for strategy in strategies {
+        for n in [1u64, 12, 64] {
+            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            for horizon in [0u64, 30, 1_022] {
+                for budget in [None, Some(10u64), Some(600)] {
+                    for trace in [0usize, 7] {
+                        for seed in [1u64, 2] {
+                            let mut builder = Scenario::kpsy(KpsySpec { n, horizon })
+                                .adversary(strategy)
+                                .seed(seed);
+                            if let Some(units) = budget {
+                                builder = builder.carol_budget(units);
+                            }
+                            if trace > 0 {
+                                builder = builder.trace(trace);
+                            }
+                            let mut outcome = builder.build().unwrap().run();
+                            outcome.telemetry = None;
+                            hash = fnv1a(hash, format!("{outcome:?}").as_bytes());
+                        }
+                    }
+                }
+            }
+            actual.push((strategy.name(), n, hash));
+        }
+    }
+    let expected: Vec<(String, u64, u64)> = PINS
+        .iter()
+        .map(|&(name, n, hash)| (name.to_string(), n, hash))
+        .collect();
+    assert_eq!(actual, expected, "KPSY zoo digests drifted");
 }
 
 #[test]

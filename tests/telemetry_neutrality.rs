@@ -2,7 +2,7 @@
 //!
 //! Every instrumented engine path (era-2 exact SoA, the fast ε-BROADCAST
 //! simulator, the phase-level `fast_mc` spectrum simulator, the SoA
-//! baselines, and the sweep scheduler) threads a `Collector` through its
+//! baselines including KPSY, and the sweep scheduler) threads a `Collector` through its
 //! hot loop. This suite pins the contract that makes that safe to ship
 //! enabled-by-default machinery: attaching a recording collector changes
 //! **nothing** about the outcome. Same seed, same scenario, with and
@@ -20,8 +20,8 @@ use std::sync::Arc;
 use evildoers::adversary::StrategySpec;
 use evildoers::core::Params;
 use evildoers::sim::{
-    Engine, EpidemicSpec, EpochHoppingSpec, HoppingSpec, NaiveSpec, Scenario, ScenarioBuilder,
-    ScenarioOutcome,
+    Engine, EpidemicSpec, EpochHoppingSpec, HoppingSpec, KpsySpec, NaiveSpec, Scenario,
+    ScenarioBuilder, ScenarioOutcome,
 };
 use evildoers::sweep::ENGINE_ERA;
 use evildoers::telemetry::{MetricId, RecordingCollector};
@@ -156,6 +156,18 @@ fn baselines_are_telemetry_neutral() {
         Scenario::epidemic(EpidemicSpec::new(16, 2_000)).seed(3),
     );
     assert!(recorded_volume(&epidemic) > 0);
+
+    let kpsy = assert_neutral(
+        "kpsy",
+        Scenario::kpsy(KpsySpec {
+            n: 16,
+            horizon: 1_022,
+        })
+        .adversary(StrategySpec::Continuous)
+        .carol_budget(300)
+        .seed(3),
+    );
+    assert!(recorded_volume(&kpsy) > 0, "kpsy recorded nothing");
 }
 
 #[test]
