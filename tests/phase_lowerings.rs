@@ -13,7 +13,7 @@
 
 use evildoers::adversary::StrategySpec;
 use evildoers::rng::stats::RunningStats;
-use evildoers::sim::{Engine, HoppingSpec, Scenario, ScenarioOutcome};
+use evildoers::sim::{Engine, EpochHoppingSpec, HoppingSpec, Scenario, ScenarioOutcome};
 
 struct Agreement {
     exact_informed: RunningStats,
@@ -340,4 +340,220 @@ mod fingerprints {
             fingerprint(&o)
         );
     }
+}
+
+/// The four phase loops: two hopping schedules, each sampled (`fast_mc`
+/// on [`Engine::Fast`]) and taken in expectation ([`Engine::Fluid`]).
+#[derive(Debug, Clone, Copy)]
+enum PhaseLoop {
+    FastMc,
+    FastMcEpoch,
+    Fluid,
+    FluidEpoch,
+}
+
+impl PhaseLoop {
+    const ALL: [PhaseLoop; 4] = [
+        PhaseLoop::FastMc,
+        PhaseLoop::FastMcEpoch,
+        PhaseLoop::Fluid,
+        PhaseLoop::FluidEpoch,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            PhaseLoop::FastMc => "fast_mc",
+            PhaseLoop::FastMcEpoch => "fast_mc-epoch",
+            PhaseLoop::Fluid => "fluid",
+            PhaseLoop::FluidEpoch => "fluid-epoch",
+        }
+    }
+
+    /// One run; `len` is the phase length, or the epoch length on the
+    /// epoch schedule (where it is also the phase length).
+    fn run(
+        self,
+        strategy: StrategySpec,
+        channels: u16,
+        (n, horizon, budget, len, seed): (u64, u64, Option<u64>, u64, u64),
+    ) -> ScenarioOutcome {
+        let engine = match self {
+            PhaseLoop::FastMc | PhaseLoop::FastMcEpoch => Engine::Fast,
+            PhaseLoop::Fluid | PhaseLoop::FluidEpoch => Engine::Fluid,
+        };
+        let builder = match self {
+            PhaseLoop::FastMc | PhaseLoop::Fluid => {
+                Scenario::hopping(HoppingSpec::new(n, horizon)).phase_len(len)
+            }
+            PhaseLoop::FastMcEpoch | PhaseLoop::FluidEpoch => {
+                Scenario::epoch_hopping(EpochHoppingSpec::new(n, horizon, len))
+            }
+        };
+        let mut builder = builder
+            .engine(engine)
+            .channels(channels)
+            .adversary(strategy)
+            .seed(seed);
+        if let Some(units) = budget {
+            builder = builder.carol_budget(units);
+        }
+        builder.build().expect("valid phase-tier cell").run()
+    }
+}
+
+/// The schedule-free zoo: every strategy with a phase-tier model.
+const PHASE_ZOO: [StrategySpec; 9] = [
+    StrategySpec::Silent,
+    StrategySpec::Continuous,
+    StrategySpec::Random(0.5),
+    StrategySpec::Bursty { burst: 16, gap: 48 },
+    StrategySpec::LaggedReactive,
+    StrategySpec::SplitUniform,
+    StrategySpec::ChannelSweep { dwell: 8 },
+    StrategySpec::ChannelLagged,
+    StrategySpec::Adaptive {
+        window: 8,
+        reactivity: 0.5,
+    },
+];
+
+/// Every run of one pin-table entry, in the fixed fold order: n ×
+/// horizon × Carol budget × phase (or epoch) length × seed.
+fn pin_grid_runs(lp: PhaseLoop, strategy: StrategySpec, channels: u16) -> Vec<ScenarioOutcome> {
+    let mut runs = Vec::new();
+    for n in [16u64, 4_096] {
+        for horizon in [0u64, 50, 2_000] {
+            for budget in [None, Some(10u64), Some(1_000)] {
+                for len in [32u64, 7] {
+                    for seed in [1u64, 2] {
+                        runs.push(lp.run(strategy, channels, (n, horizon, budget, len, seed)));
+                    }
+                }
+            }
+        }
+    }
+    runs
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// `phase_loops_match_pinned_digests`: (loop, strategy, C, outcome
+/// digest, channel-stats digest). Captured on the four separate phase
+/// loops before they became one kernel with two realizations.
+#[rustfmt::skip]
+const PHASE_PINS: [(&str, &str, u16, u64, u64); 72] = [
+    ("fast_mc", "silent", 1, 0x8316_c126_60f8_1e01, 0x41e5_6c86_ea26_39f5),
+    ("fast_mc", "silent", 4, 0x2a5b_7d51_e8dd_793b, 0x8035_f034_76ce_2390),
+    ("fast_mc", "continuous", 1, 0x3b7a_11db_a871_cc3e, 0x79fa_c9c5_f9b1_5527),
+    ("fast_mc", "continuous", 4, 0xe3e0_e58f_1a20_6ba9, 0x73cd_53a9_6c9e_ee47),
+    ("fast_mc", "random(p=0.5)", 1, 0x5cd8_0ad3_91b9_fd22, 0xd099_9eaf_edcf_1fe6),
+    ("fast_mc", "random(p=0.5)", 4, 0x19f4_2c49_49f0_54ba, 0x3e95_733b_3bb5_d574),
+    ("fast_mc", "bursty(16/48)", 1, 0xfd38_1f78_bf0d_9f4b, 0x4b22_0dba_b498_08f3),
+    ("fast_mc", "bursty(16/48)", 4, 0xb919_0ce0_b1ad_4193, 0xb9ab_f0bd_c36e_6b91),
+    ("fast_mc", "lagged-reactive", 1, 0x8e6f_d0c1_4130_67f1, 0x83ed_34db_0390_318a),
+    ("fast_mc", "lagged-reactive", 4, 0x019a_e166_e191_9ea3, 0x6f0b_cdd1_30ca_5cfe),
+    ("fast_mc", "split-uniform", 1, 0xe06f_e977_039d_9984, 0x79fa_c9c5_f9b1_5527),
+    ("fast_mc", "split-uniform", 4, 0x771d_872b_cae0_b3b1, 0x1e81_0ce9_569d_2fc2),
+    ("fast_mc", "channel-sweep(dwell=8)", 1, 0x5c41_5540_4eb5_2e98, 0x79fa_c9c5_f9b1_5527),
+    ("fast_mc", "channel-sweep(dwell=8)", 4, 0x866b_05d4_ac0e_3769, 0x3190_464c_8305_005f),
+    ("fast_mc", "channel-lagged", 1, 0xd160_be98_fadc_ba45, 0x83ed_34db_0390_318a),
+    ("fast_mc", "channel-lagged", 4, 0xdf34_5d9a_ed79_39c8, 0x2ac6_bd08_a585_0560),
+    ("fast_mc", "adaptive(w=8,r=0.5)", 1, 0x94b9_4b50_eb9d_8643, 0x83ed_34db_0390_318a),
+    ("fast_mc", "adaptive(w=8,r=0.5)", 4, 0xff55_b590_126d_0178, 0x761f_cba4_c2d8_69e1),
+    ("fast_mc-epoch", "silent", 1, 0xfa4e_23d4_cdb0_7733, 0x41e5_6c86_ea26_39f5),
+    ("fast_mc-epoch", "silent", 4, 0x836f_ff6a_19d0_c740, 0x973d_16ec_fcc0_b73b),
+    ("fast_mc-epoch", "continuous", 1, 0xe93e_14da_ec21_8fba, 0x79fa_c9c5_f9b1_5527),
+    ("fast_mc-epoch", "continuous", 4, 0x91cd_5f40_0ca1_769f, 0xaf92_101c_4e1d_7203),
+    ("fast_mc-epoch", "random(p=0.5)", 1, 0x5566_c656_0517_a9f6, 0xd099_9eaf_edcf_1fe6),
+    ("fast_mc-epoch", "random(p=0.5)", 4, 0x117d_610b_69d4_3a02, 0x430b_4604_542e_12bc),
+    ("fast_mc-epoch", "bursty(16/48)", 1, 0x5603_c8a4_ac6a_c1d1, 0x4b22_0dba_b498_08f3),
+    ("fast_mc-epoch", "bursty(16/48)", 4, 0xb7a7_9b3c_85ba_3399, 0x06af_f0fd_5a2d_9f0d),
+    ("fast_mc-epoch", "lagged-reactive", 1, 0x9e6b_0ec2_5bbb_cdfb, 0x83ed_34db_0390_318a),
+    ("fast_mc-epoch", "lagged-reactive", 4, 0x1ce7_0e1f_7343_84d2, 0xfa3e_a270_5cfe_ba50),
+    ("fast_mc-epoch", "split-uniform", 1, 0x8a9a_0aec_6b4e_c104, 0x79fa_c9c5_f9b1_5527),
+    ("fast_mc-epoch", "split-uniform", 4, 0xad94_de62_bec6_742b, 0x52f1_873a_44a3_9afc),
+    ("fast_mc-epoch", "channel-sweep(dwell=8)", 1, 0xafe2_1385_2d3e_6ce8, 0x79fa_c9c5_f9b1_5527),
+    ("fast_mc-epoch", "channel-sweep(dwell=8)", 4, 0x2d0c_c4c1_4fe1_c217, 0x2690_eb11_705d_e918),
+    ("fast_mc-epoch", "channel-lagged", 1, 0x31a7_c908_fa3f_ca53, 0x83ed_34db_0390_318a),
+    ("fast_mc-epoch", "channel-lagged", 4, 0xabc5_3f04_ab4e_8053, 0x4dfd_5287_7f1c_ad43),
+    ("fast_mc-epoch", "adaptive(w=8,r=0.5)", 1, 0xfdda_1119_5d51_af85, 0x83ed_34db_0390_318a),
+    ("fast_mc-epoch", "adaptive(w=8,r=0.5)", 4, 0xc137_0cb4_b12e_2163, 0x88d2_4a7d_e498_7931),
+    ("fluid", "silent", 1, 0xa52e_5bb9_81df_bd5d, 0x296b_0fe3_1899_c1a5),
+    ("fluid", "silent", 4, 0x9761_8211_5af0_dbd3, 0x2c82_4a2f_5698_af1d),
+    ("fluid", "continuous", 1, 0x40d9_f521_06bc_76e7, 0xb4da_e401_e389_dd45),
+    ("fluid", "continuous", 4, 0xd637_697d_7349_5cdd, 0x8a0c_203d_6f0e_5c89),
+    ("fluid", "random(p=0.5)", 1, 0x74a6_59a2_faf9_37eb, 0x639f_ca7b_8798_689b),
+    ("fluid", "random(p=0.5)", 4, 0xee74_415c_a86a_d439, 0xbcec_f99b_4fea_6b31),
+    ("fluid", "bursty(16/48)", 1, 0x9b8d_8197_c9d8_f675, 0xa3ad_a592_35d1_3b5f),
+    ("fluid", "bursty(16/48)", 4, 0x8ce5_0e0c_13fa_1ac7, 0xb829_9d7c_a577_536d),
+    ("fluid", "lagged-reactive", 1, 0x3753_445c_8e36_dc33, 0xa7eb_06ef_74b3_fe75),
+    ("fluid", "lagged-reactive", 4, 0x2af3_7354_47b2_e781, 0x0d40_c255_7563_16ef),
+    ("fluid", "split-uniform", 1, 0x1fee_2e41_bbc8_a1bb, 0xb4da_e401_e389_dd45),
+    ("fluid", "split-uniform", 4, 0x21d9_d16a_6751_ea0d, 0x93e9_d79b_3d48_3805),
+    ("fluid", "channel-sweep(dwell=8)", 1, 0x7c54_5599_daef_2c87, 0xb4da_e401_e389_dd45),
+    ("fluid", "channel-sweep(dwell=8)", 4, 0xed4f_62bd_b456_09f7, 0x6428_8603_6b66_f93d),
+    ("fluid", "channel-lagged", 1, 0xd4d2_552a_ce1c_22e1, 0xa7eb_06ef_74b3_fe75),
+    ("fluid", "channel-lagged", 4, 0x5a4d_4212_79a6_ba97, 0x3ea9_a2dc_47a9_fb3d),
+    ("fluid", "adaptive(w=8,r=0.5)", 1, 0x34af_cf8a_de21_52df, 0xa7eb_06ef_74b3_fe75),
+    ("fluid", "adaptive(w=8,r=0.5)", 4, 0xbbb3_9861_07c3_bab9, 0xf072_9737_2c16_5cd5),
+    ("fluid-epoch", "silent", 1, 0x0157_9b40_c37c_8169, 0x296b_0fe3_1899_c1a5),
+    ("fluid-epoch", "silent", 4, 0xf2ed_d397_8816_d3e5, 0x2cce_9bb6_6c9a_9cb5),
+    ("fluid-epoch", "continuous", 1, 0x31bd_3e83_a656_226b, 0xb4da_e401_e389_dd45),
+    ("fluid-epoch", "continuous", 4, 0x5b78_bd48_77c3_1497, 0xcb8b_c983_f8f2_0397),
+    ("fluid-epoch", "random(p=0.5)", 1, 0x2f53_edc5_103d_2ab5, 0x639f_ca7b_8798_689b),
+    ("fluid-epoch", "random(p=0.5)", 4, 0xda47_512c_61fe_543d, 0x4cee_1e8e_c87d_c5e1),
+    ("fluid-epoch", "bursty(16/48)", 1, 0x4bdd_4dab_62d0_52c9, 0xa3ad_a592_35d1_3b5f),
+    ("fluid-epoch", "bursty(16/48)", 4, 0x79bd_c492_fc07_0403, 0x5787_4a2c_e492_010b),
+    ("fluid-epoch", "lagged-reactive", 1, 0x019e_1870_89a6_f04d, 0xa7eb_06ef_74b3_fe75),
+    ("fluid-epoch", "lagged-reactive", 4, 0x8523_1278_59e8_f921, 0xf7d4_9070_cdd8_fbc5),
+    ("fluid-epoch", "split-uniform", 1, 0xcfbc_2988_d2b3_76e7, 0xb4da_e401_e389_dd45),
+    ("fluid-epoch", "split-uniform", 4, 0x84de_af3d_ae8d_c1bd, 0xd13b_4fb2_a286_50a5),
+    ("fluid-epoch", "channel-sweep(dwell=8)", 1, 0x469a_a7ce_a21f_6d4b, 0xb4da_e401_e389_dd45),
+    ("fluid-epoch", "channel-sweep(dwell=8)", 4, 0xf8ef_198d_f54a_05d1, 0x8969_bce0_9c1b_5cfd),
+    ("fluid-epoch", "channel-lagged", 1, 0x4ff8_65ef_6e60_ae57, 0xa7eb_06ef_74b3_fe75),
+    ("fluid-epoch", "channel-lagged", 4, 0xdff4_7fe8_e083_8d27, 0x1510_2c7f_493d_fd7d),
+    ("fluid-epoch", "adaptive(w=8,r=0.5)", 1, 0xc382_0c59_62a7_3459, 0xa7eb_06ef_74b3_fe75),
+    ("fluid-epoch", "adaptive(w=8,r=0.5)", 4, 0x5909_bd5a_2c5a_e9ed, 0x182a_b433_f346_0dd1),
+];
+
+#[test]
+fn phase_loops_match_pinned_digests() {
+    // One entry per (loop, strategy, C): an FNV-1a digest of the
+    // rendered outcomes (telemetry and channel stats stripped) and one
+    // of the channel stats, each folded over the 72 runs of
+    // `pin_grid_runs` — 5,184 runs in all.
+    let mut actual = Vec::new();
+    for lp in PhaseLoop::ALL {
+        for strategy in PHASE_ZOO {
+            for channels in [1u16, 4] {
+                let mut outcome_hash = 0xcbf2_9ce4_8422_2325u64;
+                let mut stats_hash = 0xcbf2_9ce4_8422_2325u64;
+                for mut outcome in pin_grid_runs(lp, strategy, channels) {
+                    outcome.telemetry = None;
+                    let stats = outcome.channel_stats.take();
+                    outcome_hash = fnv1a(outcome_hash, format!("{outcome:?}").as_bytes());
+                    stats_hash = fnv1a(stats_hash, format!("{stats:?}").as_bytes());
+                }
+                actual.push((
+                    lp.name(),
+                    strategy.name(),
+                    channels,
+                    outcome_hash,
+                    stats_hash,
+                ));
+            }
+        }
+    }
+    let expected: Vec<(&str, String, u16, u64, u64)> = PHASE_PINS
+        .iter()
+        .map(|&(lp, name, c, o, s)| (lp, name.to_string(), c, o, s))
+        .collect();
+    assert_eq!(actual, expected, "phase-loop digests drifted");
 }
