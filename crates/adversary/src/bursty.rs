@@ -1,7 +1,7 @@
 //! The bursty jammer: alternating jam bursts and quiet gaps.
 
 use rcb_core::fast::{PhaseAdversary, PhaseCtx, PhasePlan};
-use rcb_core::fast_mc::{McPhaseCtx, McPhasePlan, PhaseJammer};
+use rcb_core::phase::{PhaseJamCtx, PhaseJamPlan, PhaseJammer};
 use rcb_radio::{Adversary, AdversaryCtx, AdversaryMove, Slot};
 
 /// Jams in fixed-length bursts separated by fixed-length gaps — the
@@ -95,11 +95,11 @@ impl PhaseJammer for BurstyJammer {
     /// overlap — planned on channel 0 only, because the slot pattern is
     /// `jam_all`, the source paper's single-channel "jam everything"
     /// (one unit per firing slot, channel 0).
-    fn plan_phase(&mut self, ctx: &McPhaseCtx<'_>) -> McPhasePlan {
-        let mut plan = McPhasePlan::idle(ctx.spectrum);
+    fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
+        let mut plan = PhaseJamPlan::idle(ctx.spectrum);
         plan.set_jam(
             rcb_radio::ChannelId::ZERO,
-            self.jammed_in_range(ctx.start_slot, ctx.phase_len),
+            self.jammed_in_range(ctx.start_slot, ctx.phase_len) as f64,
         );
         plan
     }
@@ -176,15 +176,15 @@ mod tests {
 
     #[test]
     fn phase_mc_plan_counts_straddling_bursts_exactly() {
-        use rcb_core::fast_mc::{McPhaseCtx, PhaseJammer};
-        use rcb_radio::{PhaseObservation, Spectrum};
+        use rcb_core::phase::PhaseObservation;
+        use rcb_radio::Spectrum;
 
         let spectrum = Spectrum::new(2);
         let mut carol = BurstyJammer::new(50, 50);
         let empty = PhaseObservation::empty(spectrum);
         // Phase of 32 slots starting at slot 32: slots 32..50 are in the
         // first burst (18 slots), 50..64 in the gap.
-        let ctx = McPhaseCtx {
+        let ctx = PhaseJamCtx {
             phase: 1,
             start_slot: 32,
             phase_len: 32,
@@ -196,7 +196,7 @@ mod tests {
         };
         let plan = PhaseJammer::plan_phase(&mut carol, &ctx);
         // jam_all is the single-channel pattern: channel 0 only.
-        assert_eq!(plan.jam_slots(), &[18, 0]);
+        assert_eq!(plan.jam_slots(), &[18.0, 0.0]);
     }
 
     #[test]

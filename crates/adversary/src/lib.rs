@@ -24,7 +24,7 @@
 //! | [`AdaptiveJammer`] | Chen–Zheng 2020 adaptive adversary | track per-channel traffic estimates, greedily jam the hottest channels (channel-aware) |
 //!
 //! Every strategy is deterministic given its seed; the analysis harness
-//! constructs them from a serialisable [`StrategySpec`]. Four simulation
+//! constructs them from a serialisable [`StrategySpec`]. Three simulation
 //! granularities exist:
 //!
 //! * slot level ([`rcb_radio::Adversary`]) — every strategy;
@@ -32,21 +32,19 @@
 //!   single-channel strategies with a phase model
 //!   ([`StrategySpec::phase_adversary`] returns `None` for slot-only
 //!   ones like [`LaggedJammer`]);
-//! * multi-channel phase level ([`rcb_core::fast_mc::PhaseJammer`], the
-//!   `fast_mc` hopping simulator) — the **whole schedule-free zoo**: the
-//!   channel-aware family via [`AdaptivePhaseJammer`] /
+//! * multi-channel phase level ([`rcb_core::phase::PhaseJammer`]), one
+//!   trait for both hopping phase tiers — the sampled `fast_mc` tier and
+//!   the deterministic fluid tier. It hosts the **whole schedule-free
+//!   zoo**: the channel-aware family via [`AdaptivePhaseJammer`] /
 //!   [`ChannelLaggedPhaseJammer`] and the direct `PhaseJammer` impls on
 //!   [`SplitJammer`] / [`SweepJammer`], plus the lowered single-channel
 //!   strategies — [`RandomJammer`] (per-phase binomial), [`BurstyJammer`]
 //!   (exact periodic interval counts), and [`LaggedPhaseJammer`]
-//!   (expected union-activity pacing). Only the schedule-bound family
-//!   stays off this tier ([`StrategySpec::phase_jammer`] returns `None`).
-//! * fluid mean-field level ([`rcb_core::fluid::FluidJammer`], the
-//!   deterministic O(phases) tier) — every phase-mc strategy joins via
-//!   its expectation model: [`PhaseLoweredFluidJammer`] adapts the
-//!   deterministic lowerings verbatim and [`RandomFluidJammer`] replaces
-//!   `Random`'s binomial draw with its mean
-//!   ([`StrategySpec::fluid_jammer`]).
+//!   (expected union-activity pacing). Every lowering is deterministic
+//!   except `Random`'s draw, so the fluid tier runs each of them as is
+//!   and `Random` as its mean, [`RandomFluidJammer`]
+//!   ([`StrategySpec::phase_jammer`] / [`StrategySpec::fluid_jammer`]).
+//!   Only the schedule-bound family stays off these tiers.
 //!
 //! `rcb_sim::Scenario` rejects any strategy × engine combination without
 //! a model at the required granularity with a typed error. Channel-aware
@@ -60,7 +58,6 @@
 mod adaptive;
 mod bursty;
 mod continuous;
-mod fluid;
 mod lagged;
 mod multichannel;
 mod nuniform;
@@ -74,13 +71,12 @@ mod spoofer;
 pub use adaptive::AdaptiveJammer;
 pub use bursty::BurstyJammer;
 pub use continuous::ContinuousJammer;
-pub use fluid::{PhaseLoweredFluidJammer, RandomFluidJammer};
 pub use lagged::LaggedJammer;
 pub use multichannel::{ChannelLaggedJammer, SplitJammer, SweepJammer};
 pub use nuniform::EpsilonExtractor;
 pub use phase_blocker::{PhaseBlocker, PhaseTarget};
 pub use phase_mc::{AdaptivePhaseJammer, ChannelLaggedPhaseJammer, LaggedPhaseJammer};
-pub use random::RandomJammer;
+pub use random::{RandomFluidJammer, RandomJammer};
 pub use reactive::ReactiveJammer;
 pub use spec::StrategySpec;
 pub use spoofer::NackSpoofer;
@@ -88,8 +84,7 @@ pub use spoofer::NackSpoofer;
 // Re-export the passive baselines so downstream code has one import path
 // for "every adversary".
 pub use rcb_core::fast::SilentPhaseAdversary;
-pub use rcb_core::fast_mc::SilentPhaseJammer;
-pub use rcb_core::fluid::SilentFluidJammer;
+pub use rcb_core::phase::SilentPhaseJammer;
 pub use rcb_radio::SilentAdversary;
 
 #[cfg(test)]

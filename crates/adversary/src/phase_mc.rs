@@ -1,6 +1,6 @@
 //! Phase-level lowerings of the channel-aware jammers — the
 //! [`PhaseJammer`] counterparts that let the whole multi-channel
-//! adversary family run on the `fast_mc` phase-level simulator.
+//! adversary family run on both phase tiers (`fast_mc` and `fluid`).
 //!
 //! A slot-level strategy decides one [`JamPlan`](rcb_radio::JamPlan) per
 //! slot from per-slot observations; its phase lowering decides one
@@ -36,7 +36,7 @@
 //! The remaining oblivious slot strategies (`Random`, `Bursty`) lower in
 //! their own modules, next to their private pattern state: a per-phase
 //! binomial draw and the exact periodic-interval count respectively.
-//! With those, the **whole schedule-free zoo** runs on `fast_mc`.
+//! With those, the **whole schedule-free zoo** runs on the phase tiers.
 //!
 //! Statistical agreement of the lowered family with the exact engine is
 //! validated by `tests/fast_mc_vs_exact.rs`, the dedicated lowering
@@ -44,17 +44,17 @@
 
 use std::collections::VecDeque;
 
-use rcb_core::fast_mc::{McPhaseCtx, McPhasePlan, PhaseJammer};
-use rcb_radio::{ChannelId, PhaseObservation, Spectrum};
+use rcb_core::phase::{PhaseJamCtx, PhaseJamPlan, PhaseJammer, PhaseObservation};
+use rcb_radio::{ChannelId, Spectrum};
 
 use crate::{ContinuousJammer, SplitJammer, SweepJammer};
 
 impl PhaseJammer for ContinuousJammer {
     /// Jams channel 0 for the whole phase — the single-channel
     /// scorched-earth attack, budget permitting (the engine clamps).
-    fn plan_phase(&mut self, ctx: &McPhaseCtx<'_>) -> McPhasePlan {
-        let mut plan = McPhasePlan::idle(ctx.spectrum);
-        plan.set_jam(ChannelId::ZERO, ctx.phase_len);
+    fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
+        let mut plan = PhaseJamPlan::idle(ctx.spectrum);
+        plan.set_jam(ChannelId::ZERO, ctx.phase_len as f64);
         plan
     }
 }
@@ -63,16 +63,16 @@ impl PhaseJammer for SplitJammer {
     /// Blankets every channel for the whole phase. With a finite budget
     /// the engine's proportional fizzle reproduces the exact engine's
     /// `T / C`-slot blanket.
-    fn plan_phase(&mut self, ctx: &McPhaseCtx<'_>) -> McPhasePlan {
-        McPhasePlan::blanket(ctx.spectrum, ctx.phase_len)
+    fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
+        PhaseJamPlan::blanket(ctx.spectrum, ctx.phase_len as f64)
     }
 }
 
 impl PhaseJammer for SweepJammer {
     /// The exact per-channel slot counts of the sweep pattern over
     /// `[start_slot, start_slot + phase_len)`.
-    fn plan_phase(&mut self, ctx: &McPhaseCtx<'_>) -> McPhasePlan {
-        let mut plan = McPhasePlan::idle(ctx.spectrum);
+    fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
+        let mut plan = PhaseJamPlan::idle(ctx.spectrum);
         let c = u64::from(ctx.spectrum.channel_count());
         let dwell = self.dwell();
         let end = ctx.start_slot + ctx.phase_len;
@@ -81,7 +81,7 @@ impl PhaseJammer for SweepJammer {
             let block = t / dwell;
             let block_end = ((block + 1) * dwell).min(end);
             let channel = ChannelId::new((block % c) as u16);
-            plan.set_jam(channel, plan.jam_on(channel) + (block_end - t));
+            plan.set_jam(channel, plan.jam_on(channel) + (block_end - t) as f64);
             t = block_end;
         }
         plan
@@ -111,8 +111,8 @@ impl ChannelLaggedPhaseJammer {
 }
 
 impl PhaseJammer for ChannelLaggedPhaseJammer {
-    fn plan_phase(&mut self, ctx: &McPhaseCtx<'_>) -> McPhasePlan {
-        let mut plan = McPhasePlan::idle(ctx.spectrum);
+    fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
+        let mut plan = PhaseJamPlan::idle(ctx.spectrum);
         let obs = ctx.observation;
         if obs.slots == 0 {
             return plan;
@@ -120,7 +120,7 @@ impl PhaseJammer for ChannelLaggedPhaseJammer {
         let scale = ctx.phase_len as f64 / obs.slots as f64;
         for channel in ctx.spectrum.channels() {
             let slots = (obs.expected_active_slots(channel) * scale).round() as u64;
-            plan.set_jam(channel, slots.min(ctx.phase_len));
+            plan.set_jam(channel, slots.min(ctx.phase_len) as f64);
         }
         plan
     }
@@ -153,18 +153,18 @@ impl LaggedPhaseJammer {
 }
 
 impl PhaseJammer for LaggedPhaseJammer {
-    fn plan_phase(&mut self, ctx: &McPhaseCtx<'_>) -> McPhasePlan {
+    fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
         let obs = ctx.observation;
         if obs.slots == 0 {
-            return McPhasePlan::idle(ctx.spectrum);
+            return PhaseJamPlan::idle(ctx.spectrum);
         }
         let s = obs.slots as f64;
         let total_sends: u64 = obs.correct_sends.iter().sum();
         let union_active = s * (1.0 - (-(total_sends as f64) / s).exp());
         let scale = ctx.phase_len as f64 / s;
         let slots = ((union_active * scale).round() as u64).min(ctx.phase_len);
-        let mut plan = McPhasePlan::idle(ctx.spectrum);
-        plan.set_jam(ChannelId::ZERO, slots);
+        let mut plan = PhaseJamPlan::idle(ctx.spectrum);
+        plan.set_jam(ChannelId::ZERO, slots as f64);
         plan
     }
 }
@@ -285,11 +285,11 @@ impl AdaptivePhaseJammer {
 }
 
 impl PhaseJammer for AdaptivePhaseJammer {
-    fn plan_phase(&mut self, ctx: &McPhaseCtx<'_>) -> McPhasePlan {
+    fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
         if ctx.observation.slots > 0 {
             self.absorb(ctx.observation);
         }
-        let mut plan = McPhasePlan::idle(ctx.spectrum);
+        let mut plan = PhaseJamPlan::idle(ctx.spectrum);
         let mut spend = (self.prev_rate * ctx.phase_len as f64).round() as u64;
         if let Some(rem) = ctx.budget_remaining {
             spend = spend.min(rem);
@@ -315,7 +315,7 @@ impl PhaseJammer for AdaptivePhaseJammer {
                 break;
             }
             let units = spend.min(ctx.phase_len);
-            plan.set_jam(channel, units);
+            plan.set_jam(channel, units as f64);
             spend -= units;
         }
         plan
@@ -340,8 +340,8 @@ mod tests {
         start_slot: u64,
         phase_len: u64,
         observation: &'a PhaseObservation,
-    ) -> McPhaseCtx<'a> {
-        McPhaseCtx {
+    ) -> PhaseJamCtx<'a> {
+        PhaseJamCtx {
             phase,
             start_slot,
             phase_len,
@@ -359,9 +359,9 @@ mod tests {
         let empty = PhaseObservation::empty(spectrum);
         let c = ctx(spectrum, 0, 0, 50, &empty);
         let blanket = SplitJammer::new(spectrum).plan_phase(&c);
-        assert_eq!(blanket.jam_slots(), &[50, 50, 50, 50]);
+        assert_eq!(blanket.jam_slots(), &[50.0, 50.0, 50.0, 50.0]);
         let pinned = ContinuousJammer.plan_phase(&c);
-        assert_eq!(pinned.jam_slots(), &[50, 0, 0, 0]);
+        assert_eq!(pinned.jam_slots(), &[50.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -371,16 +371,16 @@ mod tests {
         let empty = PhaseObservation::empty(spectrum);
         // Slots 0..8 target channels 0,0,1,1,2,2,0,0 (dwell 2).
         let plan = sweep.plan_phase(&ctx(spectrum, 0, 0, 8, &empty));
-        assert_eq!(plan.jam_slots(), &[4, 2, 2]);
+        assert_eq!(plan.jam_slots(), &[4.0, 2.0, 2.0]);
         // A phase starting mid-block still matches: slots 3..9 target
         // 1,2,2,0,0,1.
         let plan = sweep.plan_phase(&ctx(spectrum, 1, 3, 6, &empty));
-        assert_eq!(plan.jam_slots(), &[2, 2, 2]);
+        assert_eq!(plan.jam_slots(), &[2.0, 2.0, 2.0]);
         // Cross-check against the slot-level target() for a long range.
         let plan = sweep.plan_phase(&ctx(spectrum, 2, 17, 100, &empty));
-        let mut expected = [0u64; 3];
+        let mut expected = [0.0; 3];
         for t in 17..117 {
-            expected[sweep.target(rcb_radio::Slot::new(t)).index() as usize] += 1;
+            expected[sweep.target(rcb_radio::Slot::new(t)).index() as usize] += 1.0;
         }
         assert_eq!(plan.jam_slots(), &expected[..]);
     }
@@ -392,14 +392,14 @@ mod tests {
         let empty = PhaseObservation::empty(spectrum);
         assert_eq!(
             carol.plan_phase(&ctx(spectrum, 0, 0, 32, &empty)).total(),
-            0,
+            0.0,
             "no clairvoyance before the first observation"
         );
         // Heavy traffic on channel 0, nothing on channel 1.
         let o = obs(spectrum, 32, &[64, 0], &[0, 0]);
         let plan = carol.plan_phase(&ctx(spectrum, 1, 32, 32, &o));
-        assert!(plan.jam_on(ChannelId::new(0)) > 20, "{plan:?}");
-        assert_eq!(plan.jam_on(ChannelId::new(1)), 0);
+        assert!(plan.jam_on(ChannelId::new(0)) > 20.0, "{plan:?}");
+        assert_eq!(plan.jam_on(ChannelId::new(1)), 0.0);
     }
 
     #[test]
@@ -409,7 +409,7 @@ mod tests {
         let empty = PhaseObservation::empty(spectrum);
         assert_eq!(
             carol.plan_phase(&ctx(spectrum, 0, 0, 32, &empty)).total(),
-            0,
+            0.0,
             "no clairvoyance before the first observation"
         );
         // Saturating traffic: essentially every slot was active, so the
@@ -418,17 +418,17 @@ mod tests {
         // active slot).
         let busy = obs(spectrum, 32, &[200, 200], &[0, 0]);
         let plan = carol.plan_phase(&ctx(spectrum, 1, 32, 32, &busy));
-        assert!(plan.jam_on(ChannelId::new(0)) >= 31, "{plan:?}");
+        assert!(plan.jam_on(ChannelId::new(0)) >= 31.0, "{plan:?}");
         assert_eq!(
             plan.jam_on(ChannelId::new(1)),
-            0,
+            0.0,
             "jam_all never leaves channel 0"
         );
         // Sparse traffic: roughly one active slot maps to roughly one
         // jammed slot, never more than Poissonisation allows.
         let sparse = obs(spectrum, 32, &[1, 0], &[0, 0]);
         let plan = carol.plan_phase(&ctx(spectrum, 2, 64, 32, &sparse));
-        assert_eq!(plan.jam_on(ChannelId::new(0)), 1, "{plan:?}");
+        assert_eq!(plan.jam_on(ChannelId::new(0)), 1.0, "{plan:?}");
     }
 
     #[test]
@@ -438,7 +438,7 @@ mod tests {
         let empty = PhaseObservation::empty(spectrum);
         assert_eq!(
             carol.plan_phase(&ctx(spectrum, 0, 0, 32, &empty)).total(),
-            0,
+            0.0,
             "idle before any observation"
         );
         // Channel 2 is hot (sends + deliveries), channel 0 lukewarm.
@@ -449,10 +449,10 @@ mod tests {
             plan.jam_on(ChannelId::new(2)) >= plan.jam_on(ChannelId::new(0)),
             "{plan:?}"
         );
-        assert_eq!(plan.jam_on(ChannelId::new(1)), 0);
-        assert_eq!(plan.jam_on(ChannelId::new(3)), 0);
+        assert_eq!(plan.jam_on(ChannelId::new(1)), 0.0);
+        assert_eq!(plan.jam_on(ChannelId::new(3)), 0.0);
         // Spend is paced by the observed traffic, not the whole phase.
-        assert!(plan.total() <= 64, "{plan:?}");
+        assert!(plan.total() <= 64.0, "{plan:?}");
     }
 
     #[test]
@@ -468,10 +468,10 @@ mod tests {
         let plan = carol.plan_phase(&ctx(spectrum, 2, 64, 32, &hot1));
         assert_eq!(
             plan.jam_on(ChannelId::new(0)),
-            0,
+            0.0,
             "stale channel is no longer a candidate: {plan:?}"
         );
-        assert!(plan.jam_on(ChannelId::new(1)) > 0);
+        assert!(plan.jam_on(ChannelId::new(1)) > 0.0);
     }
 
     #[test]
@@ -482,7 +482,7 @@ mod tests {
         let mut c = ctx(spectrum, 1, 32, 32, &o);
         c.budget_remaining = Some(3);
         let plan = carol.plan_phase(&c);
-        assert!(plan.total() <= 3, "{plan:?}");
+        assert!(plan.total() <= 3.0, "{plan:?}");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use rand::{Rng, SeedableRng};
 use rcb_core::fast::{PhaseAdversary, PhaseCtx, PhasePlan};
-use rcb_core::fast_mc::{McPhaseCtx, McPhasePlan, PhaseJammer};
-use rcb_radio::{Adversary, AdversaryCtx, AdversaryMove, Slot};
+use rcb_core::phase::{PhaseJamCtx, PhaseJamPlan, PhaseJammer};
+use rcb_radio::{Adversary, AdversaryCtx, AdversaryMove, ChannelId, Slot};
 use rcb_rng::{Binomial, SimRng};
 
 /// Jams each slot independently with probability `p` (cf. the random
@@ -66,12 +66,42 @@ impl PhaseJammer for RandomJammer {
     /// lowering plans one binomial draw `J ~ Bin(phase_len, p)` on
     /// channel 0 and leaves the rest of the spectrum untouched, exactly
     /// like the slot pattern it aggregates.
-    fn plan_phase(&mut self, ctx: &McPhaseCtx<'_>) -> McPhasePlan {
+    fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
         let jam = Binomial::new(ctx.phase_len, self.p)
             .expect("validated probability")
             .sample(&mut self.rng);
-        let mut plan = McPhasePlan::idle(ctx.spectrum);
-        plan.set_jam(rcb_radio::ChannelId::ZERO, jam);
+        let mut plan = PhaseJamPlan::idle(ctx.spectrum);
+        plan.set_jam(ChannelId::ZERO, jam as f64);
+        plan
+    }
+}
+
+/// The fluid-tier model of `Random(p)`: the mean of the sampled
+/// lowering's binomial draw, `p · phase_len` jam slots on channel 0 (the
+/// single-channel `jam_all` pattern), planned deterministically — the
+/// fluid tier has no RNG anywhere.
+#[derive(Debug, Clone, Copy)]
+pub struct RandomFluidJammer {
+    p: f64,
+}
+
+impl RandomFluidJammer {
+    /// Creates the expectation model for per-slot jam probability `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not a probability.
+    #[must_use]
+    pub fn new(p: f64) -> Self {
+        assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
+        Self { p }
+    }
+}
+
+impl PhaseJammer for RandomFluidJammer {
+    fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
+        let mut plan = PhaseJamPlan::idle(ctx.spectrum);
+        plan.set_jam(ChannelId::ZERO, self.p * ctx.phase_len as f64);
         plan
     }
 }
@@ -79,10 +109,11 @@ impl PhaseJammer for RandomJammer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcb_core::phase::PhaseObservation;
     use rcb_core::{Params, RunConfig};
 
     use crate::test_util::run_broadcast;
-    use rcb_radio::Budget;
+    use rcb_radio::{Budget, Spectrum};
 
     #[test]
     #[should_panic(expected = "must be in [0,1]")]
@@ -113,15 +144,8 @@ mod tests {
         assert!(outcome.carol_spend() > 0);
     }
 
-    #[test]
-    fn phase_mc_plan_jams_channel_zero_at_density_p() {
-        use rcb_core::fast_mc::{McPhaseCtx, PhaseJammer};
-        use rcb_radio::{PhaseObservation, Spectrum};
-
-        let spectrum = Spectrum::new(4);
-        let mut carol = RandomJammer::new(0.25, 3);
-        let empty = PhaseObservation::empty(spectrum);
-        let ctx = McPhaseCtx {
+    fn phase_ctx(spectrum: Spectrum, empty: &PhaseObservation) -> PhaseJamCtx<'_> {
+        PhaseJamCtx {
             phase: 0,
             start_slot: 0,
             phase_len: 100_000,
@@ -129,16 +153,39 @@ mod tests {
             budget_remaining: None,
             uninformed: 5,
             informed: 0,
-            observation: &empty,
-        };
-        let plan = PhaseJammer::plan_phase(&mut carol, &ctx);
+            observation: empty,
+        }
+    }
+
+    #[test]
+    fn phase_mc_plan_jams_channel_zero_at_density_p() {
+        let spectrum = Spectrum::new(4);
+        let mut carol = RandomJammer::new(0.25, 3);
+        let empty = PhaseObservation::empty(spectrum);
+        let plan = PhaseJammer::plan_phase(&mut carol, &phase_ctx(spectrum, &empty));
         let per_channel = plan.jam_slots();
         assert!(
-            per_channel[1..].iter().all(|&j| j == 0),
+            per_channel[1..].iter().all(|&j| j == 0.0),
             "jam_all never leaves channel 0: {per_channel:?}"
         );
-        let frac = per_channel[0] as f64 / 100_000.0;
+        let frac = per_channel[0] / 100_000.0;
         assert!((frac - 0.25).abs() < 0.02, "fraction {frac}");
+    }
+
+    #[test]
+    fn fluid_model_plans_the_exact_mean() {
+        let spectrum = Spectrum::new(4);
+        let empty = PhaseObservation::empty(spectrum);
+        let mut carol = RandomFluidJammer::new(0.25);
+        let a = carol.plan_phase(&phase_ctx(spectrum, &empty));
+        assert_eq!(a, carol.plan_phase(&phase_ctx(spectrum, &empty)));
+        assert_eq!(a.jam_slots(), &[25_000.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be in [0,1]")]
+    fn fluid_model_rejects_bad_probability() {
+        let _ = RandomFluidJammer::new(-0.1);
     }
 
     #[test]

@@ -3,17 +3,15 @@
 //! instances per trial.
 
 use rcb_core::fast::PhaseAdversary;
-use rcb_core::fast_mc::PhaseJammer;
-use rcb_core::fluid::FluidJammer;
+use rcb_core::phase::PhaseJammer;
 use rcb_core::{Params, RoundSchedule};
 use rcb_radio::{Adversary, Spectrum};
 
 use crate::{
     AdaptiveJammer, AdaptivePhaseJammer, BurstyJammer, ChannelLaggedJammer,
     ChannelLaggedPhaseJammer, ContinuousJammer, EpsilonExtractor, LaggedJammer, LaggedPhaseJammer,
-    NackSpoofer, PhaseBlocker, PhaseLoweredFluidJammer, PhaseTarget, RandomFluidJammer,
-    RandomJammer, ReactiveJammer, SilentAdversary, SilentFluidJammer, SilentPhaseAdversary,
-    SilentPhaseJammer, SplitJammer, SweepJammer,
+    NackSpoofer, PhaseBlocker, PhaseTarget, RandomFluidJammer, RandomJammer, ReactiveJammer,
+    SilentAdversary, SilentPhaseAdversary, SilentPhaseJammer, SplitJammer, SweepJammer,
 };
 
 /// A named, parameterised adversary strategy.
@@ -148,8 +146,9 @@ impl StrategySpec {
     }
 
     /// Whether a phase-level **multi-channel** model of this strategy
-    /// exists — whether it can run on the `fast_mc` phase-level hopping
-    /// simulator. See [`StrategySpec::phase_jammer`].
+    /// exists — whether it can run on the hopping phase tiers, the
+    /// sampled `fast_mc` tier and the deterministic fluid tier. See
+    /// [`StrategySpec::phase_jammer`] and [`StrategySpec::fluid_jammer`].
     ///
     /// True for the **whole schedule-free zoo**: the channel-aware family
     /// (via the lowerings in [`crate::AdaptivePhaseJammer`] /
@@ -161,7 +160,9 @@ impl StrategySpec {
     /// (expected union-activity pacing via [`crate::LaggedPhaseJammer`]).
     /// Only the schedule-bound family has no phase-mc model — the
     /// ε-BROADCAST round structure does not exist on the hopping
-    /// protocols.
+    /// protocols. Every model is deterministic except `Random`'s draw,
+    /// which the fluid tier replaces by its mean
+    /// ([`crate::RandomFluidJammer`]), so both tiers host the same set.
     #[must_use]
     pub fn supports_phase_mc(&self) -> bool {
         matches!(
@@ -176,20 +177,6 @@ impl StrategySpec {
                 | StrategySpec::ChannelLagged
                 | StrategySpec::Adaptive { .. }
         )
-    }
-
-    /// Whether a deterministic **fluid-tier** expectation model of this
-    /// strategy exists — whether it can run on the mean-field engine.
-    /// See [`StrategySpec::fluid_jammer`].
-    ///
-    /// Exactly the phase-mc family: every deterministic phase-mc
-    /// lowering adapts verbatim ([`crate::PhaseLoweredFluidJammer`]),
-    /// and `Random` — the one stochastic lowering — joins through its
-    /// dedicated expectation model ([`crate::RandomFluidJammer`]), so
-    /// the two capability sets coincide.
-    #[must_use]
-    pub fn supports_fluid(&self) -> bool {
-        self.supports_phase_mc()
     }
 
     /// Whether this strategy's behaviour is defined in terms of a
@@ -326,9 +313,10 @@ impl StrategySpec {
         })
     }
 
-    /// Builds the phase-level multi-channel jammer for the `fast_mc`
-    /// simulator over an explicit spectrum, or `None` when the strategy
-    /// has no phase-mc model (see [`StrategySpec::supports_phase_mc`]).
+    /// Builds the phase-level multi-channel jammer for the sampled
+    /// `fast_mc` tier over an explicit spectrum, or `None` when the
+    /// strategy has no phase-mc model (see
+    /// [`StrategySpec::supports_phase_mc`]).
     /// `seed` drives the stochastic lowerings (`Random`'s per-phase
     /// binomial draws); the deterministic ones ignore it.
     #[must_use]
@@ -349,20 +337,18 @@ impl StrategySpec {
         })
     }
 
-    /// Builds the deterministic fluid-tier expectation model over an
-    /// explicit spectrum, or `None` when the strategy has no fluid model
-    /// (see [`StrategySpec::supports_fluid`]). No seed parameter on
-    /// purpose: the fluid tier has no RNG anywhere, so `Random` routes
-    /// to its mean-plan model instead of its sampling lowering.
+    /// Builds the jammer for the deterministic fluid tier over an
+    /// explicit spectrum, or `None` when the strategy has no phase-mc
+    /// model (see [`StrategySpec::supports_phase_mc`]). No seed
+    /// parameter on purpose: the fluid tier has no RNG anywhere, so
+    /// `Random` routes to its mean-plan model instead of its sampling
+    /// lowering; every other strategy runs its one (deterministic)
+    /// phase-mc lowering.
     #[must_use]
-    pub fn fluid_jammer(&self, spectrum: Spectrum) -> Option<Box<dyn FluidJammer>> {
+    pub fn fluid_jammer(&self, spectrum: Spectrum) -> Option<Box<dyn PhaseJammer>> {
         match *self {
-            StrategySpec::Silent => Some(Box::new(SilentFluidJammer)),
             StrategySpec::Random(p) => Some(Box::new(RandomFluidJammer::new(p))),
-            _ => {
-                let inner = self.phase_jammer(spectrum, 0)?;
-                Some(Box::new(PhaseLoweredFluidJammer::new(inner, spectrum)))
-            }
+            _ => self.phase_jammer(spectrum, 0),
         }
     }
 
@@ -482,12 +468,6 @@ mod tests {
             );
             assert_eq!(
                 spec.fluid_jammer(Spectrum::new(4)).is_some(),
-                spec.supports_fluid(),
-                "{}",
-                spec.name()
-            );
-            assert_eq!(
-                spec.supports_fluid(),
                 spec.supports_phase_mc(),
                 "fluid and phase-mc capability sets coincide: {}",
                 spec.name()
@@ -516,8 +496,8 @@ mod tests {
         // Two seeds give different binomial streams on the phase tier...
         let spectrum = Spectrum::new(2);
         let spec = StrategySpec::Random(0.5);
-        let obs = rcb_radio::PhaseObservation::empty(spectrum);
-        let ctx = rcb_core::fast_mc::McPhaseCtx {
+        let obs = rcb_core::phase::PhaseObservation::empty(spectrum);
+        let ctx = rcb_core::phase::PhaseJamCtx {
             phase: 0,
             start_slot: 0,
             phase_len: 10_000,
@@ -531,18 +511,7 @@ mod tests {
         let plan_b = spec.phase_jammer(spectrum, 2).unwrap().plan_phase(&ctx);
         assert_ne!(plan_a.jam_slots(), plan_b.jam_slots(), "seed must matter");
         // ...while the fluid model plans the exact mean, deterministically.
-        let fobs = rcb_core::fluid::FluidObservation::empty(spectrum);
-        let fctx = rcb_core::fluid::FluidPhaseCtx {
-            phase: 0,
-            start_slot: 0,
-            phase_len: 10_000,
-            spectrum,
-            budget_remaining: None,
-            uninformed: 10.0,
-            informed: 0.0,
-            observation: &fobs,
-        };
-        let fplan = spec.fluid_jammer(spectrum).unwrap().plan_phase(&fctx);
+        let fplan = spec.fluid_jammer(spectrum).unwrap().plan_phase(&ctx);
         // jam_all targets channel 0 only, at the exact mean p·phase_len.
         assert_eq!(fplan.jam_slots(), &[5_000.0, 0.0]);
     }

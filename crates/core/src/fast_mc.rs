@@ -1,60 +1,26 @@
-//! Phase-level **multi-channel** aggregated simulator (`fast_mc`).
+//! Phase-level **multi-channel** Monte-Carlo tier (`fast_mc`).
 //!
-//! The exact engine prices a hopping run at `O(n · slots)` — at
-//! `n = 2^16` and the horizons the multi-channel experiments use, one
-//! trial costs billions of node-slots, which is why the E11/E12 sweeps
-//! were capped far below the scales where the competitive bounds of the
-//! multi-channel successors (Chen & Zheng 2019/2020) actually bite. This
-//! module is the phase-level counterpart of [`crate::fast`] for the
-//! multi-channel random-hopping broadcast of [`crate::execute_hopping_soa`]:
-//! it advances one *phase* (a contiguous block of slots) at a time and
-//! draws whole-phase aggregates from closed-form distributions, so a run
-//! costs `O(phases · C)` regardless of `n`.
-//!
-//! # The model
-//!
-//! Within a phase of `s` slots the informed set is frozen at its
-//! start-of-phase size `i` (state changes take effect at phase
-//! boundaries, exactly as in [`crate::fast`]):
-//!
-//! * **send/listen counts** are drawn exactly: the sum of `u` independent
-//!   `Bin(s, p)` variables *is* `Bin(u·s, p)`, and uniform hopping spreads
-//!   them over channels multinomially (sampled as sequential binomials);
-//! * **rendezvous**: a listener tuned to channel `c` is informed when
-//!   exactly one correct transmission lands on `c` and the channel is not
-//!   jammed. With Alice transmitting with probability `a` and each of `i`
-//!   relays with probability `p_r`, each picking a uniform channel, the
-//!   sender–listener channel-coincidence probability is
-//!   `P₁ = (a/C)(1−p_r/C)^i + i(p_r/C)(1−a/C)(1−p_r/C)^{i−1}`, thinned by
-//!   the per-channel jam fraction the [`PhaseJammer`]'s executed plan
-//!   implies;
-//! * **per-node delivery** over the phase is geometric in the per-slot
-//!   informing probability; newly informed nodes are charged listens only
-//!   up to their (truncated-geometric) expected informing slot, and
-//!   relay sends from then on.
-//!
-//! Approximations relative to the exact engine (all validated
-//! statistically in `tests/fast_mc_vs_exact.rs` and experiment E13):
-//! informed-set changes land at phase boundaries, jam slots are treated
-//! as spread uniformly over the phase, and a mid-phase budget exhaustion
-//! fizzles the plan *proportionally* across channels (the slot-major
-//! spending order of the exact engine) instead of at an exact slot.
-//!
-//! The adversary is consulted once per phase through [`PhaseJammer`] —
-//! the multi-channel, phase-granularity counterpart of
-//! [`rcb_radio::Adversary`] — and observes the previous phase only as a
-//! [`PhaseObservation`] rollup (no slot-level clairvoyance).
+//! The sampled realization of the [`crate::phase`] kernel: every
+//! phase draws its binomial rendezvous counts, multinomial channel
+//! splits and (on the epoch schedule) Alice's channel from one seeded
+//! stream, so a trial costs `O(phases · C)` regardless of `n` and every
+//! tally is a whole number. This is the phase-level counterpart of
+//! [`crate::fast`] for the multi-channel hopping broadcasts; the model
+//! and its approximations are documented on [`crate::phase`].
 
-use rand::Rng;
-use rcb_radio::{ChannelId, ChannelStats, CostBreakdown, PhaseObservation, Spectrum};
-use rcb_rng::{Binomial, SeedTree, SimRng};
-use rcb_telemetry::{Collector, EngineTier, Event, MetricId, NoopCollector};
+use rcb_radio::{ChannelStats, Spectrum};
+use rcb_telemetry::Collector;
 
-use crate::outcome::{BroadcastOutcome, EngineKind};
+use crate::outcome::BroadcastOutcome;
+use crate::phase::{self, Sampled, Shape};
 
-/// Alice's per-slot transmission probability under hopping gossip —
-/// fixed at 1/2, mirroring the exact protocol's `HoppingAlice`.
-const ALICE_SEND_P: f64 = 0.5;
+pub use crate::phase::PhaseJammer;
+
+/// The phase jammer's context, under its `fast_mc` name.
+pub type McPhaseCtx<'a> = phase::PhaseJamCtx<'a>;
+
+/// A phase jammer's plan, under its `fast_mc` name.
+pub type McPhasePlan = phase::PhaseJamPlan;
 
 /// Default phase length in slots — short enough that the
 /// frozen-informed-set approximation tracks the exact engine (validated
@@ -63,181 +29,10 @@ const ALICE_SEND_P: f64 = 0.5;
 /// same default (re-exported there as `DEFAULT_MC_PHASE_LEN`).
 pub const DEFAULT_PHASE_LEN: u64 = 32;
 
-/// Buffered events per [`Collector::event_batch`] flush: one lock
-/// acquisition amortized over this many phases.
-const EVENT_FLUSH_CHUNK: usize = 256;
-
-/// One run's telemetry, accumulated locally and flushed in bulk.
-///
-/// The recording seam must stay cheap against the phase loop (the
-/// `bench --telemetry` guard): counters sum into plain integers here and
-/// hit the shared atomics once per run, gauges keep last-write-wins
-/// semantics by writing only the final phase's values, and events buffer
-/// into a reusable `Vec` flushed through [`Collector::event_batch`]
-/// every [`EVENT_FLUSH_CHUNK`] phases — one store lock per chunk
-/// instead of per phase. Snapshot contents are identical to the
-/// per-phase emission they replace.
-#[derive(Default)]
-struct PhaseTelemetry {
-    events: Vec<Event>,
-    phases: u64,
-    informed: u64,
-    jam_requested: u64,
-    jam_executed: u64,
-    rendezvous_p: f64,
-    clean_avg: f64,
-}
-
-impl PhaseTelemetry {
-    #[allow(clippy::too_many_arguments)]
-    fn record<C: Collector + ?Sized>(
-        &mut self,
-        collector: &C,
-        event: Event,
-        requested: u64,
-        executed: u64,
-        newly: u64,
-        rendezvous_p: f64,
-        clean_avg: f64,
-    ) {
-        self.phases += 1;
-        self.informed += newly;
-        self.jam_requested += requested;
-        self.jam_executed += executed;
-        self.rendezvous_p = rendezvous_p;
-        self.clean_avg = clean_avg;
-        self.events.push(event);
-        if self.events.len() >= EVENT_FLUSH_CHUNK {
-            collector.event_batch(&mut self.events);
-        }
-    }
-
-    fn finish<C: Collector + ?Sized>(&mut self, collector: &C) {
-        collector.add(MetricId::FastPhases, self.phases);
-        collector.add(MetricId::FastInformed, self.informed);
-        collector.add(MetricId::FastJamRequested, self.jam_requested);
-        collector.add(MetricId::FastJamExecuted, self.jam_executed);
-        if self.phases > 0 {
-            collector.gauge(MetricId::FastRendezvousP, self.rendezvous_p);
-            collector.gauge(MetricId::FastSurviveP, self.clean_avg);
-        }
-        collector.event_batch(&mut self.events);
-    }
-}
-
-/// Phase-level context handed to a [`PhaseJammer`].
-#[derive(Debug, Clone, Copy)]
-pub struct McPhaseCtx<'a> {
-    /// Phase index (0-based).
-    pub phase: u32,
-    /// Index of the phase's first slot.
-    pub start_slot: u64,
-    /// Phase length in slots (the final phase may be shorter than the
-    /// configured [`McConfig::phase_len`]).
-    pub phase_len: u64,
-    /// The spectrum the run hops over.
-    pub spectrum: Spectrum,
-    /// Carol's remaining pooled budget (`None` = unlimited).
-    pub budget_remaining: Option<u64>,
-    /// Nodes still uninformed at the phase start.
-    pub uninformed: u64,
-    /// Informed (relaying) nodes at the phase start.
-    pub informed: u64,
-    /// Rollup of the previous phase ([`PhaseObservation::slots`] is 0
-    /// before the first phase resolves) — the adversary's whole feedback
-    /// channel, per the adaptive model of Chen & Zheng 2020 aggregated to
-    /// phase granularity.
-    pub observation: &'a PhaseObservation,
-}
-
-/// A jammer's plan for one phase: how many slots to jam on each channel.
-///
-/// Each jammed slot on each channel costs one budget unit when it
-/// executes, exactly like a slot-level [`JamPlan`](rcb_radio::JamPlan)
-/// entry. The engine clamps each channel to the phase length and, when
-/// the pooled budget cannot cover the whole plan, fizzles it
-/// proportionally across channels (uniform-in-time spending).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct McPhasePlan {
-    jam_slots: Vec<u64>,
-}
-
-impl McPhasePlan {
-    /// A plan that jams nothing on any channel of `spectrum`.
-    #[must_use]
-    pub fn idle(spectrum: Spectrum) -> Self {
-        Self {
-            jam_slots: vec![0; spectrum.channel_count() as usize],
-        }
-    }
-
-    /// Blankets every channel of `spectrum` for `slots` slots — the
-    /// budget-splitting uniform jam (costs `C · slots` units).
-    #[must_use]
-    pub fn blanket(spectrum: Spectrum, slots: u64) -> Self {
-        Self {
-            jam_slots: vec![slots; spectrum.channel_count() as usize],
-        }
-    }
-
-    /// Sets the jammed-slot count on one channel (out-of-spectrum
-    /// channels are ignored).
-    pub fn set_jam(&mut self, channel: ChannelId, slots: u64) {
-        if let Some(entry) = self.jam_slots.get_mut(channel.index() as usize) {
-            *entry = slots;
-        }
-    }
-
-    /// The jammed-slot count requested on `channel` (0 when outside the
-    /// plan's spectrum).
-    #[must_use]
-    pub fn jam_on(&self, channel: ChannelId) -> u64 {
-        self.jam_slots
-            .get(channel.index() as usize)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Per-channel jammed-slot counts, index-aligned with the spectrum.
-    #[must_use]
-    pub fn jam_slots(&self) -> &[u64] {
-        &self.jam_slots
-    }
-
-    /// Total units the plan requests.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.jam_slots.iter().sum()
-    }
-}
-
-/// Phase-granularity, channel-aware adversary interface — what the
-/// `fast_mc` engine consults once per phase.
-///
-/// Implementations live in `rcb-adversary`: the channel-aware slot
-/// strategies (`SplitJammer`, `SweepJammer`, and the phase lowerings of
-/// the lagged/adaptive jammers) all have `PhaseJammer` counterparts.
-pub trait PhaseJammer {
-    /// Decides the per-channel jam split for the phase described by
-    /// `ctx`. Everything the jammer may legally know — including the
-    /// previous phase's [`PhaseObservation`] — arrives through `ctx`.
-    fn plan_phase(&mut self, ctx: &McPhaseCtx<'_>) -> McPhasePlan;
-}
-
-/// The no-attack phase jammer.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SilentPhaseJammer;
-
-impl PhaseJammer for SilentPhaseJammer {
-    fn plan_phase(&mut self, ctx: &McPhaseCtx<'_>) -> McPhasePlan {
-        McPhasePlan::idle(ctx.spectrum)
-    }
-}
-
 /// Configuration for a phase-level multi-channel run.
 ///
 /// The protocol shape mirrors [`crate::HoppingConfig`]; the spectrum is
-/// passed separately to [`run_fast_mc`] so one config can be swept
+/// passed separately to [`run_fast_mc_with`] so one config can be swept
 /// across channel counts.
 #[derive(Debug, Clone, Copy)]
 pub struct McConfig {
@@ -288,25 +83,47 @@ impl McConfig {
         self.phase_len = slots;
         self
     }
+
+    fn shape(&self) -> Shape {
+        Shape {
+            n: self.n,
+            horizon: self.horizon,
+            listen_p: self.listen_p,
+            relay_rate: self.relay_rate,
+            carol_budget: self.carol_budget,
+        }
+    }
 }
 
 /// Runs the multi-channel random-hopping broadcast at phase granularity
 /// over `spectrum`, returning the common outcome plus the per-channel
-/// activity/spend tallies (the fast-engine counterpart of
+/// activity/spend tallies (the phase-tier counterpart of
 /// [`RunReport::channel_stats`](rcb_radio::RunReport::channel_stats)).
 ///
 /// This is the execution engine behind
 /// `rcb_sim::Scenario::hopping(..).engine(Engine::Fast)`; prefer the
 /// `Scenario` builder in application code.
 ///
+/// When the collector is enabled, every phase emits one structured
+/// [`Event`](rcb_telemetry::Event) (tier `fast_mc`) with the kernel's
+/// per-phase aggregates: the single-clean-transmission coincidence
+/// probability `p_one`, the spectrum-averaged clean fraction after
+/// jamming, the phase-level rendezvous probability, and
+/// requested-versus-executed jam slots (the difference is Carol's budget
+/// fizzle). Telemetry is purely observational — it never draws from the
+/// run's RNG stream.
+///
 /// # Example
 ///
 /// ```
-/// use rcb_core::fast_mc::{run_fast_mc, McConfig, SilentPhaseJammer};
+/// use rcb_core::fast_mc::{run_fast_mc_with, McConfig};
+/// use rcb_core::phase::SilentPhaseJammer;
 /// use rcb_radio::Spectrum;
+/// use rcb_telemetry::NoopCollector;
 ///
 /// let config = McConfig::new(1 << 16, 4_000, 7);
-/// let (outcome, stats) = run_fast_mc(&config, Spectrum::new(8), &mut SilentPhaseJammer);
+/// let (outcome, stats) =
+///     run_fast_mc_with(&config, Spectrum::new(8), &mut SilentPhaseJammer, &NoopCollector);
 /// assert!(outcome.informed_fraction() > 0.99);
 /// assert_eq!(stats.len(), 8);
 /// ```
@@ -317,238 +134,30 @@ impl McConfig {
 /// or `phase_len == 0` (the `Scenario` builder rejects these with typed
 /// errors instead).
 #[must_use]
-pub fn run_fast_mc(
-    config: &McConfig,
-    spectrum: Spectrum,
-    adversary: &mut dyn PhaseJammer,
-) -> (BroadcastOutcome, Vec<ChannelStats>) {
-    run_fast_mc_with(config, spectrum, adversary, &NoopCollector)
-}
-
-/// [`run_fast_mc`] with a telemetry collector attached.
-///
-/// When the collector is enabled, every phase emits one structured
-/// [`Event`] (tier `fast_mc`) with the engine's per-phase aggregates:
-/// the single-clean-transmission coincidence probability `p_one`, the
-/// spectrum-averaged clean fraction after jamming, the phase-level
-/// rendezvous probability, and requested-versus-executed jam slots (the
-/// difference is Carol's budget fizzle). Telemetry is purely
-/// observational — it never draws from the run's RNG stream.
-#[must_use]
 pub fn run_fast_mc_with<C: Collector + ?Sized>(
     config: &McConfig,
     spectrum: Spectrum,
     adversary: &mut dyn PhaseJammer,
     collector: &C,
 ) -> (BroadcastOutcome, Vec<ChannelStats>) {
-    let telemetry = collector.enabled();
-    assert!(
-        (0.0..=1.0).contains(&config.listen_p),
-        "listen_p must be a probability"
-    );
-    assert!(
-        config.relay_rate.is_finite() && config.relay_rate >= 0.0,
-        "relay_rate must be nonnegative and finite"
-    );
-    assert!(config.phase_len > 0, "phase_len must be at least one slot");
-
-    let seeds = SeedTree::new(config.seed);
-    let mut rng: SimRng = seeds.stream("fast-mc", 0);
-    let c = spectrum.channel_count() as usize;
-    let n = config.n;
-    let p_r = if n == 0 {
-        0.0
-    } else {
-        (config.relay_rate / n as f64).clamp(0.0, 1.0)
-    };
-
-    let mut uninformed = n;
-    let mut informed = 0u64;
-    let mut alice = CostBreakdown::default();
-    let mut nodes = CostBreakdown::default();
-    let mut carol = CostBreakdown::default();
-    let mut stats = vec![ChannelStats::default(); c];
-    let mut observation = PhaseObservation::empty(spectrum);
-    let mut full_delivery_phase: Option<u32> = None;
-    let mut telemetry_batch = PhaseTelemetry::default();
-
-    let mut start = 0u64;
-    let mut phase: u32 = 0;
-    while start < config.horizon {
-        let s = (config.horizon - start).min(config.phase_len);
-        let budget_remaining = config
-            .carol_budget
-            .map(|cap| cap.saturating_sub(carol.total()));
-        let plan = {
-            let ctx = McPhaseCtx {
-                phase,
-                start_slot: start,
-                phase_len: s,
-                spectrum,
-                budget_remaining,
-                uninformed,
-                informed,
-                observation: &observation,
-            };
-            adversary.plan_phase(&ctx)
-        };
-        let executed = execute_jam(&plan, c, s, budget_remaining);
-        let spend: u64 = executed.iter().sum();
-        carol.jams += spend;
-
-        // Correct-side transmissions (frozen informed set).
-        let alice_sends = sample_bin(&mut rng, s, ALICE_SEND_P);
-        alice.sends += alice_sends;
-        let relay_sends = sample_bin(&mut rng, informed.saturating_mul(s), p_r);
-
-        // Sender–listener channel coincidence: probability that exactly
-        // one correct transmission lands on a given channel in a slot.
-        let q_a = ALICE_SEND_P / c as f64;
-        let q_r = p_r / c as f64;
-        let i_f = informed as f64;
-        let p_one = (q_a * (1.0 - q_r).powf(i_f)
-            + i_f * q_r * (1.0 - q_a) * (1.0 - q_r).powf((i_f - 1.0).max(0.0)))
-        .clamp(0.0, 1.0);
-
-        // Per-channel clean fractions from the executed jam, and their
-        // spectrum average (listeners hop uniformly).
-        let clean_weights: Vec<f64> = executed
-            .iter()
-            .map(|&j| 1.0 - j as f64 / s as f64)
-            .collect();
-        let clean_avg = clean_weights.iter().sum::<f64>() / c as f64;
-        let p_inform = (config.listen_p * p_one * clean_avg).clamp(0.0, 1.0);
-
-        // Who becomes informed this phase (first rendezvous is geometric
-        // in the per-slot informing probability).
-        let p_informed_phase = 1.0 - (1.0 - p_inform).powf(s as f64);
-        let newly = sample_bin(&mut rng, uninformed, p_informed_phase);
-        let survivors = uninformed - newly;
-
-        // Listening costs: survivors listen the whole phase; the newly
-        // informed listen up to their expected informing slot (one
-        // guaranteed listen — the informing one — plus the pre-success
-        // listening rate over the slots before it).
-        let mut listens = sample_bin(&mut rng, survivors.saturating_mul(s), config.listen_p);
-        let mut post_inform_sends = 0u64;
-        if newly > 0 {
-            let e_slot = truncated_geometric_mean(p_inform, s);
-            let p_listen_pre = if p_inform >= 1.0 {
-                0.0
-            } else {
-                config.listen_p * (1.0 - p_one * clean_avg) / (1.0 - p_inform)
-            };
-            listens +=
-                newly + sample_scaled(&mut rng, newly, (e_slot - 1.0).max(0.0), p_listen_pre);
-            // ...and relay for the remainder of the phase once informed.
-            post_inform_sends = sample_scaled(&mut rng, newly, (s as f64 - e_slot).max(0.0), p_r);
-        }
-        nodes.listens += listens;
-        nodes.sends += relay_sends + post_inform_sends;
-
-        // Per-channel attribution: uniform hopping spreads sends and
-        // listens multinomially; deliveries weight by clean fraction.
-        let total_sends = alice_sends + relay_sends + post_inform_sends;
-        let sends_by_channel = split_uniform(&mut rng, total_sends, c);
-        let listens_by_channel = split_uniform(&mut rng, listens, c);
-        let delivered_by_channel = split_weighted(&mut rng, newly, &clean_weights);
-
-        observation.slots = s;
-        observation.correct_sends.copy_from_slice(&sends_by_channel);
-        observation.listens.copy_from_slice(&listens_by_channel);
-        observation.jammed_slots.copy_from_slice(&executed);
-        observation.delivered.copy_from_slice(&delivered_by_channel);
-        for (ch, stat) in stats.iter_mut().enumerate() {
-            stat.correct_sends += sends_by_channel[ch];
-            stat.correct_listens += listens_by_channel[ch];
-            stat.jammed_slots += executed[ch];
-            stat.delivered += delivered_by_channel[ch];
-        }
-
-        uninformed = survivors;
-        informed += newly;
-        if uninformed == 0 && full_delivery_phase.is_none() {
-            full_delivery_phase = Some(phase);
-        }
-        if telemetry {
-            let requested: u64 = plan.jam_slots.iter().map(|&j| j.min(s)).sum();
-            telemetry_batch.record(
-                collector,
-                Event {
-                    tier: EngineTier::FastMc,
-                    protocol: "hopping",
-                    name: "phase",
-                    index: u64::from(phase),
-                    fields: vec![
-                        ("phase_len", s as f64),
-                        ("jam_requested", requested as f64),
-                        ("jam_executed", spend as f64),
-                        ("p_one", p_one),
-                        ("clean_avg", clean_avg),
-                        ("rendezvous_p", p_informed_phase),
-                        ("newly_informed", newly as f64),
-                        ("uninformed", uninformed as f64),
-                    ],
-                },
-                requested,
-                spend,
-                newly,
-                p_informed_phase,
-                clean_avg,
-            );
-        }
-        start += s;
-        phase += 1;
-    }
-    if telemetry {
-        telemetry_batch.finish(collector);
-    }
-
-    let outcome = BroadcastOutcome {
-        n,
-        informed_nodes: informed,
-        uninformed_terminated: 0,
-        unterminated_nodes: n - informed,
-        alice_terminated: true,
-        alice_cost: alice,
-        node_total_cost: nodes,
-        max_node_cost: None,
-        carol_cost: carol,
-        // Mirror the exact engine: every device terminates at its first
-        // activation past the horizon.
-        slots: config.horizon + 1,
-        // Fast-mc latency proxy: the phase in which the last node was
-        // informed (or the total phase count when delivery stayed
-        // incomplete).
-        rounds_entered: full_delivery_phase.unwrap_or(phase),
-        engine: EngineKind::Fast,
-        node_costs: None,
-    };
-    (outcome, stats)
+    phase::run_memoryless(
+        Sampled::new(config.seed),
+        &config.shape(),
+        config.phase_len,
+        spectrum,
+        adversary,
+        collector,
+    )
 }
 
 /// Runs the **epoch-structured** hopping broadcast (the Chen–Zheng
-/// schedule of [`crate::execute_epoch_hopping_soa`]) at phase granularity,
-/// one phase per epoch.
-///
-/// Unlike [`run_fast_mc`], where every device retunes each slot and
-/// per-channel populations are memoryless, the epoch schedule pins each
-/// device to one channel for a whole epoch — so the state carried across
-/// phases is a *per-channel* census: uninformed listeners by channel,
-/// relays by channel, and Alice's channel. Rendezvous probability is
-/// computed per channel from the local sender census rather than from
-/// the `1/C` spectrum average, which is exactly the epoch-aware
-/// rendezvous boost the schedule exists to provide. The listener-side
-/// jam-evasion rule is carried too: a surviving listener detects jamming
-/// on its channel with probability `1 − (1 − listen_p)^{jammed_slots}`
-/// and redraws over the other `C − 1` channels at the boundary, while
-/// undetected survivors and all senders redraw uniformly.
+/// schedule of [`crate::execute_epoch_hopping_soa`]) at phase
+/// granularity, one phase per epoch, drawing Alice's channel each epoch.
 ///
 /// The phase length *is* the epoch length (`config.phase_len` is
 /// ignored); the adversary is consulted once per epoch through the same
-/// [`PhaseJammer`] interface. Collision noise from concurrent correct
-/// senders is not modelled as a detection source — jamming is (the same
-/// simplification the memoryless lowering makes for delivery).
+/// [`PhaseJammer`] interface, and telemetry events carry protocol
+/// `epoch-hopping`.
 ///
 /// This is the execution engine behind
 /// `rcb_sim::Scenario::epoch_hopping(..).engine(Engine::Fast)`; prefer
@@ -560,23 +169,6 @@ pub fn run_fast_mc_with<C: Collector + ?Sized>(
 /// or `epoch_len == 0` (the `Scenario` builder rejects these with typed
 /// errors instead).
 #[must_use]
-pub fn run_fast_mc_epoch(
-    config: &McConfig,
-    epoch_len: u64,
-    spectrum: Spectrum,
-    adversary: &mut dyn PhaseJammer,
-) -> (BroadcastOutcome, Vec<ChannelStats>) {
-    run_fast_mc_epoch_with(config, epoch_len, spectrum, adversary, &NoopCollector)
-}
-
-/// [`run_fast_mc_epoch`] with a telemetry collector attached.
-///
-/// When enabled, each epoch emits one [`Event`] (tier `fast_mc`,
-/// protocol `epoch-hopping`) carrying the census-weighted rendezvous
-/// probability, the spectrum-average clean fraction, and
-/// requested-versus-executed jam slots. Telemetry never draws from the
-/// run's RNG stream.
-#[must_use]
 pub fn run_fast_mc_epoch_with<C: Collector + ?Sized>(
     config: &McConfig,
     epoch_len: u64,
@@ -584,586 +176,12 @@ pub fn run_fast_mc_epoch_with<C: Collector + ?Sized>(
     adversary: &mut dyn PhaseJammer,
     collector: &C,
 ) -> (BroadcastOutcome, Vec<ChannelStats>) {
-    let telemetry = collector.enabled();
-    assert!(
-        (0.0..=1.0).contains(&config.listen_p),
-        "listen_p must be a probability"
-    );
-    assert!(
-        config.relay_rate.is_finite() && config.relay_rate >= 0.0,
-        "relay_rate must be nonnegative and finite"
-    );
-    assert!(epoch_len > 0, "epoch_len must be at least one slot");
-
-    let seeds = SeedTree::new(config.seed);
-    let mut rng: SimRng = seeds.stream("fast-mc", 0);
-    let c = spectrum.channel_count() as usize;
-    let n = config.n;
-    let p_r = if n == 0 {
-        0.0
-    } else {
-        (config.relay_rate / n as f64).clamp(0.0, 1.0)
-    };
-
-    // Per-channel census, the epoch schedule's carried state.
-    let mut u_by = split_uniform(&mut rng, n, c);
-    let mut r_by = vec![0u64; c];
-    let mut informed = 0u64;
-    let mut alice = CostBreakdown::default();
-    let mut nodes = CostBreakdown::default();
-    let mut carol = CostBreakdown::default();
-    let mut stats = vec![ChannelStats::default(); c];
-    let mut observation = PhaseObservation::empty(spectrum);
-    let mut full_delivery_phase: Option<u32> = None;
-    let mut telemetry_batch = PhaseTelemetry::default();
-
-    let mut start = 0u64;
-    let mut phase: u32 = 0;
-    while start < config.horizon {
-        let s = (config.horizon - start).min(epoch_len);
-        let uninformed: u64 = u_by.iter().sum();
-        let budget_remaining = config
-            .carol_budget
-            .map(|cap| cap.saturating_sub(carol.total()));
-        let plan = {
-            let ctx = McPhaseCtx {
-                phase,
-                start_slot: start,
-                phase_len: s,
-                spectrum,
-                budget_remaining,
-                uninformed,
-                informed,
-                observation: &observation,
-            };
-            adversary.plan_phase(&ctx)
-        };
-        let executed = execute_jam(&plan, c, s, budget_remaining);
-        let spend: u64 = executed.iter().sum();
-        carol.jams += spend;
-
-        // Alice holds one uniform channel for the epoch.
-        let alice_ch = if c > 1 { rng.gen_range(0..c) } else { 0 };
-        let alice_sends = sample_bin(&mut rng, s, ALICE_SEND_P);
-        alice.sends += alice_sends;
-        let relay_sends = sample_bin(&mut rng, informed.saturating_mul(s), p_r);
-        let relay_weights: Vec<f64> = r_by.iter().map(|&r| r as f64).collect();
-        let relay_by_channel = split_weighted(&mut rng, relay_sends, &relay_weights);
-
-        // Per-channel rendezvous from the local sender census (no 1/C
-        // spectrum averaging — the whole point of holding a channel).
-        let mut sends_by_channel = vec![0u64; c];
-        let mut listens_by_channel = vec![0u64; c];
-        let mut delivered_by_channel = vec![0u64; c];
-        let mut survivors_by = vec![0u64; c];
-        let mut rendezvous_acc = 0.0f64;
-        let mut clean_acc = 0.0f64;
-        for ch in 0..c {
-            let r_ch = r_by[ch] as f64;
-            let a_here = if ch == alice_ch { ALICE_SEND_P } else { 0.0 };
-            let p_one = (a_here * (1.0 - p_r).powf(r_ch)
-                + r_ch * p_r * (1.0 - a_here) * (1.0 - p_r).powf((r_ch - 1.0).max(0.0)))
-            .clamp(0.0, 1.0);
-            let clean = 1.0 - executed[ch] as f64 / s as f64;
-            let p_inform = (config.listen_p * p_one * clean).clamp(0.0, 1.0);
-            let p_informed_phase = 1.0 - (1.0 - p_inform).powf(s as f64);
-            let newly = sample_bin(&mut rng, u_by[ch], p_informed_phase);
-            let survivors = u_by[ch] - newly;
-            survivors_by[ch] = survivors;
-            if telemetry {
-                rendezvous_acc += p_informed_phase * u_by[ch] as f64;
-                clean_acc += clean;
-            }
-
-            let mut listens = sample_bin(&mut rng, survivors.saturating_mul(s), config.listen_p);
-            let mut post_inform_sends = 0u64;
-            if newly > 0 {
-                let e_slot = truncated_geometric_mean(p_inform, s);
-                let p_listen_pre = if p_inform >= 1.0 {
-                    0.0
-                } else {
-                    config.listen_p * (1.0 - p_one * clean) / (1.0 - p_inform)
-                };
-                listens +=
-                    newly + sample_scaled(&mut rng, newly, (e_slot - 1.0).max(0.0), p_listen_pre);
-                post_inform_sends =
-                    sample_scaled(&mut rng, newly, (s as f64 - e_slot).max(0.0), p_r);
-            }
-            nodes.listens += listens;
-            nodes.sends += relay_by_channel[ch] + post_inform_sends;
-            sends_by_channel[ch] = relay_by_channel[ch] + post_inform_sends;
-            listens_by_channel[ch] = listens;
-            delivered_by_channel[ch] = newly;
-            informed += newly;
-        }
-        sends_by_channel[alice_ch] += alice_sends;
-
-        observation.slots = s;
-        observation.correct_sends.copy_from_slice(&sends_by_channel);
-        observation.listens.copy_from_slice(&listens_by_channel);
-        observation.jammed_slots.copy_from_slice(&executed);
-        observation.delivered.copy_from_slice(&delivered_by_channel);
-        for (ch, stat) in stats.iter_mut().enumerate() {
-            stat.correct_sends += sends_by_channel[ch];
-            stat.correct_listens += listens_by_channel[ch];
-            stat.jammed_slots += executed[ch];
-            stat.delivered += delivered_by_channel[ch];
-        }
-
-        // Boundary redraw. Detected survivors (heard the jam) exclude
-        // their channel; everyone else — undetected survivors, relays —
-        // redraws uniformly.
-        if c > 1 {
-            let mut next_u = vec![0u64; c];
-            let mut uniform_pool = 0u64;
-            for ch in 0..c {
-                let p_detect = (1.0 - (1.0 - config.listen_p).powf(executed[ch].min(s) as f64))
-                    .clamp(0.0, 1.0);
-                let detected = sample_bin(&mut rng, survivors_by[ch], p_detect);
-                uniform_pool += survivors_by[ch] - detected;
-                if detected > 0 {
-                    let spread = split_uniform(&mut rng, detected, c - 1);
-                    let mut k = 0;
-                    for (other, slot) in next_u.iter_mut().enumerate() {
-                        if other != ch {
-                            *slot += spread[k];
-                            k += 1;
-                        }
-                    }
-                }
-            }
-            let uniform = split_uniform(&mut rng, uniform_pool, c);
-            for (ch, extra) in uniform.into_iter().enumerate() {
-                next_u[ch] += extra;
-            }
-            u_by = next_u;
-            r_by = split_uniform(&mut rng, informed, c);
-        } else {
-            u_by[0] = survivors_by[0];
-            r_by[0] = informed;
-        }
-
-        if u_by.iter().sum::<u64>() == 0 && full_delivery_phase.is_none() {
-            full_delivery_phase = Some(phase);
-        }
-        if telemetry {
-            let requested: u64 = plan.jam_slots.iter().map(|&j| j.min(s)).sum();
-            let newly: u64 = delivered_by_channel.iter().sum();
-            let survivors: u64 = survivors_by.iter().sum();
-            let rendezvous_p = if uninformed > 0 {
-                rendezvous_acc / uninformed as f64
-            } else {
-                0.0
-            };
-            let clean_avg = clean_acc / c as f64;
-            telemetry_batch.record(
-                collector,
-                Event {
-                    tier: EngineTier::FastMc,
-                    protocol: "epoch-hopping",
-                    name: "phase",
-                    index: u64::from(phase),
-                    fields: vec![
-                        ("phase_len", s as f64),
-                        ("jam_requested", requested as f64),
-                        ("jam_executed", spend as f64),
-                        ("clean_avg", clean_avg),
-                        ("rendezvous_p", rendezvous_p),
-                        ("newly_informed", newly as f64),
-                        ("uninformed", survivors as f64),
-                    ],
-                },
-                requested,
-                spend,
-                newly,
-                rendezvous_p,
-                clean_avg,
-            );
-        }
-        start += s;
-        phase += 1;
-    }
-    if telemetry {
-        telemetry_batch.finish(collector);
-    }
-
-    let outcome = BroadcastOutcome {
-        n,
-        informed_nodes: informed,
-        uninformed_terminated: 0,
-        unterminated_nodes: n - informed,
-        alice_terminated: true,
-        alice_cost: alice,
-        node_total_cost: nodes,
-        max_node_cost: None,
-        carol_cost: carol,
-        // Mirror the exact engine: every device terminates at its first
-        // activation past the horizon.
-        slots: config.horizon + 1,
-        // Fast-mc latency proxy: the epoch in which the last node was
-        // informed (or the total epoch count when delivery stayed
-        // incomplete).
-        rounds_entered: full_delivery_phase.unwrap_or(phase),
-        engine: EngineKind::Fast,
-        node_costs: None,
-    };
-    (outcome, stats)
-}
-
-/// Clamps a plan to the phase and to Carol's remaining budget.
-///
-/// Each channel is capped at `s` slots; if the total still exceeds the
-/// remaining budget, every channel is scaled proportionally (the
-/// slot-major spending of the exact engine drains channels uniformly in
-/// time, not channel 0 first) and the integer remainder lands on the
-/// lowest-indexed channels with spare requested capacity.
-fn execute_jam(plan: &McPhasePlan, c: usize, s: u64, budget_remaining: Option<u64>) -> Vec<u64> {
-    let requested: Vec<u64> = (0..c)
-        .map(|ch| plan.jam_slots.get(ch).copied().unwrap_or(0).min(s))
-        .collect();
-    let total: u64 = requested.iter().sum();
-    let Some(rem) = budget_remaining else {
-        return requested;
-    };
-    if total <= rem {
-        return requested;
-    }
-    if rem == 0 {
-        return vec![0; c];
-    }
-    let mut executed: Vec<u64> = requested
-        .iter()
-        .map(|&r| ((u128::from(r) * u128::from(rem)) / u128::from(total)) as u64)
-        .collect();
-    let mut leftover = rem - executed.iter().sum::<u64>();
-    for ch in 0..c {
-        if leftover == 0 {
-            break;
-        }
-        let spare = requested[ch] - executed[ch];
-        let add = spare.min(leftover);
-        executed[ch] += add;
-        leftover -= add;
-    }
-    executed
-}
-
-/// `E[T | T ≤ s]` for `T ~ Geometric(p)` (first-success index, 1-based):
-/// the expected informing slot of a node known to inform within the
-/// phase. Shared with the fluid tier, which uses the same expectation.
-pub(crate) fn truncated_geometric_mean(p: f64, s: u64) -> f64 {
-    if p <= 0.0 {
-        return s as f64;
-    }
-    if p >= 1.0 {
-        return 1.0;
-    }
-    let q = 1.0 - p;
-    let qs = q.powf(s as f64);
-    if 1.0 - qs <= f64::EPSILON {
-        return s as f64;
-    }
-    ((1.0 / p) - (s as f64) * qs / (1.0 - qs)).clamp(1.0, s as f64)
-}
-
-fn sample_bin(rng: &mut SimRng, n: u64, p: f64) -> u64 {
-    Binomial::new(n, p.clamp(0.0, 1.0))
-        .expect("probability already clamped")
-        .sample(rng)
-}
-
-/// Binomial over `population` trials of `slots_each` expected slots at
-/// rate `p`: a fractional-trial-count approximation `Bin(round(pop ·
-/// slots), p)` used for the partial-phase charges of newly informed
-/// nodes.
-fn sample_scaled(rng: &mut SimRng, population: u64, slots_each: f64, p: f64) -> u64 {
-    let trials = (population as f64 * slots_each).round();
-    if trials <= 0.0 {
-        return 0;
-    }
-    sample_bin(rng, trials as u64, p)
-}
-
-/// Splits `total` uniformly over `c` bins (multinomial via sequential
-/// binomials — exact, deterministic given the rng stream).
-fn split_uniform(rng: &mut SimRng, total: u64, c: usize) -> Vec<u64> {
-    let weights = vec![1.0; c];
-    split_weighted(rng, total, &weights)
-}
-
-/// Splits `total` over bins proportionally to `weights` (multinomial via
-/// sequential binomials). Zero-weight bins receive nothing; if every
-/// weight is zero the total is dropped.
-fn split_weighted(rng: &mut SimRng, total: u64, weights: &[f64]) -> Vec<u64> {
-    let mut out = vec![0u64; weights.len()];
-    let mut remaining = total;
-    let mut weight_left: f64 = weights.iter().map(|w| w.max(0.0)).sum();
-    for (i, &w) in weights.iter().enumerate() {
-        if remaining == 0 || weight_left <= 0.0 {
-            break;
-        }
-        let w = w.max(0.0);
-        let p = (w / weight_left).clamp(0.0, 1.0);
-        // Last positive-weight bin takes the exact remainder (floating
-        // residue in weight_left must never shunt mass onto a
-        // zero-weight — e.g. fully jammed — bin).
-        let draw = if i + 1 == weights.len() && w > 0.0 && (weight_left - w).abs() < 1e-12 {
-            remaining
-        } else {
-            sample_bin(rng, remaining, p)
-        };
-        out[i] = draw;
-        remaining -= draw;
-        weight_left -= w;
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quiet_run_informs_everyone_on_any_spectrum() {
-        for channels in [1u16, 2, 8] {
-            let config = McConfig::new(10_000, 4_000, 3);
-            let (o, stats) = run_fast_mc(&config, Spectrum::new(channels), &mut SilentPhaseJammer);
-            assert!(
-                o.informed_fraction() > 0.99,
-                "C={channels}: {}",
-                o.informed_fraction()
-            );
-            assert_eq!(o.engine, EngineKind::Fast);
-            assert_eq!(o.carol_spend(), 0);
-            assert_eq!(stats.len(), channels as usize);
-            assert_eq!(o.slots, 4_001);
-        }
-    }
-
-    #[test]
-    fn scales_to_large_n_quickly() {
-        let config = McConfig::new(1 << 18, 8_000, 5);
-        let (o, _) = run_fast_mc(&config, Spectrum::new(8), &mut SilentPhaseJammer);
-        assert!(o.informed_fraction() > 0.99);
-    }
-
-    #[test]
-    fn deterministic_by_seed() {
-        let config = McConfig::new(5_000, 2_000, 11).carol_budget(1_000);
-        let (a, sa) = run_fast_mc(&config, Spectrum::new(4), &mut SilentPhaseJammer);
-        let (b, sb) = run_fast_mc(&config, Spectrum::new(4), &mut SilentPhaseJammer);
-        assert_eq!(a.informed_nodes, b.informed_nodes);
-        assert_eq!(a.node_total_cost, b.node_total_cost);
-        assert_eq!(a.alice_cost, b.alice_cost);
-        assert_eq!(sa, sb);
-    }
-
-    /// Blankets the whole spectrum every phase.
-    struct Blanket;
-    impl PhaseJammer for Blanket {
-        fn plan_phase(&mut self, ctx: &McPhaseCtx<'_>) -> McPhasePlan {
-            McPhasePlan::blanket(ctx.spectrum, ctx.phase_len)
-        }
-    }
-
-    #[test]
-    fn blanket_budget_splits_uniformly_and_drains_c_times_faster() {
-        let budget = 8_000u64;
-        let config = McConfig::new(2_000, 4_000, 7).carol_budget(budget);
-        let (o, stats) = run_fast_mc(&config, Spectrum::new(4), &mut Blanket);
-        assert_eq!(o.carol_spend(), budget, "she spends it all");
-        let per_channel: Vec<u64> = stats.iter().map(|s| s.jammed_slots).collect();
-        assert_eq!(per_channel.iter().sum::<u64>(), budget);
-        let (min, max) = (
-            per_channel.iter().min().unwrap(),
-            per_channel.iter().max().unwrap(),
-        );
-        assert!(max - min <= 1, "uniform split, got {per_channel:?}");
-        // The blanket only held 8000/4 = 2000 of 4000 slots: delivery
-        // completes once she is broke.
-        assert!(o.informed_fraction() > 0.99, "{}", o.informed_fraction());
-    }
-
-    #[test]
-    fn unlimited_blanket_blocks_all_delivery() {
-        let config = McConfig::new(2_000, 2_000, 9);
-        let (o, stats) = run_fast_mc(&config, Spectrum::new(2), &mut Blanket);
-        assert_eq!(o.informed_nodes, 0);
-        assert_eq!(stats.iter().map(|s| s.delivered).sum::<u64>(), 0);
-        // Every slot on every channel jammed.
-        for s in &stats {
-            assert_eq!(s.jammed_slots, 2_000);
-        }
-        // Listeners still paid: the attack does not silence their radios.
-        assert!(o.node_total_cost.listens > 0);
-    }
-
-    /// Jams only channel 0, fully.
-    struct PinChannelZero;
-    impl PhaseJammer for PinChannelZero {
-        fn plan_phase(&mut self, ctx: &McPhaseCtx<'_>) -> McPhasePlan {
-            let mut plan = McPhasePlan::idle(ctx.spectrum);
-            plan.set_jam(ChannelId::ZERO, ctx.phase_len);
-            plan
-        }
-    }
-
-    #[test]
-    fn partial_jam_redirects_deliveries_to_clean_channels() {
-        let config = McConfig::new(4_000, 4_000, 13);
-        let (o, stats) = run_fast_mc(&config, Spectrum::new(4), &mut PinChannelZero);
-        assert!(o.informed_fraction() > 0.95, "{}", o.informed_fraction());
-        assert_eq!(stats[0].delivered, 0, "jammed channel delivers nothing");
-        for (ch, stat) in stats.iter().enumerate().skip(1) {
-            assert!(stat.delivered > 0, "clean channel {ch} delivers");
-        }
-    }
-
-    #[test]
-    fn observation_reaches_the_jammer_with_one_phase_lag() {
-        /// Asserts the first ctx is empty and later ctxs carry the
-        /// previous phase's tallies.
-        struct ObsProbe {
-            phases_seen: u32,
-        }
-        impl PhaseJammer for ObsProbe {
-            fn plan_phase(&mut self, ctx: &McPhaseCtx<'_>) -> McPhasePlan {
-                if ctx.phase == 0 {
-                    assert_eq!(ctx.observation.slots, 0, "no clairvoyance before phase 0");
-                } else {
-                    assert!(ctx.observation.slots > 0);
-                    assert!(
-                        ctx.observation.correct_sends.iter().sum::<u64>() > 0,
-                        "Alice transmits every phase in expectation"
-                    );
-                }
-                self.phases_seen += 1;
-                McPhasePlan::idle(ctx.spectrum)
-            }
-        }
-        let mut probe = ObsProbe { phases_seen: 0 };
-        let config = McConfig::new(500, 640, 17);
-        let _ = run_fast_mc(&config, Spectrum::new(2), &mut probe);
-        assert_eq!(probe.phases_seen, 20, "640 slots / 32-slot phases");
-    }
-
-    #[test]
-    fn truncated_phase_at_the_horizon() {
-        let config = McConfig::new(100, 50, 19).phase_len(32);
-        let (o, _) = run_fast_mc(&config, Spectrum::single(), &mut SilentPhaseJammer);
-        assert_eq!(o.slots, 51);
-        // 32 + 18 slots = 2 phases.
-        assert!(o.rounds_entered <= 2);
-    }
-
-    #[test]
-    fn quiet_epoch_run_informs_everyone_on_any_spectrum() {
-        for channels in [1u16, 2, 8] {
-            let config = McConfig::new(10_000, 4_000, 3);
-            let (o, stats) =
-                run_fast_mc_epoch(&config, 32, Spectrum::new(channels), &mut SilentPhaseJammer);
-            assert!(
-                o.informed_fraction() > 0.99,
-                "C={channels}: {}",
-                o.informed_fraction()
-            );
-            assert_eq!(o.engine, EngineKind::Fast);
-            assert_eq!(o.carol_spend(), 0);
-            assert_eq!(stats.len(), channels as usize);
-            assert_eq!(o.slots, 4_001);
-        }
-    }
-
-    #[test]
-    fn epoch_lowering_scales_to_large_n_quickly() {
-        let config = McConfig::new(1 << 18, 8_000, 5);
-        let (o, _) = run_fast_mc_epoch(&config, 64, Spectrum::new(8), &mut SilentPhaseJammer);
-        assert!(o.informed_fraction() > 0.99);
-    }
-
-    #[test]
-    fn epoch_lowering_deterministic_by_seed() {
-        let config = McConfig::new(5_000, 2_000, 11).carol_budget(1_000);
-        let (a, sa) = run_fast_mc_epoch(&config, 32, Spectrum::new(4), &mut Blanket);
-        let (b, sb) = run_fast_mc_epoch(&config, 32, Spectrum::new(4), &mut Blanket);
-        assert_eq!(a.informed_nodes, b.informed_nodes);
-        assert_eq!(a.node_total_cost, b.node_total_cost);
-        assert_eq!(a.carol_cost, b.carol_cost);
-        assert_eq!(sa, sb);
-    }
-
-    #[test]
-    fn epoch_lowering_unlimited_blanket_blocks_all_delivery() {
-        let config = McConfig::new(2_000, 2_000, 9);
-        let (o, stats) = run_fast_mc_epoch(&config, 32, Spectrum::new(2), &mut Blanket);
-        assert_eq!(o.informed_nodes, 0);
-        assert_eq!(stats.iter().map(|s| s.delivered).sum::<u64>(), 0);
-        assert!(o.node_total_cost.listens > 0);
-    }
-
-    #[test]
-    fn epoch_lowering_redirects_deliveries_off_a_pinned_channel() {
-        let config = McConfig::new(4_000, 4_000, 13);
-        let (o, stats) = run_fast_mc_epoch(&config, 32, Spectrum::new(4), &mut PinChannelZero);
-        assert!(o.informed_fraction() > 0.95, "{}", o.informed_fraction());
-        assert_eq!(stats[0].delivered, 0, "jammed channel delivers nothing");
-        for (ch, stat) in stats.iter().enumerate().skip(1) {
-            assert!(stat.delivered > 0, "clean channel {ch} delivers");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "epoch_len must be at least one slot")]
-    fn epoch_lowering_rejects_zero_epoch_len() {
-        let config = McConfig::new(10, 10, 1);
-        let _ = run_fast_mc_epoch(&config, 0, Spectrum::new(2), &mut SilentPhaseJammer);
-    }
-
-    #[test]
-    fn execute_jam_clamps_and_fizzles_proportionally() {
-        let plan = McPhasePlan {
-            jam_slots: vec![100, 50, 0, 200],
-        };
-        // Clamp to the phase first.
-        assert_eq!(execute_jam(&plan, 4, 80, None), vec![80, 50, 0, 80]);
-        // Ample budget: everything executes.
-        assert_eq!(
-            execute_jam(&plan, 4, 200, Some(1_000)),
-            vec![100, 50, 0, 200]
-        );
-        // Tight budget: proportional split, exact total.
-        let executed = execute_jam(&plan, 4, 200, Some(35));
-        assert_eq!(executed.iter().sum::<u64>(), 35);
-        assert_eq!(executed[2], 0);
-        assert!(executed[3] >= executed[0] && executed[0] >= executed[1]);
-        // Broke: nothing executes.
-        assert_eq!(execute_jam(&plan, 4, 200, Some(0)), vec![0; 4]);
-    }
-
-    #[test]
-    fn truncated_geometric_mean_shapes() {
-        assert_eq!(truncated_geometric_mean(1.0, 10), 1.0);
-        assert_eq!(truncated_geometric_mean(0.0, 10), 10.0);
-        // Tiny p: conditioned on success within s, the mean is inside
-        // [1, s] and near the middle.
-        let m = truncated_geometric_mean(1e-9, 100);
-        assert!(m > 1.0 && m <= 100.0);
-        // p = 0.5, s large: mean ≈ 2.
-        assert!((truncated_geometric_mean(0.5, 1_000) - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn split_weighted_conserves_and_respects_zero_weights() {
-        let seeds = SeedTree::new(1);
-        let mut rng: SimRng = seeds.stream("test", 0);
-        let out = split_weighted(&mut rng, 10_000, &[1.0, 0.0, 1.0]);
-        assert_eq!(out.iter().sum::<u64>(), 10_000);
-        assert_eq!(out[1], 0);
-        let uniform = split_uniform(&mut rng, 100_000, 4);
-        assert_eq!(uniform.iter().sum::<u64>(), 100_000);
-        for &bin in &uniform {
-            assert!((bin as f64 - 25_000.0).abs() < 1_500.0, "{uniform:?}");
-        }
-        assert_eq!(split_weighted(&mut rng, 5, &[0.0, 0.0]), vec![0, 0]);
-    }
+    phase::run_epoch(
+        Sampled::new(config.seed),
+        &config.shape(),
+        epoch_len,
+        spectrum,
+        adversary,
+        collector,
+    )
 }

@@ -1,28 +1,21 @@
 //! Mean-field **fluid-limit** tier (`fluid`) — the third engine.
 //!
-//! The `fast_mc` simulator already collapsed slots into phases, but every
-//! phase still *samples*: binomial rendezvous counts, multinomial channel
-//! splits, one RNG stream per trial. This module goes one tier further
-//! and advances the *expected* informed-fraction state directly: each
-//! phase applies the same rendezvous probability `P₁` (and the
-//! epoch-hopping census variant) as a deterministic `f64` recurrence,
-//! with per-channel jam thinning folded in as expected-value multipliers.
+//! The expected realization of the [`crate::phase`] kernel: the same
+//! recurrences as [`crate::fast_mc`] with every draw replaced by its
+//! expectation —
+//!
+//! * `newly = u · (1 − (1 − p_inform)^s)` instead of a binomial draw;
+//! * channel attribution by exact proportion instead of a multinomial
+//!   split;
+//! * Alice's epoch channel conditioned over instead of drawn;
+//! * a jam plan that exceeds the remaining budget fizzles by exact
+//!   proportional scaling (no integer remainder).
+//!
 //! One run costs one `f64` recurrence per `(phase × C)` — no RNG, no
 //! per-node state — and `n` enters only as a scale factor, so `n = 2^20`
 //! costs exactly what `n = 2^6` does. This is the closed-form
 //! epidemic-curve prediction the analyses of Chen–Zheng (2019/2020) and
 //! King–Pettie–Saia–Young (2012) work with on paper, made executable.
-//!
-//! # The model
-//!
-//! Identical recurrences to [`crate::fast_mc`] with every `sample_*`
-//! call replaced by its expectation:
-//!
-//! * `newly = u · (1 − (1 − p_inform)^s)` instead of a binomial draw;
-//! * channel attribution by exact proportion instead of a multinomial
-//!   split;
-//! * a jam plan that exceeds the remaining budget fizzles by exact
-//!   proportional scaling (no integer remainder).
 //!
 //! What the tier inherently cannot produce — a slot trace, per-trial
 //! variance, a per-node cost distribution — is absent by construction:
@@ -39,177 +32,29 @@
 //! node informed); `rounds_entered` reports that phase as the latency
 //! proxy, mirroring the `fast_mc` convention.
 //!
-//! Agreement with `fast_mc` means is validated statistically in
-//! `tests/fluid_vs_fast_mc.rs` and experiment E19 (≤ 2% node-cost
-//! relative error across the protocol × adversary grid).
+//! Agreement with `fast_mc` means across the protocol × adversary grid
+//! is validated by experiment E19 (`reproduce e19`: ≤ 2% node-cost
+//! relative error, with documented concessions for stochastic-jam and
+//! epoch cells).
 
-use rcb_radio::{ChannelId, ChannelStats, CostBreakdown, Spectrum};
-use rcb_telemetry::{Collector, EngineTier, Event, MetricId, NoopCollector};
+use rcb_radio::{ChannelStats, Spectrum};
+use rcb_telemetry::Collector;
 
 use crate::fast_mc::DEFAULT_PHASE_LEN;
-use crate::outcome::{BroadcastOutcome, EngineKind};
+use crate::outcome::BroadcastOutcome;
+use crate::phase::{self, Expected, Shape};
 
-/// Alice's per-slot transmission probability — the same 1/2 as the exact
-/// protocol and the `fast_mc` lowering.
-const ALICE_SEND_P: f64 = 0.5;
+/// The one phase-jammer trait, under its fluid-tier name. A fluid
+/// jammer must be deterministic — the tier's contract is that a run has
+/// no RNG anywhere — so a stochastic strategy joins as its *expected*
+/// plan (e.g. `Random(p)` plans `p · phase_len` jam slots).
+pub use crate::phase::PhaseJammer as FluidJammer;
 
-/// Expected per-channel activity of one completed phase — the `f64`
-/// mirror of [`rcb_radio::PhaseObservation`], handed to a
-/// [`FluidJammer`] as its whole feedback channel.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FluidObservation {
-    /// Slots the observed phase spanned (0 before the first phase).
-    pub slots: u64,
-    /// Expected correct transmissions per channel.
-    pub correct_sends: Vec<f64>,
-    /// Expected correct listens per channel.
-    pub listens: Vec<f64>,
-    /// Expected deliveries (newly informed nodes) per channel.
-    pub delivered: Vec<f64>,
-    /// Jam slots executed per channel.
-    pub jammed_slots: Vec<f64>,
-}
+/// The phase jammer's context, under its fluid-tier name.
+pub type FluidPhaseCtx<'a> = phase::PhaseJamCtx<'a>;
 
-impl FluidObservation {
-    /// An empty observation over `spectrum` (what the jammer sees before
-    /// the first phase resolves).
-    #[must_use]
-    pub fn empty(spectrum: Spectrum) -> Self {
-        let c = spectrum.channel_count() as usize;
-        Self {
-            slots: 0,
-            correct_sends: vec![0.0; c],
-            listens: vec![0.0; c],
-            delivered: vec![0.0; c],
-            jammed_slots: vec![0.0; c],
-        }
-    }
-
-    /// Expected number of slots on `channel` with at least one correct
-    /// transmission, Poissonising the observed send count over the
-    /// phase: `s · (1 − e^{−sends/s})` — the same estimator as
-    /// [`rcb_radio::PhaseObservation::expected_active_slots`].
-    #[must_use]
-    pub fn expected_active_slots(&self, channel: ChannelId) -> f64 {
-        if self.slots == 0 {
-            return 0.0;
-        }
-        let s = self.slots as f64;
-        let sends = self
-            .correct_sends
-            .get(channel.index() as usize)
-            .copied()
-            .unwrap_or(0.0);
-        s * (1.0 - (-sends / s).exp())
-    }
-
-    fn reset(&mut self, slots: u64) {
-        self.slots = slots;
-    }
-}
-
-/// Phase-level context handed to a [`FluidJammer`] — the expectation
-/// mirror of [`crate::fast_mc::McPhaseCtx`].
-#[derive(Debug, Clone, Copy)]
-pub struct FluidPhaseCtx<'a> {
-    /// Phase index (0-based).
-    pub phase: u32,
-    /// Index of the phase's first slot.
-    pub start_slot: u64,
-    /// Phase length in slots (the final phase may be truncated).
-    pub phase_len: u64,
-    /// The spectrum the run hops over.
-    pub spectrum: Spectrum,
-    /// Carol's remaining pooled budget in expectation (`None` =
-    /// unlimited).
-    pub budget_remaining: Option<f64>,
-    /// Expected uninformed mass at the phase start.
-    pub uninformed: f64,
-    /// Expected informed (relaying) mass at the phase start.
-    pub informed: f64,
-    /// Expected rollup of the previous phase (`slots == 0` before the
-    /// first phase resolves).
-    pub observation: &'a FluidObservation,
-}
-
-/// A jammer's expected plan for one phase: fractional jam-slot counts
-/// per channel. The engine clamps each channel to the phase length and
-/// scales the whole plan proportionally when it exceeds the remaining
-/// budget.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FluidPlan {
-    jam_slots: Vec<f64>,
-}
-
-impl FluidPlan {
-    /// A plan that jams nothing on any channel of `spectrum`.
-    #[must_use]
-    pub fn idle(spectrum: Spectrum) -> Self {
-        Self {
-            jam_slots: vec![0.0; spectrum.channel_count() as usize],
-        }
-    }
-
-    /// Blankets every channel of `spectrum` for `slots` slots.
-    #[must_use]
-    pub fn blanket(spectrum: Spectrum, slots: f64) -> Self {
-        Self {
-            jam_slots: vec![slots; spectrum.channel_count() as usize],
-        }
-    }
-
-    /// Sets the expected jammed-slot count on one channel
-    /// (out-of-spectrum channels are ignored).
-    pub fn set_jam(&mut self, channel: ChannelId, slots: f64) {
-        if let Some(entry) = self.jam_slots.get_mut(channel.index() as usize) {
-            *entry = slots;
-        }
-    }
-
-    /// The expected jammed-slot count requested on `channel`.
-    #[must_use]
-    pub fn jam_on(&self, channel: ChannelId) -> f64 {
-        self.jam_slots
-            .get(channel.index() as usize)
-            .copied()
-            .unwrap_or(0.0)
-    }
-
-    /// Per-channel expected jam counts, index-aligned with the spectrum.
-    #[must_use]
-    pub fn jam_slots(&self) -> &[f64] {
-        &self.jam_slots
-    }
-
-    /// Total units the plan requests.
-    #[must_use]
-    pub fn total(&self) -> f64 {
-        self.jam_slots.iter().sum()
-    }
-}
-
-/// Phase-granularity adversary interface of the fluid tier — the
-/// expectation counterpart of [`crate::fast_mc::PhaseJammer`].
-///
-/// Implementations must be deterministic: the tier's contract is that a
-/// run has no RNG anywhere, so a stochastic strategy lowers as its
-/// *expected* plan (e.g. `Random(p)` plans `p · phase_len` expected jam
-/// slots instead of a binomial draw).
-pub trait FluidJammer {
-    /// Decides the expected per-channel jam split for the phase
-    /// described by `ctx`.
-    fn plan_phase(&mut self, ctx: &FluidPhaseCtx<'_>) -> FluidPlan;
-}
-
-/// The no-attack fluid jammer.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SilentFluidJammer;
-
-impl FluidJammer for SilentFluidJammer {
-    fn plan_phase(&mut self, ctx: &FluidPhaseCtx<'_>) -> FluidPlan {
-        FluidPlan::idle(ctx.spectrum)
-    }
-}
+/// A phase jammer's plan, under its fluid-tier name.
+pub type FluidPlan = phase::PhaseJamPlan;
 
 /// Configuration for a fluid-limit run.
 ///
@@ -262,106 +107,15 @@ impl FluidConfig {
         self.phase_len = slots;
         self
     }
-}
 
-/// Shared `f64` accumulators of one fluid run.
-struct FluidState {
-    informed: f64,
-    alice_sends: f64,
-    node_listens: f64,
-    node_sends: f64,
-    carol_jams: f64,
-    /// Per-channel `(sends, listens, jams, delivered)` accumulators.
-    stats: Vec<[f64; 4]>,
-    full_delivery_phase: Option<u32>,
-}
-
-impl FluidState {
-    fn new(c: usize) -> Self {
-        Self {
-            informed: 0.0,
-            alice_sends: 0.0,
-            node_listens: 0.0,
-            node_sends: 0.0,
-            carol_jams: 0.0,
-            stats: vec![[0.0; 4]; c],
-            full_delivery_phase: None,
+    fn shape(&self) -> Shape {
+        Shape {
+            n: self.n,
+            horizon: self.horizon,
+            listen_p: self.listen_p,
+            relay_rate: self.relay_rate,
+            carol_budget: self.carol_budget,
         }
-    }
-
-    /// Rounds the expectation state into the common outcome shape.
-    fn into_outcome(
-        self,
-        n: u64,
-        horizon: u64,
-        phases: u32,
-    ) -> (BroadcastOutcome, Vec<ChannelStats>) {
-        let informed_nodes = (self.informed.round() as u64).min(n);
-        let outcome = BroadcastOutcome {
-            n,
-            informed_nodes,
-            uninformed_terminated: 0,
-            unterminated_nodes: n - informed_nodes,
-            alice_terminated: true,
-            alice_cost: CostBreakdown {
-                sends: round_u64(self.alice_sends),
-                ..CostBreakdown::default()
-            },
-            node_total_cost: CostBreakdown {
-                sends: round_u64(self.node_sends),
-                listens: round_u64(self.node_listens),
-                ..CostBreakdown::default()
-            },
-            max_node_cost: None,
-            carol_cost: CostBreakdown {
-                jams: round_u64(self.carol_jams),
-                ..CostBreakdown::default()
-            },
-            // Mirror the other engines: every device terminates at its
-            // first activation past the horizon.
-            slots: horizon + 1,
-            // Latency proxy: the phase where the expected uninformed
-            // mass fell below half a node (or the phase count when it
-            // never did).
-            rounds_entered: self.full_delivery_phase.unwrap_or(phases),
-            engine: EngineKind::Fluid,
-            node_costs: None,
-        };
-        let stats = self
-            .stats
-            .into_iter()
-            .map(|[sends, listens, jams, delivered]| ChannelStats {
-                correct_sends: round_u64(sends),
-                correct_listens: round_u64(listens),
-                byz_sends: 0,
-                jammed_slots: round_u64(jams),
-                delivered: round_u64(delivered),
-            })
-            .collect();
-        (outcome, stats)
-    }
-}
-
-fn round_u64(v: f64) -> u64 {
-    v.round().max(0.0) as u64
-}
-
-fn validate(config: &FluidConfig) {
-    assert!(
-        (0.0..=1.0).contains(&config.listen_p),
-        "listen_p must be a probability"
-    );
-    assert!(
-        config.relay_rate.is_finite() && config.relay_rate >= 0.0,
-        "relay_rate must be nonnegative and finite"
-    );
-}
-
-fn relay_p(config: &FluidConfig) -> f64 {
-    if config.n == 0 {
-        0.0
-    } else {
-        (config.relay_rate / config.n as f64).clamp(0.0, 1.0)
     }
 }
 
@@ -373,14 +127,23 @@ fn relay_p(config: &FluidConfig) -> f64 {
 /// `rcb_sim::Scenario::hopping(..).engine(Engine::Fluid)`; prefer the
 /// `Scenario` builder in application code.
 ///
+/// When the collector is enabled, every phase emits one structured
+/// [`Event`](rcb_telemetry::Event) (tier `fluid`) carrying the
+/// recurrence's per-phase aggregates — the same fields as the `fast_mc`
+/// tier, in expectation — and the run bumps the fluid-tier counters.
+/// Telemetry is purely observational.
+///
 /// # Example
 ///
 /// ```
-/// use rcb_core::fluid::{run_fluid, FluidConfig, SilentFluidJammer};
+/// use rcb_core::fluid::{run_fluid_with, FluidConfig};
+/// use rcb_core::phase::SilentPhaseJammer;
 /// use rcb_radio::Spectrum;
+/// use rcb_telemetry::NoopCollector;
 ///
 /// let config = FluidConfig::new(1 << 20, 4_000);
-/// let (outcome, stats) = run_fluid(&config, Spectrum::new(8), &mut SilentFluidJammer);
+/// let (outcome, stats) =
+///     run_fluid_with(&config, Spectrum::new(8), &mut SilentPhaseJammer, &NoopCollector);
 /// assert!(outcome.informed_fraction() > 0.99);
 /// assert_eq!(stats.len(), 8);
 /// ```
@@ -391,153 +154,20 @@ fn relay_p(config: &FluidConfig) -> f64 {
 /// or `phase_len == 0` (the `Scenario` builder rejects these with typed
 /// errors instead).
 #[must_use]
-pub fn run_fluid(
-    config: &FluidConfig,
-    spectrum: Spectrum,
-    adversary: &mut dyn FluidJammer,
-) -> (BroadcastOutcome, Vec<ChannelStats>) {
-    run_fluid_with(config, spectrum, adversary, &NoopCollector)
-}
-
-/// [`run_fluid`] with a telemetry collector attached.
-///
-/// When the collector is enabled, every phase bumps the fluid-tier
-/// counters and emits one structured [`Event`] (tier `fluid`) carrying
-/// the recurrence's per-phase aggregates: `p_one`, the spectrum-average
-/// clean fraction, the phase rendezvous probability, the executed jam
-/// mass, and the expected newly-informed / surviving-uninformed masses.
-/// Telemetry is purely observational.
-#[must_use]
 pub fn run_fluid_with<C: Collector + ?Sized>(
     config: &FluidConfig,
     spectrum: Spectrum,
     adversary: &mut dyn FluidJammer,
     collector: &C,
 ) -> (BroadcastOutcome, Vec<ChannelStats>) {
-    let telemetry = collector.enabled();
-    validate(config);
-    assert!(config.phase_len > 0, "phase_len must be at least one slot");
-
-    let c = spectrum.channel_count() as usize;
-    let p_r = relay_p(config);
-    let mut u = config.n as f64;
-    let mut state = FluidState::new(c);
-    let mut observation = FluidObservation::empty(spectrum);
-
-    let mut start = 0u64;
-    let mut phase: u32 = 0;
-    while start < config.horizon {
-        let s = (config.horizon - start).min(config.phase_len);
-        let budget_remaining = config
-            .carol_budget
-            .map(|cap| (cap as f64 - state.carol_jams).max(0.0));
-        let plan = {
-            let ctx = FluidPhaseCtx {
-                phase,
-                start_slot: start,
-                phase_len: s,
-                spectrum,
-                budget_remaining,
-                uninformed: u,
-                informed: state.informed,
-                observation: &observation,
-            };
-            adversary.plan_phase(&ctx)
-        };
-        let executed = execute_jam_fluid(&plan, c, s, budget_remaining);
-        let spend: f64 = executed.iter().sum();
-        state.carol_jams += spend;
-
-        // Correct-side expected transmissions (frozen informed set).
-        let alice_sends = s as f64 * ALICE_SEND_P;
-        state.alice_sends += alice_sends;
-        let relay_sends = state.informed * s as f64 * p_r;
-
-        // Sender–listener channel coincidence: the same `P₁` as
-        // `fast_mc`, with the expected informed mass as the relay count.
-        let q_a = ALICE_SEND_P / c as f64;
-        let q_r = p_r / c as f64;
-        let i_f = state.informed;
-        let p_one = (q_a * (1.0 - q_r).powf(i_f)
-            + i_f * q_r * (1.0 - q_a) * (1.0 - q_r).powf((i_f - 1.0).max(0.0)))
-        .clamp(0.0, 1.0);
-
-        // Per-channel clean fractions from the executed jam, and their
-        // spectrum average (listeners hop uniformly).
-        let clean_weights: Vec<f64> = executed.iter().map(|&j| 1.0 - j / s as f64).collect();
-        let clean_avg = clean_weights.iter().sum::<f64>() / c as f64;
-        let p_inform = (config.listen_p * p_one * clean_avg).clamp(0.0, 1.0);
-
-        // Expected newly informed mass this phase.
-        let p_informed_phase = 1.0 - (1.0 - p_inform).powf(s as f64);
-        let newly = u * p_informed_phase;
-        let survivors = u - newly;
-
-        // Listening costs: survivors listen the whole phase; the newly
-        // informed listen up to their expected informing slot and relay
-        // from then on — the exact expectations `fast_mc` samples from.
-        let mut listens = survivors * s as f64 * config.listen_p;
-        let mut post_inform_sends = 0.0;
-        if newly > 0.0 {
-            let e_slot = crate::fast_mc::truncated_geometric_mean(p_inform, s);
-            let p_listen_pre = if p_inform >= 1.0 {
-                0.0
-            } else {
-                config.listen_p * (1.0 - p_one * clean_avg) / (1.0 - p_inform)
-            };
-            listens += newly * (1.0 + (e_slot - 1.0).max(0.0) * p_listen_pre);
-            post_inform_sends = newly * (s as f64 - e_slot).max(0.0) * p_r;
-        }
-        state.node_listens += listens;
-        state.node_sends += relay_sends + post_inform_sends;
-
-        // Per-channel attribution: uniform hopping spreads sends and
-        // listens evenly; deliveries weight by clean fraction.
-        let total_sends = alice_sends + relay_sends + post_inform_sends;
-        let clean_total: f64 = clean_weights.iter().sum();
-        observation.reset(s);
-        for ch in 0..c {
-            let sends = total_sends / c as f64;
-            let ch_listens = listens / c as f64;
-            let delivered = if clean_total > 0.0 {
-                newly * clean_weights[ch] / clean_total
-            } else {
-                0.0
-            };
-            observation.correct_sends[ch] = sends;
-            observation.listens[ch] = ch_listens;
-            observation.jammed_slots[ch] = executed[ch];
-            observation.delivered[ch] = delivered;
-            state.stats[ch][0] += sends;
-            state.stats[ch][1] += ch_listens;
-            state.stats[ch][2] += executed[ch];
-            state.stats[ch][3] += delivered;
-        }
-
-        u = survivors;
-        state.informed += newly;
-        if u < 0.5 && state.full_delivery_phase.is_none() {
-            state.full_delivery_phase = Some(phase);
-        }
-        if telemetry {
-            collector.add(MetricId::FluidPhases, 1);
-            collector.gauge(MetricId::FluidUninformed, u);
-            collector.event(
-                Event::new(EngineTier::Fluid, "hopping", "phase", u64::from(phase))
-                    .field("phase_len", s as f64)
-                    .field("jam_executed", spend)
-                    .field("p_one", p_one)
-                    .field("clean_avg", clean_avg)
-                    .field("rendezvous_p", p_informed_phase)
-                    .field("newly_informed", newly)
-                    .field("uninformed", u),
-            );
-        }
-        start += s;
-        phase += 1;
-    }
-
-    state.into_outcome(config.n, config.horizon, phase)
+    phase::run_memoryless(
+        Expected,
+        &config.shape(),
+        config.phase_len,
+        spectrum,
+        adversary,
+        collector,
+    )
 }
 
 /// Runs the **epoch-structured** hopping broadcast (the Chen–Zheng
@@ -545,33 +175,15 @@ pub fn run_fluid_with<C: Collector + ?Sized>(
 ///
 /// The carried state is the per-channel expected census — uninformed
 /// listener mass and relay mass by channel — exactly as in
-/// [`crate::fast_mc::run_fast_mc_epoch`], with two expectation
-/// replacements: Alice's epoch channel is not drawn but *conditioned
-/// over* (each channel hosts her with probability `1/C`, and its epoch
-/// outcome is the `1/C : (C−1)/C` mixture of the with-Alice and
-/// without-Alice branch outcomes — mixed after the per-epoch
-/// exponentiation, where the fast engine's sampling puts the mass), and
-/// the boundary redraw moves expected masses instead of sampling. The listener-side jam-evasion rule is carried in
-/// expectation too: a surviving listener detects jamming on its channel
-/// with probability `1 − (1 − listen_p)^{jammed}` and its mass redraws
-/// over the other `C − 1` channels.
+/// [`crate::fast_mc::run_fast_mc_epoch_with`], with Alice's epoch
+/// channel conditioned over rather than drawn and the boundary redraw
+/// moving expected masses. `config.phase_len` is ignored.
 ///
 /// # Panics
 ///
 /// Panics if `listen_p` is not a probability, `relay_rate` is negative,
 /// or `epoch_len == 0` (the `Scenario` builder rejects these with typed
 /// errors instead).
-#[must_use]
-pub fn run_fluid_epoch(
-    config: &FluidConfig,
-    epoch_len: u64,
-    spectrum: Spectrum,
-    adversary: &mut dyn FluidJammer,
-) -> (BroadcastOutcome, Vec<ChannelStats>) {
-    run_fluid_epoch_with(config, epoch_len, spectrum, adversary, &NoopCollector)
-}
-
-/// [`run_fluid_epoch`] with a telemetry collector attached.
 #[must_use]
 pub fn run_fluid_epoch_with<C: Collector + ?Sized>(
     config: &FluidConfig,
@@ -580,448 +192,12 @@ pub fn run_fluid_epoch_with<C: Collector + ?Sized>(
     adversary: &mut dyn FluidJammer,
     collector: &C,
 ) -> (BroadcastOutcome, Vec<ChannelStats>) {
-    let telemetry = collector.enabled();
-    validate(config);
-    assert!(epoch_len > 0, "epoch_len must be at least one slot");
-
-    let c = spectrum.channel_count() as usize;
-    let p_r = relay_p(config);
-    // Per-channel expected census, the epoch schedule's carried state.
-    let mut u_by = vec![config.n as f64 / c as f64; c];
-    let mut r_by = vec![0.0f64; c];
-    let mut state = FluidState::new(c);
-    let mut observation = FluidObservation::empty(spectrum);
-    let alice_here_p = 1.0 / c as f64;
-
-    let mut start = 0u64;
-    let mut phase: u32 = 0;
-    while start < config.horizon {
-        let s = (config.horizon - start).min(epoch_len);
-        let uninformed: f64 = u_by.iter().sum();
-        let budget_remaining = config
-            .carol_budget
-            .map(|cap| (cap as f64 - state.carol_jams).max(0.0));
-        let plan = {
-            let ctx = FluidPhaseCtx {
-                phase,
-                start_slot: start,
-                phase_len: s,
-                spectrum,
-                budget_remaining,
-                uninformed,
-                informed: state.informed,
-                observation: &observation,
-            };
-            adversary.plan_phase(&ctx)
-        };
-        let executed = execute_jam_fluid(&plan, c, s, budget_remaining);
-        let spend: f64 = executed.iter().sum();
-        state.carol_jams += spend;
-
-        let alice_sends = s as f64 * ALICE_SEND_P;
-        state.alice_sends += alice_sends;
-        let relay_sends = state.informed * s as f64 * p_r;
-        let relay_total: f64 = r_by.iter().sum();
-
-        // Per-channel rendezvous from the local expected sender census.
-        // Alice holds one uniform channel per epoch; each channel hosts
-        // her with probability 1/C. The epoch-level delivery probability
-        // `1 − (1 − p)^s` is sharply convex in `p` at epoch lengths, so
-        // the residency mix must happen on the *phase outcomes* of the
-        // with- and without-Alice branches, not on their coincidence
-        // probabilities — mixing before the exponentiation overstates
-        // delivery on Alice-less channels by orders of magnitude at
-        // C > 1 (the fast engine samples her channel per epoch, which
-        // is exactly this two-branch conditional).
-        let mut survivors_by = vec![0.0f64; c];
-        let mut newly_total = 0.0f64;
-        let mut rendezvous_acc = 0.0f64;
-        let mut clean_acc = 0.0f64;
-        observation.reset(s);
-        for ch in 0..c {
-            let r_ch = r_by[ch];
-            let relays_alone = r_ch * p_r * (1.0 - p_r).powf((r_ch - 1.0).max(0.0));
-            let p_one_with = (ALICE_SEND_P * (1.0 - p_r).powf(r_ch)
-                + relays_alone * (1.0 - ALICE_SEND_P))
-                .clamp(0.0, 1.0);
-            let p_one_without = relays_alone.clamp(0.0, 1.0);
-            let clean = 1.0 - executed[ch] / s as f64;
-            // One conditional branch of the epoch (Alice resident here
-            // or not): phase delivery probability, newly informed mass,
-            // listens, and post-inform relay sends.
-            let branch = |p_one: f64| {
-                let p_inform = (config.listen_p * p_one * clean).clamp(0.0, 1.0);
-                let p_informed_phase = 1.0 - (1.0 - p_inform).powf(s as f64);
-                let newly = u_by[ch] * p_informed_phase;
-                let survivors = u_by[ch] - newly;
-                let mut listens = survivors * s as f64 * config.listen_p;
-                let mut post_inform_sends = 0.0;
-                if newly > 0.0 {
-                    let e_slot = crate::fast_mc::truncated_geometric_mean(p_inform, s);
-                    let p_listen_pre = if p_inform >= 1.0 {
-                        0.0
-                    } else {
-                        config.listen_p * (1.0 - p_one * clean) / (1.0 - p_inform)
-                    };
-                    listens += newly * (1.0 + (e_slot - 1.0).max(0.0) * p_listen_pre);
-                    post_inform_sends = newly * (s as f64 - e_slot).max(0.0) * p_r;
-                }
-                (p_informed_phase, newly, listens, post_inform_sends)
-            };
-            let with = branch(p_one_with);
-            let without = branch(p_one_without);
-            let mix = |w: f64, wo: f64| alice_here_p * w + (1.0 - alice_here_p) * wo;
-            let p_informed_phase = mix(with.0, without.0);
-            let newly = mix(with.1, without.1);
-            let listens = mix(with.2, without.2);
-            let post_inform_sends = mix(with.3, without.3);
-            let survivors = u_by[ch] - newly;
-            survivors_by[ch] = survivors;
-            newly_total += newly;
-            rendezvous_acc += p_informed_phase * u_by[ch];
-            clean_acc += clean;
-
-            state.node_listens += listens;
-            // Relay sends attribute by the relay census; Alice's by her
-            // 1/C expected residency.
-            let relay_share = if relay_total > 0.0 {
-                relay_sends * r_ch / relay_total
-            } else {
-                0.0
-            };
-            state.node_sends += relay_share + post_inform_sends;
-            let sends = relay_share + post_inform_sends + alice_sends * alice_here_p;
-            observation.correct_sends[ch] = sends;
-            observation.listens[ch] = listens;
-            observation.jammed_slots[ch] = executed[ch];
-            observation.delivered[ch] = newly;
-            state.stats[ch][0] += sends;
-            state.stats[ch][1] += listens;
-            state.stats[ch][2] += executed[ch];
-            state.stats[ch][3] += newly;
-        }
-        state.informed += newly_total;
-
-        // Boundary redraw in expectation. Detected survivor mass (heard
-        // the jam) excludes its channel; undetected survivors and all
-        // relays redraw uniformly.
-        if c > 1 {
-            let mut next_u = vec![0.0f64; c];
-            let mut uniform_pool = 0.0f64;
-            for ch in 0..c {
-                let p_detect = (1.0 - (1.0 - config.listen_p).powf(executed[ch].min(s as f64)))
-                    .clamp(0.0, 1.0);
-                let detected = survivors_by[ch] * p_detect;
-                uniform_pool += survivors_by[ch] - detected;
-                if detected > 0.0 {
-                    let share = detected / (c - 1) as f64;
-                    for (other, slot) in next_u.iter_mut().enumerate() {
-                        if other != ch {
-                            *slot += share;
-                        }
-                    }
-                }
-            }
-            for slot in next_u.iter_mut() {
-                *slot += uniform_pool / c as f64;
-            }
-            u_by = next_u;
-            r_by = vec![state.informed / c as f64; c];
-        } else {
-            u_by[0] = survivors_by[0];
-            r_by[0] = state.informed;
-        }
-
-        let u_total: f64 = u_by.iter().sum();
-        if u_total < 0.5 && state.full_delivery_phase.is_none() {
-            state.full_delivery_phase = Some(phase);
-        }
-        if telemetry {
-            let rendezvous_p = if uninformed > 0.0 {
-                rendezvous_acc / uninformed
-            } else {
-                0.0
-            };
-            collector.add(MetricId::FluidPhases, 1);
-            collector.gauge(MetricId::FluidUninformed, u_total);
-            collector.event(
-                Event::new(
-                    EngineTier::Fluid,
-                    "epoch-hopping",
-                    "phase",
-                    u64::from(phase),
-                )
-                .field("phase_len", s as f64)
-                .field("jam_executed", spend)
-                .field("clean_avg", clean_acc / c as f64)
-                .field("rendezvous_p", rendezvous_p)
-                .field("newly_informed", newly_total)
-                .field("uninformed", u_total),
-            );
-        }
-        start += s;
-        phase += 1;
-    }
-
-    state.into_outcome(config.n, config.horizon, phase)
-}
-
-/// Clamps an expected plan to the phase and to Carol's remaining
-/// expected budget: each channel is capped at `s` slots (and floored at
-/// zero; non-finite entries are dropped), and a total exceeding the
-/// budget scales every channel proportionally — the exact-expectation
-/// form of the integer fizzle in `fast_mc`.
-fn execute_jam_fluid(
-    plan: &FluidPlan,
-    c: usize,
-    s: u64,
-    budget_remaining: Option<f64>,
-) -> Vec<f64> {
-    let requested: Vec<f64> = (0..c)
-        .map(|ch| {
-            let r = plan.jam_slots.get(ch).copied().unwrap_or(0.0);
-            if r.is_finite() {
-                r.clamp(0.0, s as f64)
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    let total: f64 = requested.iter().sum();
-    let Some(rem) = budget_remaining else {
-        return requested;
-    };
-    if total <= rem {
-        return requested;
-    }
-    if rem <= 0.0 || total <= 0.0 {
-        return vec![0.0; c];
-    }
-    let scale = rem / total;
-    requested.iter().map(|&r| r * scale).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::time::Instant;
-
-    #[test]
-    fn quiet_run_informs_everyone_on_any_spectrum() {
-        for channels in [1u16, 2, 8] {
-            let config = FluidConfig::new(10_000, 4_000);
-            let (o, stats) = run_fluid(&config, Spectrum::new(channels), &mut SilentFluidJammer);
-            assert!(
-                o.informed_fraction() > 0.99,
-                "C={channels}: {}",
-                o.informed_fraction()
-            );
-            assert_eq!(o.engine, EngineKind::Fluid);
-            assert_eq!(o.carol_spend(), 0);
-            assert_eq!(stats.len(), channels as usize);
-            assert_eq!(o.slots, 4_001);
-        }
-    }
-
-    #[test]
-    fn runtime_is_independent_of_n() {
-        // One warmup, then time the same horizon at n = 2^6 and n = 2^24:
-        // the recurrence never touches n except as a scalar, so both are
-        // microseconds. Assert a loose sanity bound rather than a ratio
-        // (CI clocks are noisy) — the real guarantee is structural.
-        let _ = run_fluid(
-            &FluidConfig::new(64, 8_000),
-            Spectrum::new(8),
-            &mut SilentFluidJammer,
-        );
-        let start = Instant::now();
-        let (o, _) = run_fluid(
-            &FluidConfig::new(1 << 24, 8_000),
-            Spectrum::new(8),
-            &mut SilentFluidJammer,
-        );
-        assert!(o.informed_fraction() > 0.99);
-        assert!(
-            start.elapsed().as_millis() < 100,
-            "fluid run took {:?}",
-            start.elapsed()
-        );
-    }
-
-    #[test]
-    fn bitwise_deterministic_without_any_seed() {
-        let config = FluidConfig::new(5_000, 2_000).carol_budget(1_000);
-        struct Blanket;
-        impl FluidJammer for Blanket {
-            fn plan_phase(&mut self, ctx: &FluidPhaseCtx<'_>) -> FluidPlan {
-                FluidPlan::blanket(ctx.spectrum, ctx.phase_len as f64)
-            }
-        }
-        let (a, sa) = run_fluid(&config, Spectrum::new(4), &mut Blanket);
-        let (b, sb) = run_fluid(&config, Spectrum::new(4), &mut Blanket);
-        assert_eq!(a.informed_nodes, b.informed_nodes);
-        assert_eq!(a.node_total_cost, b.node_total_cost);
-        assert_eq!(a.carol_cost, b.carol_cost);
-        assert_eq!(sa, sb);
-    }
-
-    /// Blankets the whole spectrum every phase.
-    struct Blanket;
-    impl FluidJammer for Blanket {
-        fn plan_phase(&mut self, ctx: &FluidPhaseCtx<'_>) -> FluidPlan {
-            FluidPlan::blanket(ctx.spectrum, ctx.phase_len as f64)
-        }
-    }
-
-    #[test]
-    fn blanket_budget_splits_uniformly_and_is_spent_exactly() {
-        let budget = 8_000u64;
-        let config = FluidConfig::new(2_000, 4_000).carol_budget(budget);
-        let (o, stats) = run_fluid(&config, Spectrum::new(4), &mut Blanket);
-        assert_eq!(o.carol_spend(), budget, "she spends it all");
-        let per_channel: Vec<u64> = stats.iter().map(|s| s.jammed_slots).collect();
-        assert_eq!(per_channel, vec![2_000; 4], "exact uniform split");
-        assert!(o.informed_fraction() > 0.99, "{}", o.informed_fraction());
-    }
-
-    #[test]
-    fn unlimited_blanket_blocks_all_delivery() {
-        let config = FluidConfig::new(2_000, 2_000);
-        let (o, stats) = run_fluid(&config, Spectrum::new(2), &mut Blanket);
-        assert_eq!(o.informed_nodes, 0);
-        assert_eq!(stats.iter().map(|s| s.delivered).sum::<u64>(), 0);
-        for s in &stats {
-            assert_eq!(s.jammed_slots, 2_000);
-        }
-        assert!(o.node_total_cost.listens > 0);
-    }
-
-    /// Jams only channel 0, fully.
-    struct PinChannelZero;
-    impl FluidJammer for PinChannelZero {
-        fn plan_phase(&mut self, ctx: &FluidPhaseCtx<'_>) -> FluidPlan {
-            let mut plan = FluidPlan::idle(ctx.spectrum);
-            plan.set_jam(ChannelId::ZERO, ctx.phase_len as f64);
-            plan
-        }
-    }
-
-    #[test]
-    fn partial_jam_redirects_deliveries_to_clean_channels() {
-        let config = FluidConfig::new(4_000, 4_000);
-        let (o, stats) = run_fluid(&config, Spectrum::new(4), &mut PinChannelZero);
-        assert!(o.informed_fraction() > 0.95, "{}", o.informed_fraction());
-        assert_eq!(stats[0].delivered, 0, "jammed channel delivers nothing");
-        for (ch, stat) in stats.iter().enumerate().skip(1) {
-            assert!(stat.delivered > 0, "clean channel {ch} delivers");
-        }
-    }
-
-    #[test]
-    fn observation_reaches_the_jammer_with_one_phase_lag() {
-        struct ObsProbe {
-            phases_seen: u32,
-        }
-        impl FluidJammer for ObsProbe {
-            fn plan_phase(&mut self, ctx: &FluidPhaseCtx<'_>) -> FluidPlan {
-                if ctx.phase == 0 {
-                    assert_eq!(ctx.observation.slots, 0, "no clairvoyance before phase 0");
-                } else {
-                    assert!(ctx.observation.slots > 0);
-                    assert!(
-                        ctx.observation.correct_sends.iter().sum::<f64>() > 0.0,
-                        "Alice transmits every phase in expectation"
-                    );
-                }
-                self.phases_seen += 1;
-                FluidPlan::idle(ctx.spectrum)
-            }
-        }
-        let mut probe = ObsProbe { phases_seen: 0 };
-        let config = FluidConfig::new(500, 640);
-        let _ = run_fluid(&config, Spectrum::new(2), &mut probe);
-        assert_eq!(probe.phases_seen, 20, "640 slots / 32-slot phases");
-    }
-
-    #[test]
-    fn epoch_variant_informs_everyone_and_degenerates_at_c1() {
-        for channels in [1u16, 2, 8] {
-            let config = FluidConfig::new(10_000, 4_000);
-            let (o, stats) =
-                run_fluid_epoch(&config, 32, Spectrum::new(channels), &mut SilentFluidJammer);
-            assert!(
-                o.informed_fraction() > 0.99,
-                "C={channels}: {}",
-                o.informed_fraction()
-            );
-            assert_eq!(o.engine, EngineKind::Fluid);
-            assert_eq!(stats.len(), channels as usize);
-        }
-    }
-
-    #[test]
-    fn epoch_variant_unlimited_blanket_blocks_all_delivery() {
-        let config = FluidConfig::new(2_000, 2_000);
-        let (o, stats) = run_fluid_epoch(&config, 32, Spectrum::new(2), &mut Blanket);
-        assert_eq!(o.informed_nodes, 0);
-        assert_eq!(stats.iter().map(|s| s.delivered).sum::<u64>(), 0);
-        assert!(o.node_total_cost.listens > 0);
-    }
-
-    #[test]
-    fn epoch_variant_redirects_deliveries_off_a_pinned_channel() {
-        let config = FluidConfig::new(4_000, 4_000);
-        let (o, stats) = run_fluid_epoch(&config, 32, Spectrum::new(4), &mut PinChannelZero);
-        assert!(o.informed_fraction() > 0.95, "{}", o.informed_fraction());
-        // In expectation the pinned channel still hosts a sliver of
-        // deliveries via evasion redraws landing mid-epoch — but far
-        // fewer than any clean channel.
-        for (ch, stat) in stats.iter().enumerate().skip(1) {
-            assert!(
-                stat.delivered > 2 * stats[0].delivered,
-                "clean channel {ch} should dominate: {stats:?}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "epoch_len must be at least one slot")]
-    fn epoch_variant_rejects_zero_epoch_len() {
-        let config = FluidConfig::new(10, 10);
-        let _ = run_fluid_epoch(&config, 0, Spectrum::new(2), &mut SilentFluidJammer);
-    }
-
-    #[test]
-    fn execute_jam_fluid_clamps_and_scales_proportionally() {
-        let plan = FluidPlan {
-            jam_slots: vec![100.0, 50.0, 0.0, 200.0],
-        };
-        // Clamp to the phase first.
-        assert_eq!(
-            execute_jam_fluid(&plan, 4, 80, None),
-            vec![80.0, 50.0, 0.0, 80.0]
-        );
-        // Ample budget: everything executes.
-        assert_eq!(
-            execute_jam_fluid(&plan, 4, 200, Some(1_000.0)),
-            vec![100.0, 50.0, 0.0, 200.0]
-        );
-        // Tight budget: exact proportional scaling.
-        let executed = execute_jam_fluid(&plan, 4, 200, Some(35.0));
-        assert!((executed.iter().sum::<f64>() - 35.0).abs() < 1e-9);
-        assert_eq!(executed[2], 0.0);
-        assert!((executed[0] / executed[1] - 2.0).abs() < 1e-9);
-        // Broke: nothing executes.
-        assert_eq!(execute_jam_fluid(&plan, 4, 200, Some(0.0)), vec![0.0; 4]);
-    }
-
-    #[test]
-    fn expected_active_slots_poissonises() {
-        let mut obs = FluidObservation::empty(Spectrum::new(2));
-        assert_eq!(obs.expected_active_slots(ChannelId::ZERO), 0.0);
-        obs.slots = 100;
-        obs.correct_sends[0] = 50.0;
-        let active = obs.expected_active_slots(ChannelId::ZERO);
-        assert!(active > 35.0 && active < 50.0, "{active}");
-    }
+    phase::run_epoch(
+        Expected,
+        &config.shape(),
+        epoch_len,
+        spectrum,
+        adversary,
+        collector,
+    )
 }

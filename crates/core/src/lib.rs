@@ -47,9 +47,13 @@
 //!   epidemic-style random-hopping broadcast, the first `C > 1`
 //!   workload;
 //! * [`fast`] — the phase-level aggregated simulator for large `n`;
-//! * [`fast_mc`] — the phase-level Monte-Carlo spectrum simulator;
-//! * [`fluid`] — the deterministic mean-field tier (`O(phases · C)`,
-//!   independent of `n`);
+//! * [`phase`] — the phase kernel of the hopping broadcasts: one
+//!   recurrence per hopping schedule and the one [`phase::PhaseJammer`]
+//!   trait, realized twice —
+//!   * [`fast_mc`] — sampled: the phase-level Monte-Carlo spectrum
+//!     simulator;
+//!   * [`fluid`] — in expectation: the deterministic mean-field tier
+//!     (`O(phases · C)`, independent of `n`);
 //! * [`DecoyConfig`] — §4.1 reactive hardening; [`SizeKnowledge`] — §4.2
 //!   unknown-size operation.
 //!
@@ -79,6 +83,7 @@ pub mod fluid;
 mod hopping;
 mod outcome;
 mod params;
+pub mod phase;
 pub mod probabilities;
 mod schedule;
 

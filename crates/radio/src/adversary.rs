@@ -211,133 +211,6 @@ pub trait Adversary {
     }
 }
 
-/// Per-channel rollup of a contiguous run of slots — the
-/// phase-granularity aggregate of [`SlotObservation`].
-///
-/// Phase-level simulators (and any observer that wants whole-phase
-/// summaries of an exact run) cannot hand the adversary one observation
-/// per slot; they hand her one `PhaseObservation` per phase instead.
-/// Every tally is a per-channel vector, index-aligned with the
-/// [`Spectrum`]'s channels, and [`absorb_slot`](Self::absorb_slot) is the
-/// exact rollup: feeding it every [`SlotObservation`] of a phase produces
-/// the aggregate the phase-level engine synthesises directly.
-///
-/// # Example
-///
-/// ```
-/// use rcb_radio::{ChannelId, ParticipantId, PayloadKind, PhaseObservation, SlotObservation, Spectrum};
-///
-/// let mut phase = PhaseObservation::empty(Spectrum::new(2));
-/// let sends = [(ParticipantId::new(0), ChannelId::new(1), PayloadKind::Broadcast)];
-/// phase.absorb_slot(&SlotObservation {
-///     correct_sends: &sends,
-///     listeners: &[],
-///     jam_executed: false,
-///     jammed_channels: &[],
-///     delivered: &[],
-/// });
-/// assert_eq!(phase.slots, 1);
-/// assert_eq!(phase.correct_sends, vec![0, 1]);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PhaseObservation {
-    /// Number of slots rolled into this observation (0 = "no phase has
-    /// completed yet", the state before the first phase resolves).
-    pub slots: u64,
-    /// Frames sent by correct participants, per channel.
-    pub correct_sends: Vec<u64>,
-    /// Listen operations by correct participants, per channel.
-    pub listens: Vec<u64>,
-    /// Clean frame receptions, per channel — every one a rendezvous the
-    /// jam failed to block.
-    pub delivered: Vec<u64>,
-    /// Slots in which the jam executed, per channel.
-    pub jammed_slots: Vec<u64>,
-}
-
-impl PhaseObservation {
-    /// An empty observation over `spectrum` (all tallies zero).
-    #[must_use]
-    pub fn empty(spectrum: Spectrum) -> Self {
-        let c = spectrum.channel_count() as usize;
-        Self {
-            slots: 0,
-            correct_sends: vec![0; c],
-            listens: vec![0; c],
-            delivered: vec![0; c],
-            jammed_slots: vec![0; c],
-        }
-    }
-
-    /// Number of channels the tallies cover.
-    #[must_use]
-    pub fn channel_count(&self) -> usize {
-        self.correct_sends.len()
-    }
-
-    /// Resets every tally to zero, keeping the allocations (per-phase
-    /// reuse).
-    pub fn clear(&mut self) {
-        self.slots = 0;
-        for tally in [
-            &mut self.correct_sends,
-            &mut self.listens,
-            &mut self.delivered,
-            &mut self.jammed_slots,
-        ] {
-            tally.iter_mut().for_each(|v| *v = 0);
-        }
-    }
-
-    /// Rolls one slot's observation into the phase aggregate.
-    ///
-    /// Channels outside this observation's spectrum are ignored (a
-    /// defensive no-op; the engine never produces them).
-    pub fn absorb_slot(&mut self, observation: &SlotObservation<'_>) {
-        let c = self.channel_count();
-        self.slots += 1;
-        for &(_, channel, _) in observation.correct_sends {
-            if let Some(tally) = self.correct_sends.get_mut(channel.index() as usize) {
-                *tally += 1;
-            }
-        }
-        for &(_, channel) in observation.listeners {
-            if let Some(tally) = self.listens.get_mut(channel.index() as usize) {
-                *tally += 1;
-            }
-        }
-        for &(_, channel) in observation.delivered {
-            if let Some(tally) = self.delivered.get_mut(channel.index() as usize) {
-                *tally += 1;
-            }
-        }
-        for &channel in observation.jammed_channels {
-            if (channel.index() as usize) < c {
-                self.jammed_slots[channel.index() as usize] += 1;
-            }
-        }
-    }
-
-    /// Expected number of slots in which `channel` carried at least one
-    /// correct transmission, under a Poisson model of the observed send
-    /// count spread uniformly over the phase: `s · (1 − e^{−sends/s})`.
-    ///
-    /// This is the quantity a slot-level reactive jammer would have
-    /// spent on the channel (one unit per active slot), which is how the
-    /// phase-level lowerings of the lagged/adaptive jammers pace their
-    /// budgets. Returns 0 for an empty observation.
-    #[must_use]
-    pub fn expected_active_slots(&self, channel: ChannelId) -> f64 {
-        let i = channel.index() as usize;
-        if self.slots == 0 || i >= self.channel_count() {
-            return 0.0;
-        }
-        let s = self.slots as f64;
-        let sends = self.correct_sends[i] as f64;
-        s * (1.0 - (-sends / s).exp())
-    }
-}
-
 /// An adversary that never acts. Useful as the no-attack baseline and in
 /// tests.
 #[derive(Debug, Clone, Copy, Default)]
@@ -410,63 +283,5 @@ mod tests {
         // Default react keeps the planned move.
         let kept = carol.react(Slot::ZERO, true, AdversaryMove::jam_all());
         assert!(kept.jam.is_active());
-    }
-
-    #[test]
-    fn phase_observation_rolls_up_slots() {
-        let mut phase = PhaseObservation::empty(Spectrum::new(3));
-        assert_eq!(phase.slots, 0);
-        assert_eq!(phase.channel_count(), 3);
-
-        let sends = [
-            (
-                ParticipantId::new(0),
-                ChannelId::new(1),
-                crate::PayloadKind::Broadcast,
-            ),
-            (
-                ParticipantId::new(1),
-                ChannelId::new(1),
-                crate::PayloadKind::Nack,
-            ),
-        ];
-        let listeners = [(ParticipantId::new(2), ChannelId::new(0))];
-        let delivered = [(ParticipantId::new(2), ChannelId::new(0))];
-        phase.absorb_slot(&SlotObservation {
-            correct_sends: &sends,
-            listeners: &listeners,
-            jam_executed: true,
-            jammed_channels: &[ChannelId::new(2)],
-            delivered: &delivered,
-        });
-        phase.absorb_slot(&SlotObservation {
-            correct_sends: &[],
-            listeners: &[],
-            jam_executed: false,
-            jammed_channels: &[],
-            delivered: &[],
-        });
-        assert_eq!(phase.slots, 2);
-        assert_eq!(phase.correct_sends, vec![0, 2, 0]);
-        assert_eq!(phase.listens, vec![1, 0, 0]);
-        assert_eq!(phase.delivered, vec![1, 0, 0]);
-        assert_eq!(phase.jammed_slots, vec![0, 0, 1]);
-
-        phase.clear();
-        assert_eq!(phase, PhaseObservation::empty(Spectrum::new(3)));
-    }
-
-    #[test]
-    fn expected_active_slots_poissonises_the_send_count() {
-        let mut phase = PhaseObservation::empty(Spectrum::new(2));
-        assert_eq!(phase.expected_active_slots(ChannelId::ZERO), 0.0);
-        phase.slots = 100;
-        phase.correct_sends = vec![100, 0];
-        // 100 sends over 100 slots: ~63 active slots (1 − 1/e).
-        let active = phase.expected_active_slots(ChannelId::ZERO);
-        assert!((active - 100.0 * (1.0 - (-1.0f64).exp())).abs() < 1e-9);
-        assert_eq!(phase.expected_active_slots(ChannelId::new(1)), 0.0);
-        // Out-of-spectrum channels report zero, not panic.
-        assert_eq!(phase.expected_active_slots(ChannelId::new(9)), 0.0);
     }
 }

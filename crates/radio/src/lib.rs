@@ -95,8 +95,7 @@ mod spectrum;
 mod trace;
 
 pub use adversary::{
-    Adversary, AdversaryCtx, AdversaryMove, PhaseObservation, SilentAdversary, SlotObservation,
-    Transmission,
+    Adversary, AdversaryCtx, AdversaryMove, SilentAdversary, SlotObservation, Transmission,
 };
 pub use channel::{
     resolve_for_listener, resolve_for_listener_on, ChannelLoad, IdSet, JamDirective, JamPlan,

@@ -653,8 +653,7 @@ impl Scenario {
     ) -> ScenarioOutcome {
         match self.engine {
             Engine::Exact => self.run_hopping_exact(scratch, spec, seed),
-            Engine::Fast => self.run_hopping_fast(spec, seed),
-            Engine::Fluid => self.run_hopping_fluid(spec, seed),
+            Engine::Fast | Engine::Fluid => self.run_phase_tier(spec, None, seed),
         }
     }
 
@@ -687,50 +686,62 @@ impl Scenario {
         self.exact_outcome(broadcast, report, seed)
     }
 
-    /// The phase-level multi-channel engine (`rcb_core::fast_mc`):
-    /// phase-granularity aggregates instead of per-node slots, with
-    /// [`ScenarioOutcome::channel_stats`] populated from the engine's
-    /// per-channel tallies.
-    fn run_hopping_fast(&self, spec: HoppingSpec, seed: u64) -> ScenarioOutcome {
+    /// The hopping phase tiers (`rcb_core::phase`): one recurrence per
+    /// hopping schedule, sampled on [`Engine::Fast`] (`fast_mc`) and taken
+    /// in expectation on [`Engine::Fluid`], with
+    /// [`ScenarioOutcome::channel_stats`] populated from the per-channel
+    /// tallies. `epoch_len` selects the epoch schedule, one phase per
+    /// epoch; without it phases last [`ScenarioBuilder::phase_len`]
+    /// slots. The fluid tier records `seed` for provenance but never
+    /// consumes it — every seed produces the identical expectation run.
+    fn run_phase_tier(
+        &self,
+        spec: HoppingSpec,
+        epoch_len: Option<u64>,
+        seed: u64,
+    ) -> ScenarioOutcome {
+        let spectrum = self.spectrum();
+        let collector = self.collector();
         let config = McConfig {
             n: spec.n,
             horizon: spec.horizon,
             listen_p: spec.listen_p,
             relay_rate: spec.relay_rate,
-            phase_len: self.mc_phase_len,
+            phase_len: epoch_len.unwrap_or(self.mc_phase_len),
             carol_budget: self.carol_budget,
             seed,
         };
-        let mut jammer = self
-            .adversary
-            .phase_jammer(self.spectrum(), seed)
-            .expect("validated at build: strategy has a phase-mc model");
-        let (broadcast, channel_stats) =
-            run_fast_mc_with(&config, self.spectrum(), jammer.as_mut(), self.collector());
-        let mut outcome = self.outcome(broadcast, seed, None);
-        outcome.channel_stats = Some(channel_stats);
-        outcome
-    }
-
-    /// The deterministic mean-field tier (`rcb_core::fluid`): one f64
-    /// recurrence per phase × channel, no RNG, cost independent of `n`.
-    /// The `seed` is recorded in the outcome for provenance but never
-    /// consumed — every seed produces the identical expectation run.
-    fn run_hopping_fluid(&self, spec: HoppingSpec, seed: u64) -> ScenarioOutcome {
-        let config = FluidConfig {
-            n: spec.n,
-            horizon: spec.horizon,
-            listen_p: spec.listen_p,
-            relay_rate: spec.relay_rate,
-            phase_len: self.mc_phase_len,
-            carol_budget: self.carol_budget,
+        let (broadcast, channel_stats) = if self.engine == Engine::Fluid {
+            let config = FluidConfig {
+                n: config.n,
+                horizon: config.horizon,
+                listen_p: config.listen_p,
+                relay_rate: config.relay_rate,
+                phase_len: config.phase_len,
+                carol_budget: config.carol_budget,
+            };
+            let mut jammer = self
+                .adversary
+                .fluid_jammer(spectrum)
+                .expect("validated at build: strategy has a phase-mc model");
+            match epoch_len {
+                None => run_fluid_with(&config, spectrum, jammer.as_mut(), collector),
+                Some(len) => {
+                    run_fluid_epoch_with(&config, len, spectrum, jammer.as_mut(), collector)
+                }
+            }
+        } else {
+            let mut jammer = self
+                .adversary
+                .phase_jammer(spectrum, seed)
+                .expect("validated at build: strategy has a phase-mc model");
+            match epoch_len {
+                None => run_fast_mc_with(&config, spectrum, jammer.as_mut(), collector),
+                Some(len) => {
+                    run_fast_mc_epoch_with(&config, len, spectrum, jammer.as_mut(), collector)
+                }
+            }
         };
-        let mut jammer = self
-            .adversary
-            .fluid_jammer(self.spectrum())
-            .expect("validated at build: strategy has a fluid model");
-        let (broadcast, channel_stats) =
-            run_fluid_with(&config, self.spectrum(), jammer.as_mut(), self.collector());
         let mut outcome = self.outcome(broadcast, seed, None);
         outcome.channel_stats = Some(channel_stats);
         outcome
@@ -744,8 +755,15 @@ impl Scenario {
     ) -> ScenarioOutcome {
         match self.engine {
             Engine::Exact => self.run_epoch_hopping_exact(scratch, spec, seed),
-            Engine::Fast => self.run_epoch_hopping_fast(spec, seed),
-            Engine::Fluid => self.run_epoch_hopping_fluid(spec, seed),
+            Engine::Fast | Engine::Fluid => {
+                let shape = HoppingSpec {
+                    n: spec.n,
+                    horizon: spec.horizon,
+                    listen_p: spec.listen_p,
+                    relay_rate: spec.relay_rate,
+                };
+                self.run_phase_tier(shape, Some(spec.epoch_len), seed)
+            }
         }
     }
 
@@ -777,64 +795,6 @@ impl Scenario {
             self.collector(),
         );
         self.exact_outcome(broadcast, report, seed)
-    }
-
-    /// The epoch-aware phase lowering (`rcb_core::fast_mc`): one phase
-    /// per epoch, per-channel rendezvous from the held-channel census.
-    /// The epoch length *is* the phase length, so the `phase_len` knob
-    /// is rejected at build time for this protocol.
-    fn run_epoch_hopping_fast(&self, spec: EpochHoppingSpec, seed: u64) -> ScenarioOutcome {
-        let config = McConfig {
-            n: spec.n,
-            horizon: spec.horizon,
-            listen_p: spec.listen_p,
-            relay_rate: spec.relay_rate,
-            phase_len: spec.epoch_len,
-            carol_budget: self.carol_budget,
-            seed,
-        };
-        let mut jammer = self
-            .adversary
-            .phase_jammer(self.spectrum(), seed)
-            .expect("validated at build: strategy has a phase-mc model");
-        let (broadcast, channel_stats) = run_fast_mc_epoch_with(
-            &config,
-            spec.epoch_len,
-            self.spectrum(),
-            jammer.as_mut(),
-            self.collector(),
-        );
-        let mut outcome = self.outcome(broadcast, seed, None);
-        outcome.channel_stats = Some(channel_stats);
-        outcome
-    }
-
-    /// The epoch-census fluid tier (`rcb_core::fluid`): deterministic
-    /// per-channel uninformed/relay masses with expectation-averaged
-    /// boundary redraws. One phase per epoch, like the fast lowering.
-    fn run_epoch_hopping_fluid(&self, spec: EpochHoppingSpec, seed: u64) -> ScenarioOutcome {
-        let config = FluidConfig {
-            n: spec.n,
-            horizon: spec.horizon,
-            listen_p: spec.listen_p,
-            relay_rate: spec.relay_rate,
-            phase_len: spec.epoch_len,
-            carol_budget: self.carol_budget,
-        };
-        let mut jammer = self
-            .adversary
-            .fluid_jammer(self.spectrum())
-            .expect("validated at build: strategy has a fluid model");
-        let (broadcast, channel_stats) = run_fluid_epoch_with(
-            &config,
-            spec.epoch_len,
-            self.spectrum(),
-            jammer.as_mut(),
-            self.collector(),
-        );
-        let mut outcome = self.outcome(broadcast, seed, None);
-        outcome.channel_stats = Some(channel_stats);
-        outcome
     }
 
     /// KPSY on the exact engine: players park in the wake queue until
@@ -1152,15 +1112,14 @@ impl ScenarioBuilder {
     pub fn build(self) -> Result<Scenario, ScenarioError> {
         let protocol = self.protocol.kind();
 
-        // Engine × protocol × adversary: three aggregated simulators
-        // exist — `fast` for ε-BROADCAST's round schedule, `fast_mc` for
-        // the multi-channel hopping workload, and the deterministic
-        // `fluid` mean-field tier for the hopping workload only — and
-        // each hosts only the strategies with a model at its
-        // granularity.
-        if self.engine == Engine::Fast {
+        // Engine × protocol × adversary: two phase-level model families
+        // exist — `fast` for ε-BROADCAST's round schedule, and the hopping
+        // phase kernel, sampled (`fast_mc`, on the Fast engine) or in
+        // expectation (the Fluid engine) — and each hosts only the
+        // strategies with a model at its granularity.
+        if self.engine != Engine::Exact {
             match protocol {
-                ProtocolKind::Broadcast => {
+                ProtocolKind::Broadcast if self.engine == Engine::Fast => {
                     if !self.adversary.supports_phase() {
                         return Err(ScenarioError::SlotOnlyStrategy {
                             strategy: self.adversary.name(),
@@ -1176,25 +1135,6 @@ impl ScenarioBuilder {
                     // Schedule-bound strategies fall through to the
                     // protocol × adversary check below, which names the
                     // more precise error.
-                }
-                _ => {
-                    return Err(ScenarioError::UnsupportedEngine {
-                        protocol,
-                        engine: self.engine,
-                    });
-                }
-            }
-        }
-        if self.engine == Engine::Fluid {
-            match protocol {
-                ProtocolKind::Hopping | ProtocolKind::EpochHopping => {
-                    if !self.adversary.supports_fluid() && !self.adversary.requires_schedule() {
-                        return Err(ScenarioError::SlotOnlyStrategy {
-                            strategy: self.adversary.name(),
-                        });
-                    }
-                    // Schedule-bound strategies fall through to the
-                    // protocol × adversary check below.
                 }
                 _ => {
                     return Err(ScenarioError::UnsupportedEngine {

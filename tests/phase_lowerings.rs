@@ -10,8 +10,13 @@
 //! than statistical: pinned fingerprints plus determinism and
 //! worker-invariance checks (every trial of a batch is the same
 //! trajectory, no matter how it was scheduled).
+//!
+//! A digest table pins all four phase loops — both hopping schedules,
+//! sampled and in expectation — across the schedule-free zoo, and the
+//! same runs hold every per-channel column to its ledger total.
 
 use evildoers::adversary::StrategySpec;
+use evildoers::radio::ChannelStats;
 use evildoers::rng::stats::RunningStats;
 use evildoers::sim::{Engine, EpochHoppingSpec, HoppingSpec, Scenario, ScenarioOutcome};
 
@@ -342,64 +347,15 @@ mod fingerprints {
     }
 }
 
-/// The four phase loops: two hopping schedules, each sampled (`fast_mc`
-/// on [`Engine::Fast`]) and taken in expectation ([`Engine::Fluid`]).
-#[derive(Debug, Clone, Copy)]
-enum PhaseLoop {
-    FastMc,
-    FastMcEpoch,
-    Fluid,
-    FluidEpoch,
-}
-
-impl PhaseLoop {
-    const ALL: [PhaseLoop; 4] = [
-        PhaseLoop::FastMc,
-        PhaseLoop::FastMcEpoch,
-        PhaseLoop::Fluid,
-        PhaseLoop::FluidEpoch,
-    ];
-
-    fn name(self) -> &'static str {
-        match self {
-            PhaseLoop::FastMc => "fast_mc",
-            PhaseLoop::FastMcEpoch => "fast_mc-epoch",
-            PhaseLoop::Fluid => "fluid",
-            PhaseLoop::FluidEpoch => "fluid-epoch",
-        }
-    }
-
-    /// One run; `len` is the phase length, or the epoch length on the
-    /// epoch schedule (where it is also the phase length).
-    fn run(
-        self,
-        strategy: StrategySpec,
-        channels: u16,
-        (n, horizon, budget, len, seed): (u64, u64, Option<u64>, u64, u64),
-    ) -> ScenarioOutcome {
-        let engine = match self {
-            PhaseLoop::FastMc | PhaseLoop::FastMcEpoch => Engine::Fast,
-            PhaseLoop::Fluid | PhaseLoop::FluidEpoch => Engine::Fluid,
-        };
-        let builder = match self {
-            PhaseLoop::FastMc | PhaseLoop::Fluid => {
-                Scenario::hopping(HoppingSpec::new(n, horizon)).phase_len(len)
-            }
-            PhaseLoop::FastMcEpoch | PhaseLoop::FluidEpoch => {
-                Scenario::epoch_hopping(EpochHoppingSpec::new(n, horizon, len))
-            }
-        };
-        let mut builder = builder
-            .engine(engine)
-            .channels(channels)
-            .adversary(strategy)
-            .seed(seed);
-        if let Some(units) = budget {
-            builder = builder.carol_budget(units);
-        }
-        builder.build().expect("valid phase-tier cell").run()
-    }
-}
+/// The four phase loops — (name, engine, epoch schedule?): two hopping
+/// schedules, each sampled (`fast_mc` on [`Engine::Fast`]) and taken in
+/// expectation ([`Engine::Fluid`]).
+const PHASE_LOOPS: [(&str, Engine, bool); 4] = [
+    ("fast_mc", Engine::Fast, false),
+    ("fast_mc-epoch", Engine::Fast, true),
+    ("fluid", Engine::Fluid, false),
+    ("fluid-epoch", Engine::Fluid, true),
+];
 
 /// The schedule-free zoo: every strategy with a phase-tier model.
 const PHASE_ZOO: [StrategySpec; 9] = [
@@ -417,22 +373,45 @@ const PHASE_ZOO: [StrategySpec; 9] = [
     },
 ];
 
-/// Every run of one pin-table entry, in the fixed fold order: n ×
-/// horizon × Carol budget × phase (or epoch) length × seed.
-fn pin_grid_runs(lp: PhaseLoop, strategy: StrategySpec, channels: u16) -> Vec<ScenarioOutcome> {
-    let mut runs = Vec::new();
-    for n in [16u64, 4_096] {
-        for horizon in [0u64, 50, 2_000] {
-            for budget in [None, Some(10u64), Some(1_000)] {
-                for len in [32u64, 7] {
-                    for seed in [1u64, 2] {
-                        runs.push(lp.run(strategy, channels, (n, horizon, budget, len, seed)));
+/// Every pin-table entry — (loop, strategy, C) — with its runs, in the
+/// fixed fold order: n × horizon × Carol budget × phase (or epoch)
+/// length × seed.
+fn pin_grid() -> impl Iterator<Item = (&'static str, StrategySpec, u16, Vec<ScenarioOutcome>)> {
+    let runs = |engine: Engine, epoch: bool, strategy: StrategySpec, channels: u16| {
+        let mut runs = Vec::new();
+        for n in [16u64, 4_096] {
+            for horizon in [0u64, 50, 2_000] {
+                for budget in [None, Some(10u64), Some(1_000)] {
+                    for len in [32u64, 7] {
+                        for seed in [1u64, 2] {
+                            let builder = if epoch {
+                                Scenario::epoch_hopping(EpochHoppingSpec::new(n, horizon, len))
+                            } else {
+                                Scenario::hopping(HoppingSpec::new(n, horizon)).phase_len(len)
+                            };
+                            let mut builder = builder
+                                .engine(engine)
+                                .channels(channels)
+                                .adversary(strategy)
+                                .seed(seed);
+                            if let Some(units) = budget {
+                                builder = builder.carol_budget(units);
+                            }
+                            runs.push(builder.build().expect("valid phase-tier cell").run());
+                        }
                     }
                 }
             }
         }
-    }
-    runs
+        runs
+    };
+    PHASE_LOOPS
+        .into_iter()
+        .flat_map(move |(name, engine, epoch)| {
+            PHASE_ZOO.into_iter().flat_map(move |strategy| {
+                [1u16, 4].map(|c| (name, strategy, c, runs(engine, epoch, strategy, c)))
+            })
+        })
 }
 
 /// FNV-1a over `bytes`, continuing from `hash`.
@@ -446,7 +425,10 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 
 /// `phase_loops_match_pinned_digests`: (loop, strategy, C, outcome
 /// digest, channel-stats digest). Captured on the four separate phase
-/// loops before they became one kernel with two realizations.
+/// loops before they became one kernel with two realizations; the 18
+/// fluid C = 4 channel-stats digests were re-pinned when the fluid
+/// columns started reconciling with the ledger (every outcome digest
+/// held).
 #[rustfmt::skip]
 const PHASE_PINS: [(&str, &str, u16, u64, u64); 72] = [
     ("fast_mc", "silent", 1, 0x8316_c126_60f8_1e01, 0x41e5_6c86_ea26_39f5),
@@ -486,74 +468,89 @@ const PHASE_PINS: [(&str, &str, u16, u64, u64); 72] = [
     ("fast_mc-epoch", "adaptive(w=8,r=0.5)", 1, 0xfdda_1119_5d51_af85, 0x83ed_34db_0390_318a),
     ("fast_mc-epoch", "adaptive(w=8,r=0.5)", 4, 0xc137_0cb4_b12e_2163, 0x88d2_4a7d_e498_7931),
     ("fluid", "silent", 1, 0xa52e_5bb9_81df_bd5d, 0x296b_0fe3_1899_c1a5),
-    ("fluid", "silent", 4, 0x9761_8211_5af0_dbd3, 0x2c82_4a2f_5698_af1d),
+    ("fluid", "silent", 4, 0x9761_8211_5af0_dbd3, 0xd6ca_fa2f_9b44_0c91),
     ("fluid", "continuous", 1, 0x40d9_f521_06bc_76e7, 0xb4da_e401_e389_dd45),
-    ("fluid", "continuous", 4, 0xd637_697d_7349_5cdd, 0x8a0c_203d_6f0e_5c89),
+    ("fluid", "continuous", 4, 0xd637_697d_7349_5cdd, 0x1b7f_7766_309e_fdeb),
     ("fluid", "random(p=0.5)", 1, 0x74a6_59a2_faf9_37eb, 0x639f_ca7b_8798_689b),
-    ("fluid", "random(p=0.5)", 4, 0xee74_415c_a86a_d439, 0xbcec_f99b_4fea_6b31),
+    ("fluid", "random(p=0.5)", 4, 0xee74_415c_a86a_d439, 0x16c0_fd72_5a55_e6e9),
     ("fluid", "bursty(16/48)", 1, 0x9b8d_8197_c9d8_f675, 0xa3ad_a592_35d1_3b5f),
-    ("fluid", "bursty(16/48)", 4, 0x8ce5_0e0c_13fa_1ac7, 0xb829_9d7c_a577_536d),
+    ("fluid", "bursty(16/48)", 4, 0x8ce5_0e0c_13fa_1ac7, 0xe699_154e_7b6f_6e0f),
     ("fluid", "lagged-reactive", 1, 0x3753_445c_8e36_dc33, 0xa7eb_06ef_74b3_fe75),
-    ("fluid", "lagged-reactive", 4, 0x2af3_7354_47b2_e781, 0x0d40_c255_7563_16ef),
+    ("fluid", "lagged-reactive", 4, 0x2af3_7354_47b2_e781, 0x9294_92df_37d8_23d9),
     ("fluid", "split-uniform", 1, 0x1fee_2e41_bbc8_a1bb, 0xb4da_e401_e389_dd45),
-    ("fluid", "split-uniform", 4, 0x21d9_d16a_6751_ea0d, 0x93e9_d79b_3d48_3805),
+    ("fluid", "split-uniform", 4, 0x21d9_d16a_6751_ea0d, 0xd391_5658_8e14_660d),
     ("fluid", "channel-sweep(dwell=8)", 1, 0x7c54_5599_daef_2c87, 0xb4da_e401_e389_dd45),
-    ("fluid", "channel-sweep(dwell=8)", 4, 0xed4f_62bd_b456_09f7, 0x6428_8603_6b66_f93d),
+    ("fluid", "channel-sweep(dwell=8)", 4, 0xed4f_62bd_b456_09f7, 0x6899_93c9_f326_aebf),
     ("fluid", "channel-lagged", 1, 0xd4d2_552a_ce1c_22e1, 0xa7eb_06ef_74b3_fe75),
-    ("fluid", "channel-lagged", 4, 0x5a4d_4212_79a6_ba97, 0x3ea9_a2dc_47a9_fb3d),
+    ("fluid", "channel-lagged", 4, 0x5a4d_4212_79a6_ba97, 0x935a_3085_5e1d_f1fd),
     ("fluid", "adaptive(w=8,r=0.5)", 1, 0x34af_cf8a_de21_52df, 0xa7eb_06ef_74b3_fe75),
-    ("fluid", "adaptive(w=8,r=0.5)", 4, 0xbbb3_9861_07c3_bab9, 0xf072_9737_2c16_5cd5),
+    ("fluid", "adaptive(w=8,r=0.5)", 4, 0xbbb3_9861_07c3_bab9, 0x9205_dcf1_6687_dd41),
     ("fluid-epoch", "silent", 1, 0x0157_9b40_c37c_8169, 0x296b_0fe3_1899_c1a5),
-    ("fluid-epoch", "silent", 4, 0xf2ed_d397_8816_d3e5, 0x2cce_9bb6_6c9a_9cb5),
+    ("fluid-epoch", "silent", 4, 0xf2ed_d397_8816_d3e5, 0x1991_e842_8f3a_0089),
     ("fluid-epoch", "continuous", 1, 0x31bd_3e83_a656_226b, 0xb4da_e401_e389_dd45),
-    ("fluid-epoch", "continuous", 4, 0x5b78_bd48_77c3_1497, 0xcb8b_c983_f8f2_0397),
+    ("fluid-epoch", "continuous", 4, 0x5b78_bd48_77c3_1497, 0x9c56_8559_b88c_d94f),
     ("fluid-epoch", "random(p=0.5)", 1, 0x2f53_edc5_103d_2ab5, 0x639f_ca7b_8798_689b),
-    ("fluid-epoch", "random(p=0.5)", 4, 0xda47_512c_61fe_543d, 0x4cee_1e8e_c87d_c5e1),
+    ("fluid-epoch", "random(p=0.5)", 4, 0xda47_512c_61fe_543d, 0xe46c_a7d1_e759_e315),
     ("fluid-epoch", "bursty(16/48)", 1, 0x4bdd_4dab_62d0_52c9, 0xa3ad_a592_35d1_3b5f),
-    ("fluid-epoch", "bursty(16/48)", 4, 0x79bd_c492_fc07_0403, 0x5787_4a2c_e492_010b),
+    ("fluid-epoch", "bursty(16/48)", 4, 0x79bd_c492_fc07_0403, 0x0150_06ad_0c6a_f437),
     ("fluid-epoch", "lagged-reactive", 1, 0x019e_1870_89a6_f04d, 0xa7eb_06ef_74b3_fe75),
-    ("fluid-epoch", "lagged-reactive", 4, 0x8523_1278_59e8_f921, 0xf7d4_9070_cdd8_fbc5),
+    ("fluid-epoch", "lagged-reactive", 4, 0x8523_1278_59e8_f921, 0xc25f_4d0e_3ca8_9ba1),
     ("fluid-epoch", "split-uniform", 1, 0xcfbc_2988_d2b3_76e7, 0xb4da_e401_e389_dd45),
-    ("fluid-epoch", "split-uniform", 4, 0x84de_af3d_ae8d_c1bd, 0xd13b_4fb2_a286_50a5),
+    ("fluid-epoch", "split-uniform", 4, 0x84de_af3d_ae8d_c1bd, 0xaeaf_d07a_b743_3309),
     ("fluid-epoch", "channel-sweep(dwell=8)", 1, 0x469a_a7ce_a21f_6d4b, 0xb4da_e401_e389_dd45),
-    ("fluid-epoch", "channel-sweep(dwell=8)", 4, 0xf8ef_198d_f54a_05d1, 0x8969_bce0_9c1b_5cfd),
+    ("fluid-epoch", "channel-sweep(dwell=8)", 4, 0xf8ef_198d_f54a_05d1, 0x4c5a_b096_e715_e211),
     ("fluid-epoch", "channel-lagged", 1, 0x4ff8_65ef_6e60_ae57, 0xa7eb_06ef_74b3_fe75),
-    ("fluid-epoch", "channel-lagged", 4, 0xdff4_7fe8_e083_8d27, 0x1510_2c7f_493d_fd7d),
+    ("fluid-epoch", "channel-lagged", 4, 0xdff4_7fe8_e083_8d27, 0x13e0_7dcd_240c_bc3d),
     ("fluid-epoch", "adaptive(w=8,r=0.5)", 1, 0xc382_0c59_62a7_3459, 0xa7eb_06ef_74b3_fe75),
-    ("fluid-epoch", "adaptive(w=8,r=0.5)", 4, 0x5909_bd5a_2c5a_e9ed, 0x182a_b433_f346_0dd1),
+    ("fluid-epoch", "adaptive(w=8,r=0.5)", 4, 0x5909_bd5a_2c5a_e9ed, 0x8da2_7810_f448_e671),
 ];
 
 #[test]
 fn phase_loops_match_pinned_digests() {
     // One entry per (loop, strategy, C): an FNV-1a digest of the
     // rendered outcomes (telemetry and channel stats stripped) and one
-    // of the channel stats, each folded over the 72 runs of
-    // `pin_grid_runs` — 5,184 runs in all.
-    let mut actual = Vec::new();
-    for lp in PhaseLoop::ALL {
-        for strategy in PHASE_ZOO {
-            for channels in [1u16, 4] {
-                let mut outcome_hash = 0xcbf2_9ce4_8422_2325u64;
-                let mut stats_hash = 0xcbf2_9ce4_8422_2325u64;
-                for mut outcome in pin_grid_runs(lp, strategy, channels) {
-                    outcome.telemetry = None;
-                    let stats = outcome.channel_stats.take();
-                    outcome_hash = fnv1a(outcome_hash, format!("{outcome:?}").as_bytes());
-                    stats_hash = fnv1a(stats_hash, format!("{stats:?}").as_bytes());
-                }
-                actual.push((
-                    lp.name(),
-                    strategy.name(),
-                    channels,
-                    outcome_hash,
-                    stats_hash,
-                ));
+    // of the channel stats, each folded over the entry's 72 runs —
+    // 5,184 runs in all.
+    let actual: Vec<_> = pin_grid()
+        .map(|(lp, strategy, channels, runs)| {
+            let (mut outcomes, mut stats) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
+            for mut outcome in runs {
+                outcome.telemetry = None;
+                let channel_stats = outcome.channel_stats.take();
+                outcomes = fnv1a(outcomes, format!("{outcome:?}").as_bytes());
+                stats = fnv1a(stats, format!("{channel_stats:?}").as_bytes());
             }
-        }
-    }
-    let expected: Vec<(&str, String, u16, u64, u64)> = PHASE_PINS
+            (lp, strategy.name(), channels, outcomes, stats)
+        })
+        .collect();
+    let expected: Vec<_> = PHASE_PINS
         .iter()
         .map(|&(lp, name, c, o, s)| (lp, name.to_string(), c, o, s))
         .collect();
     assert_eq!(actual, expected, "phase-loop digests drifted");
+}
+
+#[test]
+fn channel_stats_reconcile_with_the_ledger() {
+    // Every run of the pin grid: each per-channel column sums to its
+    // ledger total, on both tiers.
+    for (lp, strategy, channels, runs) in pin_grid() {
+        for o in runs {
+            let stats = o
+                .channel_stats
+                .as_deref()
+                .expect("phase tiers report stats");
+            let column = |field: fn(&ChannelStats) -> u64| -> u64 { stats.iter().map(field).sum() };
+            let cell = format!("{lp} {} C={channels}: {o:?}", strategy.name());
+            let sends = o.alice_cost.sends + o.node_total_cost.sends;
+            assert_eq!(column(|s| s.correct_sends), sends, "{cell}");
+            assert_eq!(
+                column(|s| s.correct_listens),
+                o.node_total_cost.listens,
+                "{cell}"
+            );
+            assert_eq!(column(|s| s.jammed_slots), o.carol_spend(), "{cell}");
+            assert_eq!(column(|s| s.delivered), o.informed_nodes, "{cell}");
+        }
+    }
 }

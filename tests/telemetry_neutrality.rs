@@ -1,9 +1,9 @@
 //! Telemetry is observational — never causal.
 //!
 //! Every instrumented engine path (era-2 exact SoA, the fast ε-BROADCAST
-//! simulator, the phase-level `fast_mc` spectrum simulator, the SoA
-//! baselines including KPSY, and the sweep scheduler) threads a `Collector` through its
-//! hot loop. This suite pins the contract that makes that safe to ship
+//! simulator, the phase-level `fast_mc` spectrum simulator, the
+//! deterministic fluid tier, the SoA baselines including KPSY, and the
+//! sweep scheduler) threads a `Collector` through its hot loop. This suite pins the contract that makes that safe to ship
 //! enabled-by-default machinery: attaching a recording collector changes
 //! **nothing** about the outcome. Same seed, same scenario, with and
 //! without telemetry ⇒ byte-identical `ScenarioOutcome`s.
@@ -113,6 +113,31 @@ fn fast_mc_engine_is_telemetry_neutral() {
         collector.counter(MetricId::FastJamRequested)
             >= collector.counter(MetricId::FastJamExecuted)
     );
+}
+
+#[test]
+fn fluid_engine_is_telemetry_neutral() {
+    let cells = [
+        (Scenario::hopping(HoppingSpec::new(1 << 12, 4_000)), 125),
+        (
+            Scenario::epoch_hopping(EpochHoppingSpec::new(1 << 12, 4_000, 128)),
+            32,
+        ),
+    ];
+    for (builder, phases) in cells {
+        let builder = builder
+            .engine(Engine::Fluid)
+            .channels(4)
+            .adversary(StrategySpec::Adaptive {
+                window: 8,
+                reactivity: 0.5,
+            })
+            .carol_budget(1_000);
+        let collector = assert_neutral("fluid", builder);
+        // 4,000 slots in 32-slot phases, or in 128-slot epochs (the last
+        // one short): one count per phase.
+        assert_eq!(collector.counter(MetricId::FluidPhases), phases);
+    }
 }
 
 #[test]
