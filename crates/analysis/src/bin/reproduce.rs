@@ -9,8 +9,7 @@
 
 use std::process::ExitCode;
 
-use rcb_analysis::experiments::Scale;
-use rcb_bench::{run_experiment, EXPERIMENT_IDS};
+use rcb_analysis::experiments::{run_experiment, Scale, EXPERIMENT_IDS};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -22,7 +21,9 @@ fn main() -> ExitCode {
             "--full" => scale = Scale::Full,
             "--list" => {
                 println!("experiments: {}", EXPERIMENT_IDS.join(", "));
-                println!("see DESIGN.md §5 for the claim ↔ experiment index");
+                println!(
+                    "each report states its paper claim; EXPERIMENTS.md archives full-scale runs"
+                );
                 return ExitCode::SUCCESS;
             }
             "--help" | "-h" => {

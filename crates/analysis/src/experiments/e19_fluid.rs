@@ -30,13 +30,17 @@
 //! 3. **Frontier grid**: the first full-zoo adversary grid at n = 2^20,
 //!    fluid only, with per-evaluation wall clock demonstrating the
 //!    n-independence that makes the grid affordable.
+//!
+//! At full scale the tier's reason to exist is also a gate: one fluid
+//! evaluation at n = 2^20 must take at most 1 ms. Smoke scale times
+//! nothing against a limit.
 
 use std::time::Instant;
 
 use rcb_adversary::StrategySpec;
 use rcb_sim::{Engine, EpochHoppingSpec, HoppingSpec, Scenario, ScenarioOutcome};
 
-use super::{ExperimentReport, Scale};
+use super::{per_trial_ns, ExperimentReport, Scale};
 use crate::table::fmt_f;
 use crate::Table;
 
@@ -140,6 +144,24 @@ fn plan(scale: Scale) -> Plan {
 const OVERLAP_INFORMED_BAND: f64 = 0.08;
 const OVERLAP_COST_REL: f64 = 0.25;
 const OVERLAP_COST_ABS: f64 = 2.0;
+
+/// The fluid evaluation gate: one evaluation of hopping at n = 2^20
+/// (horizon 40 000, C = 4, `Random(0.5)`, T = 24 000) may take at most
+/// this many milliseconds, timed as the mean of eight after a warm-up.
+const MAX_FLUID_EVAL_MS: f64 = 1.0;
+
+/// Times the gate's evaluation, in milliseconds.
+fn fluid_eval_ms() -> f64 {
+    let scenario = Scenario::hopping(HoppingSpec::new(1 << 20, 40_000))
+        .engine(Engine::Fluid)
+        .channels(4)
+        .adversary(StrategySpec::Random(0.5))
+        .carol_budget(24_000)
+        .seed(1)
+        .build()
+        .expect("the gate shape is valid");
+    per_trial_ns(&scenario, 8) as f64 / 1e6
+}
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Protocol {
@@ -434,7 +456,8 @@ pub fn run(scale: Scale) -> ExperimentReport {
         ),
     ];
 
-    let findings = vec![
+    let eval_gate_ms = (scale == Scale::Full).then(fluid_eval_ms);
+    let mut findings = vec![
         format!(
             "three-tier overlap over {} strategies: worst fluid-vs-exact informed gap \
              {:.3} (band {OVERLAP_INFORMED_BAND}), worst node-cost gap at {:.2} of its \
@@ -472,11 +495,22 @@ pub fn run(scale: Scale) -> ExperimentReport {
         ),
     ];
 
+    let eval_ok = eval_gate_ms.is_none_or(|ms| ms <= MAX_FLUID_EVAL_MS);
+    findings.push(match eval_gate_ms {
+        Some(ms) => format!(
+            "fluid evaluation gate: hopping at n = 2^20, horizon 40000, C = 4, \
+             random(p=0.5), T = 24000 evaluates in {ms:.3} ms (mean of 8 after a \
+             warm-up; limit {MAX_FLUID_EVAL_MS} ms) — {}",
+            if eval_ok { "within" } else { "EXCEEDED" }
+        ),
+        None => "fluid evaluation gate: timed at full scale only".into(),
+    });
+
     let overlap_ok = worst_overlap_informed <= OVERLAP_INFORMED_BAND && worst_overlap_cost <= 1.0;
     let matrix_ok = worst_det_cost <= plan.cost_band_vs_fast
         && worst_matrix_ratio <= 1.0
         && worst_matrix_informed <= 0.05;
-    let pass = overlap_ok && matrix_ok && frontier_all_finite;
+    let pass = overlap_ok && matrix_ok && frontier_all_finite && eval_ok;
 
     ExperimentReport {
         id: "E19",

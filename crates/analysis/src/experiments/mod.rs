@@ -1,15 +1,18 @@
-//! The reproduction experiments (see `DESIGN.md` §5 for the index).
+//! The reproduction experiments.
 //!
 //! Each module regenerates one analytical claim of the paper as a measured
-//! table. All experiments run at two scales:
+//! table; [`run_experiment`] dispatches by id. All experiments run at two
+//! scales:
 //!
 //! * [`Scale::Smoke`] — seconds; exercised by `cargo test`;
 //! * [`Scale::Full`] — minutes; what `reproduce` runs and what
 //!   `EXPERIMENTS.md` archives.
 
 use std::fmt;
+use std::time::Instant;
 
 use rcb_core::{Params, ParamsError};
+use rcb_sim::{Scenario, ScenarioScratch};
 
 use crate::Table;
 
@@ -31,6 +34,41 @@ pub mod e7_baselines;
 pub mod e8_spoofing;
 pub mod e9_unknown_n;
 pub mod x2_nuniform;
+
+/// Every experiment in the reproduction suite, by id.
+pub const EXPERIMENT_IDS: &[&str] = &[
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e15", "e17",
+    "e18", "e19", "x2",
+];
+
+/// Runs one experiment by id (case-insensitive).
+///
+/// Returns `None` for an unknown id.
+#[must_use]
+pub fn run_experiment(id: &str, scale: Scale) -> Option<ExperimentReport> {
+    let report = match id.to_ascii_lowercase().as_str() {
+        "e1" => e1_cost_scaling::run(scale),
+        "e2" => e2_delivery::run(scale),
+        "e3" => e3_latency::run(scale),
+        "e4" => e4_quiet_costs::run(scale),
+        "e5" => e5_load_balance::run(scale),
+        "e6" => e6_reactive::run(scale),
+        "e7" => e7_baselines::run(scale),
+        "e8" => e8_spoofing::run(scale),
+        "e9" => e9_unknown_n::run(scale),
+        "e10" => e10_k_sweep::run(scale),
+        "e11" => e11_multichannel::run(scale),
+        "e12" => e12_adaptive::run(scale),
+        "e13" => e13_fast_mc::run(scale),
+        "e15" => e15_sweep::run(scale),
+        "e17" => e17_epoch::run(scale),
+        "e18" => e18_profile::run(scale),
+        "e19" => e19_fluid::run(scale),
+        "x2" => x2_nuniform::run(scale),
+        _ => return None,
+    };
+    Some(report)
+}
 
 /// How much compute an experiment may spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,6 +141,20 @@ pub(crate) fn must_provision(n: u64, k: u32, carol_budget: u64) -> Params {
     provisioned_params(n, k, carol_budget).expect("experiment parameters are valid")
 }
 
+/// Mean wall time of one sequential trial, in nanoseconds: one warm-up
+/// run, then `trials` runs on seeds `0..trials`, all on one reused
+/// [`ScenarioScratch`] as a `run_batch` worker would. The timing gates
+/// of E18 and E19 use it, at [`Scale::Full`] only.
+pub(crate) fn per_trial_ns(scenario: &Scenario, trials: u32) -> u128 {
+    let mut scratch = ScenarioScratch::new();
+    std::hint::black_box(scenario.run_in(&mut scratch, 0xBEEF));
+    let start = Instant::now();
+    for seed in 0..trials {
+        std::hint::black_box(scenario.run_in(&mut scratch, u64::from(seed)));
+    }
+    start.elapsed().as_nanos() / u128::from(trials.max(1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,6 +173,20 @@ mod tests {
     fn provisioning_keeps_minimum_margin() {
         let p = provisioned_params(1024, 2, 0).unwrap();
         assert!(p.max_round() >= p.lg_n_ceil() + 2);
+    }
+
+    #[test]
+    fn unknown_id_is_none() {
+        assert!(run_experiment("e99", Scale::Smoke).is_none());
+    }
+
+    #[test]
+    fn ids_are_exhaustive_and_runnable() {
+        // Run the two cheapest to keep the test fast; existence checks for
+        // the rest.
+        assert!(run_experiment("x2", Scale::Smoke).is_some());
+        assert!(run_experiment("E4", Scale::Smoke).is_some());
+        assert_eq!(EXPERIMENT_IDS.len(), 18);
     }
 
     #[test]

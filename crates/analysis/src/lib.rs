@@ -1,9 +1,9 @@
 //! Experiment harness: trial runner, statistics, regression, tables, and
-//! the reproduction experiments E1–E15/X2 of `DESIGN.md`.
+//! the reproduction experiments E1–E19/X2.
 //!
 //! The paper is a theory paper — its "evaluation" is Theorem 1 and the
 //! lemma chain. Each analytical claim maps to an experiment here that
-//! regenerates it as a measured table; `rcb-bench`'s `reproduce` binary
+//! regenerates it as a measured table; this crate's `reproduce` binary
 //! prints them, and `EXPERIMENTS.md` archives paper-vs-measured.
 //!
 //! ```

@@ -17,8 +17,8 @@
 //!
 //! This is a *reconstruction*: \[23\]'s actual protocol is Las Vegas with
 //! additional machinery for unknown budgets; what experiments need from it
-//! is the exponent, which this construction reproduces (see E7 and
-//! `DESIGN.md` for the substitution note).
+//! is the exponent, which this construction reproduces (E7 part B fits
+//! it).
 
 use rand::Rng;
 use rcb_rng::{subset::sample_distinct, SeedTree, SimRng};

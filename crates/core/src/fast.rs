@@ -389,6 +389,7 @@ impl FastState {
             SeedingKind::Relays { relays, send_p } => {
                 if relays == 0 {
                     self.relay_set = 0;
+                    // Known ledger error (ROADMAP.md): this skips the uninformed nodes' listens.
                     return PhaseDigest::default();
                 }
                 let total_sends = sample_bin(rng, relays.saturating_mul(s), send_p);
@@ -411,6 +412,7 @@ impl FastState {
         let good_slots = sample_bin(rng, m_slots, survive_p);
 
         // Listening costs for all uninformed nodes over the phase.
+        // Known ledger error (ROADMAP.md): nodes informed mid-phase pay for the whole phase.
         if u > 0 {
             self.nodes.listens += sample_bin(rng, u.saturating_mul(s), listen_p);
         }

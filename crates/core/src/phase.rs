@@ -507,9 +507,9 @@ struct PhaseRecord {
 
 /// One run's telemetry, accumulated locally and flushed in bulk.
 ///
-/// The recording seam must stay cheap against the phase loop (the
-/// `bench --telemetry` guard): counters sum into plain numbers here and
-/// hit the shared atomics once per run, gauges keep last-write-wins
+/// The recording seam must stay cheap against the phase loop (E18 times
+/// it beside its attached-noop gate): counters sum into plain numbers
+/// here and hit the shared atomics once per run, gauges keep last-write-wins
 /// semantics by writing only the final phase's values, and events buffer
 /// into a reusable `Vec` flushed through [`Collector::event_batch`]
 /// every [`EVENT_FLUSH_CHUNK`] phases — one store lock per chunk

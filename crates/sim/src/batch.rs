@@ -42,8 +42,8 @@ where
 /// The environment variable that overrides the worker-thread count for
 /// [`run_trials_scoped`] (and everything built on it, notably
 /// `Scenario::run_batch`) when no explicit override is passed. Invalid
-/// or zero values are ignored. Bench harnesses use it to measure thread
-/// scaling: `RCB_THREADS=1 cargo bench ...`.
+/// or zero values are ignored. Harnesses use it to measure thread
+/// scaling: `RCB_THREADS=1 cargo run --release -p rcb-analysis --bin reproduce ...`.
 pub const THREADS_ENV_VAR: &str = "RCB_THREADS";
 
 /// Resolves the worker count: explicit override (zero is clamped to 1 —

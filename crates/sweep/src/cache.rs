@@ -8,7 +8,9 @@
 //! a warm-cache sweep reports byte-identical aggregates to the run that
 //! populated it. Files carry the [`ENGINE_ERA`] tag; entries from a
 //! different era (or any unparsable file) are treated as misses, never
-//! served.
+//! served. Entries are written to a temporary file and renamed into
+//! place, and a file must end in a newline to parse, so a torn write is
+//! refused rather than read short.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -216,7 +218,7 @@ impl ResultCache {
             .insert(entry.fingerprint, entry);
         if let Some((path, text)) = rendered {
             let written = text.len() as u64;
-            fs::write(path, text)?;
+            write_then_rename(&path, &text)?;
             self.note_written(written)?;
         }
         Ok(())
@@ -317,6 +319,23 @@ fn entry_path(dir: &Path, fingerprint: Fingerprint) -> PathBuf {
     dir.join(format!("{fingerprint}.cell"))
 }
 
+/// Writes `text` to a temporary sibling of `path` and renames it over
+/// `path`, so readers see the old entry or the whole new one. The
+/// temporary name is unique per process and store, and is not a
+/// `.cell` file, so [`scan_cells`] never counts or evicts it. Nothing is
+/// synced: an entry a crash loses or zeroes fails [`parse_entry`] and
+/// is recomputed, which is all a cache needs.
+fn write_then_rename(path: &Path, text: &str) -> io::Result<()> {
+    static STORES: AtomicU64 = AtomicU64::new(0);
+    let store = STORES.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("{}-{store}.tmp", std::process::id()));
+    let written = fs::write(&tmp, text).and_then(|()| fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    written
+}
+
 fn render_stats(line: &mut String, metric: Metric, stats: &RunningStats) {
     let _ = writeln!(
         line,
@@ -361,6 +380,11 @@ fn parse_stats_line(value: &str) -> Option<RunningStats> {
 }
 
 fn parse_entry(text: &str) -> Option<CacheEntry> {
+    // Every line is written newline-terminated and every metric line is
+    // required, so this refuses every strict prefix of a valid file.
+    if !text.ends_with('\n') {
+        return None;
+    }
     let mut lines = text.lines();
     if lines.next()? != FORMAT {
         return None;
@@ -627,6 +651,42 @@ mod tests {
         let unbounded = ResultCache::at_dir(&dir).unwrap();
         unbounded.store(sample_entry_seeded(100)).unwrap();
         assert_eq!(unbounded.evicted_entries(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_entries_are_never_hits() {
+        // Every strict prefix of a valid file — what a write that fails
+        // partway, a crash, or a reader racing a writer can leave — must
+        // be refused, never served with a cut-short statistic.
+        let dir = temp_dir("torn");
+        let entry = sample_entry();
+        ResultCache::at_dir(&dir)
+            .unwrap()
+            .store(entry.clone())
+            .unwrap();
+        let files: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        let path = entry_path(&dir, entry.fingerprint);
+        assert_eq!(
+            files,
+            std::slice::from_ref(&path),
+            "a store leaves only its entry behind"
+        );
+        let text = fs::read_to_string(&path).unwrap();
+        for cut in 0..text.len() {
+            fs::write(&path, &text.as_bytes()[..cut]).unwrap();
+            let lookup = ResultCache::at_dir(&dir)
+                .unwrap()
+                .lookup_classified(entry.fingerprint);
+            assert!(
+                !matches!(lookup, CacheLookup::Hit(_)),
+                "prefix of {cut} of {} bytes served as a hit",
+                text.len()
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -27,8 +27,8 @@
 //!   [`SweepProgress`] trail.
 //!
 //! The `sweepd` binary wraps the service for the command line; the
-//! `rcb-analysis` E15 experiment and the `bench --sweep` mode drive it
-//! in-process.
+//! `rcb-analysis` E15 experiment and perfbench's `sweep-exact-zoo`
+//! workload drive it in-process.
 //!
 //! # Example
 //!

@@ -68,7 +68,7 @@ pub trait Collector: fmt::Debug + Send + Sync {
 ///
 /// Instrumented engine code invoked without telemetry monomorphizes
 /// against this type, so the telemetry-off path *is* the pre-telemetry
-/// code — pinned fingerprints and the bench guard hold it to that.
+/// code — pinned fingerprints and E18's overhead gate hold it to that.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopCollector;
 

@@ -35,7 +35,8 @@
 //! `false` and the counting folds away; with a dyn-dispatched collector
 //! it is one predictable branch per event. The workspace's pinned
 //! fingerprint suites re-run with a recording collector attached prove
-//! byte-identical outcomes; `bench --telemetry` pins the noop overhead.
+//! byte-identical outcomes; experiment E18's full-scale gate holds an
+//! attached noop to at most 2 % per trial over no collector.
 //!
 //! ## Quick start
 //!

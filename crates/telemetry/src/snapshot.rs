@@ -1,9 +1,8 @@
 //! Point-in-time snapshots and their serializations.
 //!
 //! The workspace deliberately vendors no serde_json, so [`Snapshot`]
-//! hand-rolls its JSON exactly like the bench and reproduce binaries do,
-//! and additionally emits a Prometheus-style text exposition for
-//! scrape-shaped consumers.
+//! hand-rolls its JSON, as perfbench's run records do, and additionally
+//! emits a Prometheus-style text exposition for scrape-shaped consumers.
 
 use std::fmt::Write as _;
 

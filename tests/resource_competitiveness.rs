@@ -50,7 +50,7 @@ fn node_cost_grows_sublinearly_in_carol_spend() {
     // And strictly: at the largest T the defender pays a vanishing share
     // (the measured ratio here is ≈ 1/50 and still shrinking in T; the
     // clamped-probability constants keep the absolute level high at
-    // practical n, as DESIGN.md discusses).
+    // practical n; see `rcb_core::probabilities`).
     let (t, cost) = pts[pts.len() - 1];
     assert!(
         cost < t / 20.0,
