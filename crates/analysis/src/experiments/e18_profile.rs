@@ -18,8 +18,9 @@
 //!   drains (and the drained-batch histogram), listener passes vs
 //!   listeners resolved, inert slots, settled listens, RNG draws,
 //!   adversary plans. The interesting ratios are *skip efficiencies*:
-//!   what fraction of slots was inert (nobody awake — the sleep-skipping
-//!   win), and how many listeners each pass resolved.
+//!   what fraction of slots was inert (no frame could reach a listener,
+//!   so the slot's listens were settled in bulk instead of resolved),
+//!   and how many listeners each pass resolved.
 //! * **fast** — per-phase aggregates: phases, newly-informed flow, and
 //!   the jam ledger (requested vs executed, whose gap is Carol's budget
 //!   fizzle).
@@ -338,7 +339,7 @@ pub fn run(scale: Scale) -> ExperimentReport {
             "exact tier, jammed ε-BROADCAST (n = {}, T = {}): {:.1} ns per action over \
              {} actions across {} trials — the ledger attributes the run to \
              {:.2} RNG draws and {:.2} resolved listeners per slot, with {:.0}% of \
-             slots inert (sleep-skipped) and a mean wake-drain batch of {:.1}",
+             slots inert (listens settled in bulk) and a mean wake-drain batch of {:.1}",
             plan.exact_n,
             plan.exact_budget,
             exact.ns_per_action(),
@@ -415,10 +416,11 @@ pub fn run(scale: Scale) -> ExperimentReport {
         title: "engine-tier observability profile",
         claim: "The rcb-telemetry instrumentation decomposes the jammed runs' wall time \
                 into per-subsystem work ledgers on all three engine tiers: the exact \
-                era-2 engine's ~45 ns/action cost localizes to RNG draws and bulk \
-                listener resolution (with sleep-skipping discarding inert slots), and \
-                the phase-level tiers' jam ledgers expose Carol's budget fizzle \
-                (requested minus executed) that outcome totals alone cannot show. \
+                era-2 engine's cost localizes to wake-queue drains, RNG draws and \
+                listener resolution (the listens of inert slots are settled in bulk \
+                instead of resolved), and the phase-level tiers' jam ledgers expose \
+                Carol's budget fizzle (requested minus executed) that outcome totals \
+                alone cannot show. \
                 The seam is free when nobody records: an attached no-op collector \
                 costs at most 2% per trial.",
         tables: vec![

@@ -22,14 +22,37 @@
 //! sound to re-draw pending gaps at every segment boundary, which is how
 //! probability changes (new phase, next g-loop subsegment) are applied.
 //!
+//! ## Settled listens
+//!
+//! The Figure 1/2 listen probabilities exceed 1 in early rounds and are
+//! clamped to 1. In an inform or propagation segment where, in addition,
+//! uninformed nodes send no decoys, every uninformed node listens in
+//! every slot and draws nothing (a `p = 1` geometric and a one-armed
+//! class consume no randomness). Such nodes leave the wake queue for the
+//! segment and form its *quiet* set. A slot in which no frame can reach
+//! a listener ([`Medium::may_deliver`] is false) only counts as one more
+//! deferred listen for each of them, since silence and noise change no
+//! state outside request phases. The deferred listens are charged in one
+//! ledger step per node just before a slot that could deliver, at the
+//! next segment boundary and at run end. A slot that could deliver
+//! materializes the quiet set exactly, in roster order, once Carol's
+//! frames and jams are on the air. Budget refusals land on the same
+//! listens as when every listen is charged on its own.
+//!
 //! ## Fidelity
 //!
 //! Per-slot action *marginals* match the Figure 1/2 state machines
-//! exactly; receptions, noisy counts, informs, budget charges, and the
-//! adversary's [`SlotObservation`](rcb_radio::SlotObservation) are fully
-//! materialized (no deferred settlement — unlike the gossip driver,
-//! request-phase noise is per-node state). Termination timing replicates
-//! the protocol slot-for-slot: judged devices go quiet on the
+//! exactly; receptions, noisy counts, informs and budget charges are
+//! exact, and so is every run's outcome whether or not listens are
+//! settled. What settlement hides is the identity of the listeners of a
+//! slot that could deliver nothing: the adversary's
+//! [`SlotObservation::listeners`](rcb_radio::SlotObservation::listeners)
+//! is empty there. Tracing (`trace_capacity > 0`) or an adversary whose
+//! [`Adversary::wants_listener_identities`] is true turns settlement off,
+//! and the run materializes every listener in every slot, with an
+//! identical outcome. Request phases are always materialized: their
+//! noise feeds per-node termination counters. Termination timing
+//! replicates the protocol slot-for-slot: judged devices go quiet on the
 //! round-boundary slot, relayers terminate *after* acting on their
 //! step's final slot, and late recruits wait (sending decoys) until the
 //! next request phase.
@@ -256,6 +279,9 @@ pub struct BroadcastSoaScratch {
     term: WakeQueue,
     due: Vec<(u64, u32)>,
     term_due: Vec<(u64, u32)>,
+    /// The segment's uninformed nodes whose listens are settled rather
+    /// than woken (see module docs), in roster order.
+    quiet: Vec<u32>,
     medium: Medium,
 }
 
@@ -326,6 +352,7 @@ impl BroadcastSoaScratch {
         let min_term = params.min_termination_round();
         let prop_steps = params.propagation_steps();
         let spectrum = Spectrum::single();
+        let materialize_all = config.trace_capacity > 0 || adversary.wants_listener_identities();
 
         let BroadcastSoaScratch {
             schedule,
@@ -343,6 +370,7 @@ impl BroadcastSoaScratch {
             term,
             due,
             term_due,
+            quiet,
             medium,
             ..
         } = self;
@@ -372,6 +400,7 @@ impl BroadcastSoaScratch {
         act_until.resize(n + 1, u64::MAX);
         wake.reset(n + 1, max_slots);
         term.reset(n + 1, max_slots);
+        quiet.clear();
         // Telemetry: one hoisted bool gates all bookkeeping; counts batch
         // in a plain-integer profile and flush once after the loop.
         let telemetry = collector.enabled();
@@ -384,6 +413,8 @@ impl BroadcastSoaScratch {
         let mut uninf_cls = class((0.0, 0.0));
         let mut relay_cls = class((0.0, 0.0));
         let mut wait_cls = class((0.0, 0.0));
+        // Slots since the quiet set's listens were last charged.
+        let mut deferred = 0u64;
         let mut slot_idx = 0u64;
 
         let stop_reason = loop {
@@ -398,6 +429,10 @@ impl BroadcastSoaScratch {
             }
             let seg = segments[seg_idx];
             if seg.start == slot_idx {
+                // The finished segment's deferred listens land first.
+                prof.settled_listens += settle_quiet(medium, quiet, deferred);
+                deferred = 0;
+                quiet.clear();
                 // Round boundary: judge the request phase that just ended
                 // (all of its receptions are in), then reset counters.
                 while judge_idx < judges.len() && judges[judge_idx].0 == slot_idx {
@@ -423,14 +458,19 @@ impl BroadcastSoaScratch {
                 uninf_cls = class(seg.uninformed);
                 relay_cls = class(seg.relaying);
                 wait_cls = class((seg.waiting, 0.0));
+                let settle = !materialize_all
+                    && seg.phase != PhaseKind::Request
+                    && uninf_cls.p1 <= 0.0
+                    && uninf_cls.pw >= 1.0;
                 for node in 0..=n as u32 {
                     let nu = node as usize;
                     if status[nu] == 2 {
                         continue;
                     }
-                    if telemetry {
-                        // Segment boundaries redraw every live device's gap.
-                        prof.rng_draws += 1;
+                    if settle && node != 0 && status[nu] == 0 {
+                        wake.cancel(node);
+                        quiet.push(node);
+                        continue;
                     }
                     let cls = role_class(
                         node,
@@ -485,10 +525,6 @@ impl BroadcastSoaScratch {
                 if cls.pw <= 0.0 {
                     continue;
                 }
-                if telemetry {
-                    // Arm choice plus the gap redraw below.
-                    prof.rng_draws += 2;
-                }
                 let rng = &mut rngs[nu];
                 let arm1 = if cls.p2 <= 0.0 {
                     true
@@ -527,15 +563,31 @@ impl BroadcastSoaScratch {
                 }
             }
 
-            // 2. Carol's turn, then every listener resolves exactly:
-            //    informs flip state and schedule the node's (now known)
-            //    termination slot; request-phase noise feeds the
-            //    judgement counters.
-            if telemetry && !medium.listeners().is_empty() {
-                prof.listener_passes += 1;
-                prof.listeners_resolved += medium.listeners().len() as u64;
-            }
+            // 2. Carol's turn. If a frame could reach the quiet set, its
+            //    deferred listens land and it listens now, exactly;
+            //    otherwise the slot is one more deferred listen. Then
+            //    every listener resolves exactly: informs flip state and
+            //    schedule the node's (now known) termination slot;
+            //    request-phase noise feeds the judgement counters.
+            let mut materialized = false;
             medium.carol_turn(Slot::new(slot_idx), adversary, |air| {
+                if !quiet.is_empty() {
+                    if air.may_deliver() {
+                        prof.settled_listens += settle_quiet(air, quiet, deferred);
+                        deferred = 0;
+                        for &node in quiet.iter() {
+                            air.listen(node, ChannelId::ZERO);
+                        }
+                        materialized = true;
+                    } else {
+                        deferred += 1;
+                        prof.inert_slots += 1;
+                    }
+                }
+                if telemetry && !air.listeners().is_empty() {
+                    prof.listener_passes += 1;
+                    prof.listeners_resolved += air.listeners().len() as u64;
+                }
                 air.hear_all(|_, pid, reception| {
                     if matches!(reception, Reception::Silence) {
                         return;
@@ -590,6 +642,10 @@ impl BroadcastSoaScratch {
                     }
                 });
             });
+            if materialized {
+                // Newly informed nodes left the quiet set.
+                quiet.retain(|&node| status[node as usize] == 0);
+            }
 
             // 3. Terminations determined earlier land now: the device set
             //    its done flag while acting this slot, so `live` reflects
@@ -606,11 +662,13 @@ impl BroadcastSoaScratch {
             slot_idx += 1;
         };
 
+        prof.settled_listens += settle_quiet(medium, quiet, deferred);
         if telemetry {
             prof.slots = slot_idx;
-            // The adversary plans once per simulated slot; this engine
-            // materializes every listener (no deferred settlement).
+            // The adversary plans once per simulated slot.
             prof.adversary_plans = slot_idx;
+            // Exact: a device's counter is the number of words it drew.
+            prof.rng_draws = rngs.iter().map(CounterRng::counter).sum();
             prof.flush(collector);
         }
 
@@ -619,6 +677,18 @@ impl BroadcastSoaScratch {
         let outcome = summarize(params, schedule, &report);
         (outcome, report)
     }
+}
+
+/// Charges every quiet node its `deferred` settled listens; returns the
+/// listens granted.
+fn settle_quiet(medium: &mut Medium, quiet: &[u32], deferred: u64) -> u64 {
+    if deferred == 0 {
+        return 0;
+    }
+    quiet
+        .iter()
+        .map(|&node| medium.settle_listens(node, ChannelId::ZERO, deferred))
+        .sum()
 }
 
 /// Resolves which arm pair governs a device in the current segment.

@@ -112,6 +112,13 @@ pub struct SlotObservation<'a> {
     /// kind of frame.
     pub correct_sends: &'a [(ParticipantId, ChannelId, PayloadKind)],
     /// Which correct participants listened, and on which channel.
+    ///
+    /// Empty or partial in slots where no frame could reach a listener,
+    /// when the driver settles those listens in bulk: the gossip driver
+    /// ([`run_gossip_soa_with`](crate::run_gossip_soa_with)) and the
+    /// exact ε-BROADCAST driver (`rcb_core::BroadcastSoaScratch`) both
+    /// do, unless the run is traced or the adversary
+    /// [`wants_listener_identities`](Adversary::wants_listener_identities).
     pub listeners: &'a [(ParticipantId, ChannelId)],
     /// Whether any part of her jam plan actually took effect (budget
     /// permitting).
@@ -198,10 +205,13 @@ pub trait Adversary {
     /// Whether [`observe`](Self::observe) needs exact per-listener
     /// identity lists in every slot.
     ///
-    /// The era-2 sleep-skipping engine settles provably-inert listens
-    /// (slots where every listener would hear silence or undirected
-    /// noise) in bulk, so its [`SlotObservation::listeners`] is empty in
-    /// those slots even though nodes did pay for listens there —
+    /// Two exact drivers settle provably inert listens (slots where every
+    /// listener would hear silence or blanket noise) in bulk: the gossip
+    /// driver ([`run_gossip_soa_with`](crate::run_gossip_soa_with)) and
+    /// the ε-BROADCAST driver (`rcb_core::BroadcastSoaScratch`), in its
+    /// inform and propagation phases where uninformed nodes listen in
+    /// every slot. Their [`SlotObservation::listeners`] leaves those
+    /// listeners out even though the nodes paid for the listens —
     /// aggregate accounting stays exact, identities don't. An adversary
     /// whose strategy reads listener identities returns `true` here to
     /// force per-slot materialization (at the cost of a per-slot listener

@@ -15,7 +15,7 @@
 //! [`EnergyLedger`] with per-channel attribution.
 
 use crate::adversary::{Adversary, AdversaryCtx, SlotObservation};
-use crate::channel::{resolve_for_listener_on, ChannelLoad, JamPlan};
+use crate::channel::{resolve_for_listener_on, ChannelLoad, JamDirective, JamPlan};
 use crate::energy::{Budget, CostBreakdown, EnergyLedger, Op};
 use crate::message::{Payload, PayloadKind};
 use crate::participant::{ParticipantId, Reception};
@@ -194,10 +194,34 @@ impl Medium {
         }
     }
 
+    /// Charges participant `node` `count` listens on `channel` at once,
+    /// for slots in which it listened without being materialized; returns
+    /// how many its budget granted (the shortfall counts as refusals).
+    #[inline]
+    pub fn settle_listens(&mut self, node: u32, channel: ChannelId, count: u64) -> u64 {
+        self.ledger
+            .charge_participant_many_on(node as usize, Op::Listen, count, channel)
+    }
+
     /// The listeners charged so far this slot, in roster order.
     #[must_use]
     pub fn listeners(&self) -> &[(ParticipantId, ChannelId)] {
         &self.listeners
+    }
+
+    /// Whether any listener could hear a frame this slot: some channel
+    /// carries exactly one transmission and is not blanket-jammed.
+    /// Otherwise every listener hears silence or noise, whoever it is, so
+    /// a driver whose listeners ignore both may settle their listens
+    /// later instead of resolving them. Only meaningful inside
+    /// [`carol_turn`](Self::carol_turn)'s `resolve`, once Carol's frames
+    /// and jam are on the air.
+    #[must_use]
+    #[inline]
+    pub fn may_deliver(&self) -> bool {
+        self.spectrum.channels().any(|ch| {
+            self.load.on(ch).len() == 1 && !matches!(self.jam.directive_on(ch), JamDirective::All)
+        })
     }
 
     /// Resolves the slot's listeners in roster order, recording clean

@@ -582,13 +582,7 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
             if !listen_open || pool.is_empty() {
                 return;
             }
-            let interesting = materialize_all
-                || (0..channels).any(|c| {
-                    let ch = ChannelId::new(c);
-                    air.load.on(ch).len() == 1
-                        && !matches!(air.jam.directive_on(ch), JamDirective::All)
-                });
-            if !interesting {
+            if !materialize_all && !air.may_deliver() {
                 inert_slots += 1;
                 if epoch_mode {
                     // Track which channels a deferred listener would have

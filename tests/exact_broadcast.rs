@@ -3,7 +3,7 @@
 //!
 //! A digest table pins the driver across the single-channel slot-level
 //! zoo and five `Params` variants. Each entry folds n × Carol budget ×
-//! trace capacity {0, 7} × seed into one FNV-1a digest of the rendered
+//! seed × trace capacity {0, 7} into one FNV-1a digest of the rendered
 //! `ScenarioOutcome` (telemetry stripped). The variants cover the
 //! driver's branches: plain, §4.1 decoys (two-armed uninformed nodes),
 //! a ν = n² size overestimate (g-loop segment splitting), unconstrained
@@ -13,8 +13,8 @@
 //! The same grid checks that how listens are accounted never shows in
 //! a result: an untraced run and a traced run (which materializes every
 //! listener in every slot) of one config agree on everything but the
-//! trace. Two probe adversaries check the listener identities Carol
-//! observes against the ledger.
+//! trace. A probe adversary, with and without a request for listener
+//! identities, checks the listeners Carol observes against the ledger.
 
 use std::sync::{Arc, OnceLock};
 
@@ -131,7 +131,8 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 
 /// `era2_broadcast_matches_pinned_digests`: (strategy, params variant,
 /// outcome digest), captured on the era-2 driver with every listener
-/// materialized.
+/// materialized. Each unconstrained entry equals its plain one: the
+/// computed budgets never bind in this grid.
 #[rustfmt::skip]
 const PINS: [(&str, &str, u64); 50] = [
     ("silent", "plain", 0xca5d_9d90_c814_b931),

@@ -81,6 +81,23 @@ fn exact_engine_is_telemetry_neutral() {
 }
 
 #[test]
+fn settled_listens_are_telemetry_neutral() {
+    // Under a jammer, uninformed nodes listen through every jammed
+    // dissemination slot and the exact engine settles those listens in
+    // bulk. The outcome must not move with a collector attached, and the
+    // collector must see the settlement.
+    let collector = assert_neutral(
+        "broadcast/exact jammed",
+        Scenario::broadcast(params(64))
+            .adversary(StrategySpec::Continuous)
+            .carol_budget(2_000)
+            .seed(7),
+    );
+    assert!(collector.counter(MetricId::EngineInertSlots) > 0);
+    assert!(collector.counter(MetricId::EngineSettledListens) > 0);
+}
+
+#[test]
 fn fast_engine_is_telemetry_neutral() {
     let collector = assert_neutral(
         "broadcast/fast",
