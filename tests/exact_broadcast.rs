@@ -1,5 +1,5 @@
-//! The era-2 exact ε-BROADCAST driver (`rcb_core::era2`), pinned and
-//! cross-checked.
+//! The exact ε-BROADCAST driver (`rcb_core::era2`), pinned and
+//! cross-checked, plus the exact KPSY driver at dead-air scale.
 //!
 //! A digest table pins the driver across the single-channel slot-level
 //! zoo and five `Params` variants. Each entry folds n × Carol budget ×
@@ -23,7 +23,7 @@ use evildoers::core::{BroadcastSoaScratch, DecoyConfig, Params, RunConfig, SizeK
 use evildoers::radio::{
     Adversary, AdversaryCtx, AdversaryMove, Budget, RunReport, Slot, SlotObservation,
 };
-use evildoers::sim::{Scenario, ScenarioOutcome};
+use evildoers::sim::{KpsySpec, Scenario, ScenarioBuilder, ScenarioOutcome};
 use evildoers::telemetry::{MetricId, RecordingCollector};
 
 /// The slot-level strategies of the table: the single-channel zoo,
@@ -320,4 +320,138 @@ fn observed_listeners_reconcile_with_charged_listens() {
             }
         }
     }
+}
+
+/// Renders `builder`'s outcome with its telemetry stripped.
+fn rendered(builder: ScenarioBuilder) -> ScenarioOutcome {
+    let mut outcome = builder.build().expect("valid exact cell").run();
+    outcome.telemetry = None;
+    outcome
+}
+
+/// Folds `builder` over seed {1, 2} × trace capacity {0, 7} into `hash`,
+/// checking on the way that the traced run agrees with the untraced one
+/// beyond its trace and that Carol spent her whole pool.
+fn fold_runs(mut hash: u64, label: &str, builder: &ScenarioBuilder, pool: u64) -> u64 {
+    for seed in [1u64, 2] {
+        let plain = rendered(builder.clone().seed(seed));
+        let traced = rendered(builder.clone().seed(seed).trace(7));
+        assert_eq!(
+            plain.carol_spend(),
+            pool,
+            "{label} seed={seed}: pool not spent"
+        );
+        let mut bare = traced.clone();
+        bare.trace = None;
+        assert_eq!(
+            format!("{plain:?}"),
+            format!("{bare:?}"),
+            "{label} seed={seed}: the traced run differs beyond its trace"
+        );
+        for outcome in [&plain, &traced] {
+            hash = fnv1a(hash, format!("{outcome:?}").as_bytes());
+        }
+    }
+    hash
+}
+
+/// `dense_broadcast_matches_pinned_digests`: (strategy, params variant,
+/// outcome digest) of ε-BROADCAST at n = 256 with a 300-unit Carol,
+/// folded over seed {1, 2} × trace capacity {0, 7}.
+#[rustfmt::skip]
+const DENSE_PINS: [(&str, &str, u64); 15] = [
+    ("continuous", "plain", 0xfad2_330d_af68_9e33),
+    ("continuous", "decoys", 0x6615_9dac_76c7_7e65),
+    ("continuous", "overestimate", 0x2944_579a_a4cb_0b88),
+    ("random(p=0.4)", "plain", 0xe856_dd4c_8787_c8d2),
+    ("random(p=0.4)", "decoys", 0xc945_8def_cf06_d4f6),
+    ("random(p=0.4)", "overestimate", 0xde08_8a2e_4d40_b702),
+    ("bursty(16/48)", "plain", 0x0a5f_afce_f934_8d01),
+    ("bursty(16/48)", "decoys", 0x695b_4f68_1807_ffad),
+    ("bursty(16/48)", "overestimate", 0x8a89_7753_9116_ab94),
+    ("spoof(rate=0.3)", "plain", 0x5368_4774_d595_20ca),
+    ("spoof(rate=0.3)", "decoys", 0x6d21_ee49_e343_2fe6),
+    ("spoof(rate=0.3)", "overestimate", 0xaf48_31f7_f194_cc80),
+    ("reactive", "plain", 0x8ab6_839a_3ae8_35ea),
+    ("reactive", "decoys", 0xaf6f_2871_f1aa_c451),
+    ("reactive", "overestimate", 0x0c4b_fcd5_adf4_2568),
+];
+
+#[test]
+fn dense_broadcast_matches_pinned_digests() {
+    // Rounds 1-3 clamp the request-phase listen probability to 1, so a
+    // request slot at n = 256 drains up to all 257 devices at once; the
+    // pool of 300 runs dry within the first rounds, leaving the rest of
+    // the run to Alice and the informed relayers. Decoys keep informed
+    // nodes awake; the ν = n² overestimate splits phases into g-loop
+    // segments, each a boundary a skip must stop at.
+    let strategies = [
+        StrategySpec::Continuous,
+        StrategySpec::Random(0.4),
+        StrategySpec::Bursty { burst: 16, gap: 48 },
+        StrategySpec::Spoof(0.3),
+        StrategySpec::Reactive,
+    ];
+    let mut actual = Vec::new();
+    for strategy in strategies {
+        for variant in ["plain", "decoys", "overestimate"] {
+            let builder = Scenario::broadcast(variant_params(variant, 256))
+                .adversary(strategy)
+                .carol_budget(300);
+            let label = format!("{} {variant}", strategy.name());
+            let hash = fold_runs(0xcbf2_9ce4_8422_2325, &label, &builder, 300);
+            actual.push((strategy.name(), variant, hash));
+        }
+    }
+    let expected: Vec<(String, &str, u64)> = DENSE_PINS
+        .iter()
+        .map(|&(name, variant, hash)| (name.to_string(), variant, hash))
+        .collect();
+    assert_eq!(actual, expected, "dense ε-BROADCAST digests drifted");
+}
+
+/// `kpsy_dead_air_matches_pinned_digests`: (strategy, n, outcome digest)
+/// of KPSY over 13 whole epochs with a 10-unit Carol, folded over seed
+/// {1, 2} × trace capacity {0, 7}.
+#[rustfmt::skip]
+const KPSY_DEAD_AIR_PINS: [(&str, u64, u64); 8] = [
+    ("continuous", 1, 0x88a6_3389_5d93_b0b4),
+    ("continuous", 64, 0x2d94_8392_ba62_9ca0),
+    ("random(p=0.5)", 1, 0x0f24_2a81_d9d8_453b),
+    ("random(p=0.5)", 64, 0xae03_34dc_9727_8b6f),
+    ("bursty(16/48)", 1, 0x9103_d651_5209_fa62),
+    ("bursty(16/48)", 64, 0xb2b6_85a4_106a_3048),
+    ("lagged-reactive", 1, 0x4f3c_eb87_2b2e_77ae),
+    ("lagged-reactive", 64, 0xa028_494d_2f1e_1ca4),
+];
+
+#[test]
+fn kpsy_dead_air_matches_pinned_digests() {
+    // A horizon of 2^14 − 2 runs epochs 1-13; the last turns its 8,192
+    // slots over to at most ⌈8192^{φ−1}⌉ = 263 secret slots per player,
+    // so the stretches in which nobody acts span more than one turn of
+    // the driver's 64-bucket wake wheel.
+    let horizon = (1u64 << 14) - 2;
+    let strategies = [
+        StrategySpec::Continuous,
+        StrategySpec::Random(0.5),
+        StrategySpec::Bursty { burst: 16, gap: 48 },
+        StrategySpec::LaggedReactive,
+    ];
+    let mut actual = Vec::new();
+    for strategy in strategies {
+        for n in [1u64, 64] {
+            let builder = Scenario::kpsy(KpsySpec { n, horizon })
+                .adversary(strategy)
+                .carol_budget(10);
+            let label = format!("{} n={n}", strategy.name());
+            let hash = fold_runs(0xcbf2_9ce4_8422_2325, &label, &builder, 10);
+            actual.push((strategy.name(), n, hash));
+        }
+    }
+    let expected: Vec<(String, u64, u64)> = KPSY_DEAD_AIR_PINS
+        .iter()
+        .map(|&(name, n, hash)| (name.to_string(), n, hash))
+        .collect();
+    assert_eq!(actual, expected, "KPSY dead-air digests drifted");
 }
