@@ -23,6 +23,18 @@
 //! itself (Carol's turn, listener resolution, the report) is the shared
 //! [`Medium`]. The phase-level engines have no KPSY model, so
 //! `rcb_sim::Scenario::kpsy` rejects them with a typed error.
+//!
+//! Late epochs are mostly dead air: epoch `e` holds `2^e` slots but
+//! only `R_e ≈ 2^{0.62e}` secret slots per player. Once Carol's capped
+//! pool is spent ([`Medium::carol_broke`]), nothing she plans can air,
+//! so an untraced run whose adversary does not want listener identities
+//! jumps from the current slot to the next player's wake
+//! ([`WakeQueue::next_due`]) or to the end of the run, without calling
+//! her for the slots in between. The run length (`slots_elapsed`, the
+//! `EngineSlots` counter) is still `horizon + 1`; `EngineAdversaryPlans`
+//! counts the slots simulated. Outcomes are byte-identical either way,
+//! so the loop costs `O(wakes)` rather than `O(horizon)` once she is
+//! broke.
 
 use rcb_auth::{Authority, Payload as MessageBytes};
 use rcb_core::{gossip_outcome, BroadcastOutcome};
@@ -252,8 +264,20 @@ pub fn execute_kpsy_with<C: Collector + ?Sized>(
 
     // Every player terminates in slot `horizon`, which it sleeps
     // through, so the run spans slots `0..=horizon`, each with Carol's
-    // turn.
-    for slot_idx in 0..=horizon {
+    // turn until she is broke; dead air after that is skipped (see
+    // module docs).
+    let exact_slots = config.trace_capacity > 0 || adversary.wants_listener_identities();
+    let mut dead_air = 0u64;
+    let mut slot_idx = 0u64;
+    while slot_idx <= horizon {
+        if !exact_slots && medium.carol_broke() {
+            let next = wake.next_due(slot_idx, horizon + 1).unwrap_or(horizon + 1);
+            dead_air += next - slot_idx;
+            slot_idx = next;
+            if slot_idx > horizon {
+                break;
+            }
+        }
         wake.drain_due(slot_idx, due);
         if telemetry && !due.is_empty() {
             prof.wake_drains += 1;
@@ -288,12 +312,14 @@ pub fn execute_kpsy_with<C: Collector + ?Sized>(
                 }
             });
         });
+        slot_idx += 1;
     }
 
     let slots = horizon + 1;
     if telemetry {
         prof.slots = slots;
-        prof.adversary_plans = slots;
+        // Carol plans once per simulated slot.
+        prof.adversary_plans = slots - dead_air;
         // Floyd sampling draws once per planned slot.
         prof.rng_draws = plans
             .iter()

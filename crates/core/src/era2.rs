@@ -7,9 +7,10 @@
 //! event queue: within a *segment* — a maximal slot range over
 //! which a device class's action probabilities are constant (a phase, or
 //! a §4.2 g-loop subsegment of one) — each live device's next action slot
-//! is drawn geometrically and parked in a bucketed [`WakeQueue`]. A slot
-//! costs the adversary callback plus the handful of devices that actually
-//! act in it.
+//! is drawn geometrically and parked in a bucketed [`WakeQueue`], so a
+//! simulated slot touches only the devices that act in it, plus Carol's
+//! turn; once she is broke, slots in which nobody acts are not simulated
+//! at all (see *Dead air*).
 //!
 //! ## The two-arm reduction
 //!
@@ -39,6 +40,21 @@
 //! frames and jams are on the air. Budget refusals land on the same
 //! listens as when every listen is charged on its own.
 //!
+//! ## Dead air
+//!
+//! Once Carol's capped pool is spent ([`Medium::carol_broke`]), nothing
+//! she plans can air, and a slot in which no device wakes changes no
+//! state: no frame, jam, listen or charge. When the run is untraced and
+//! its adversary does not want listener identities (the same gate as
+//! settled listens), the driver jumps from such a slot straight to the
+//! next event: a wake or termination ([`WakeQueue::next_due`] on both
+//! calendars), the next segment boundary (judgements fall on round
+//! boundaries) or the slot cap. Carol is not consulted for the skipped
+//! slots, which could deliver nothing, so the jump adds its length to
+//! the quiet set's deferred listens. No random draw moves. In the
+//! jammed flagship (n = 2^12, T = 2,000) she is broke after 2,000 slots
+//! and about five in six of the run's 152k slots are skipped.
+//!
 //! ## Fidelity
 //!
 //! Per-slot action *marginals* match the Figure 1/2 state machines
@@ -48,9 +64,9 @@
 //! slot that could deliver nothing: the adversary's
 //! [`SlotObservation::listeners`](rcb_radio::SlotObservation::listeners)
 //! is empty there. Tracing (`trace_capacity > 0`) or an adversary whose
-//! [`Adversary::wants_listener_identities`] is true turns settlement off,
-//! and the run materializes every listener in every slot, with an
-//! identical outcome. Request phases are always materialized: their
+//! [`Adversary::wants_listener_identities`] is true turns settlement and
+//! dead-air skipping off: the run materializes every listener and calls
+//! Carol in every slot, with an identical outcome. Request phases are always materialized: their
 //! noise feeds per-node termination counters. Termination timing
 //! replicates the protocol slot-for-slot: judged devices go quiet on the
 //! round-boundary slot, relayers terminate *after* acting on their
@@ -415,6 +431,8 @@ impl BroadcastSoaScratch {
         let mut wait_cls = class((0.0, 0.0));
         // Slots since the quiet set's listens were last charged.
         let mut deferred = 0u64;
+        // Slots skipped without Carol's turn.
+        let mut dead_air = 0u64;
         let mut slot_idx = 0u64;
 
         let stop_reason = loop {
@@ -495,6 +513,25 @@ impl BroadcastSoaScratch {
                         Some(t) => wake.schedule(node, t),
                         None => wake.cancel(node),
                     }
+                }
+            } else if !materialize_all && medium.carol_broke() {
+                // Dead air (see module docs): jump to the next wake,
+                // termination, segment boundary or the cap. A skipped
+                // slot could deliver nothing, so it is one more deferred
+                // listen for the quiet set.
+                let mut next = segments
+                    .get(seg_idx + 1)
+                    .map_or(max_slots, |s| s.start.min(max_slots));
+                next = wake.next_due(slot_idx, next).unwrap_or(next);
+                next = term.next_due(slot_idx, next).unwrap_or(next);
+                if next > slot_idx {
+                    if !quiet.is_empty() {
+                        deferred += next - slot_idx;
+                        prof.inert_slots += next - slot_idx;
+                    }
+                    dead_air += next - slot_idx;
+                    slot_idx = next;
+                    continue;
                 }
             }
 
@@ -666,7 +703,7 @@ impl BroadcastSoaScratch {
         if telemetry {
             prof.slots = slot_idx;
             // The adversary plans once per simulated slot.
-            prof.adversary_plans = slot_idx;
+            prof.adversary_plans = slot_idx - dead_air;
             // Exact: a device's counter is the number of words it drew.
             prof.rng_draws = rngs.iter().map(CounterRng::counter).sum();
             prof.flush(collector);

@@ -180,6 +180,15 @@ impl AdversaryCtx {
 /// so a passive adversary is one line (see [`SilentAdversary`]).
 pub trait Adversary {
     /// Decides this slot's move *before* seeing any current-slot activity.
+    ///
+    /// Called once per simulated slot, with one exception. Once a capped
+    /// pool is spent, nothing Carol plans can air, so the untraced exact
+    /// ε-BROADCAST driver (`rcb_core::BroadcastSoaScratch`) and KPSY
+    /// driver (`rcb_baselines::execute_kpsy`) skip *dead air*, the slots
+    /// in which no device acts, without calling her. A traced run, or an
+    /// adversary that
+    /// [`wants_listener_identities`](Self::wants_listener_identities), is
+    /// called in every slot; outcomes are the same either way.
     fn plan(&mut self, slot: Slot, ctx: &AdversaryCtx) -> AdversaryMove;
 
     /// Reactive override: called only when [`is_reactive`](Self::is_reactive)
@@ -198,6 +207,10 @@ pub trait Adversary {
     }
 
     /// Full-information feedback after the slot resolves (adaptive power).
+    ///
+    /// Called after every slot [`plan`](Self::plan) was called for: the
+    /// dead air that untraced ε-BROADCAST and KPSY runs skip once a capped
+    /// pool is spent goes unobserved too, since nothing happens in it.
     fn observe(&mut self, slot: Slot, observation: &SlotObservation<'_>) {
         let _ = (slot, observation);
     }
@@ -216,6 +229,8 @@ pub trait Adversary {
     /// whose strategy reads listener identities returns `true` here to
     /// force per-slot materialization (at the cost of a per-slot listener
     /// walk). Sends, jams, and deliveries are always exact regardless.
+    /// Returning `true` also makes the ε-BROADCAST and KPSY drivers call
+    /// Carol in every slot, dead air included (see [`plan`](Self::plan)).
     fn wants_listener_identities(&self) -> bool {
         false
     }

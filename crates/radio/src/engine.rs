@@ -203,6 +203,17 @@ impl Medium {
             .charge_participant_many_on(node as usize, Op::Listen, count, channel)
     }
 
+    /// Whether Carol's capped pool is spent. From then on nothing she
+    /// plans can air, so a slot in which no device acts changes no state:
+    /// an untraced driver whose adversary does not want listener
+    /// identities may skip such dead air without calling
+    /// [`carol_turn`](Self::carol_turn).
+    #[must_use]
+    #[inline]
+    pub fn carol_broke(&self) -> bool {
+        self.ledger.carol_remaining() == Some(0)
+    }
+
     /// The listeners charged so far this slot, in roster order.
     #[must_use]
     pub fn listeners(&self) -> &[(ParticipantId, ChannelId)] {

@@ -76,6 +76,10 @@ pub struct WakeQueue {
     mask: u64,
     next_wake: Vec<u64>,
     horizon: u64,
+    /// A roster bitmap, one bit per node, all clear between drains.
+    due_bits: Vec<u64>,
+    /// The `due_bits` words a drain set, to read back in ascending order.
+    due_words: Vec<u32>,
 }
 
 impl WakeQueue {
@@ -109,6 +113,9 @@ impl WakeQueue {
         self.next_wake.clear();
         self.next_wake.resize(nodes, u64::MAX);
         self.horizon = horizon;
+        self.due_bits.clear();
+        self.due_bits.resize(nodes.div_ceil(64), 0);
+        self.due_words.clear();
     }
 
     /// Schedules `node` to wake at `slot`, replacing any pending wake.
@@ -138,6 +145,13 @@ impl WakeQueue {
     /// id (ascending — the engine processes wakes in roster order).
     /// Stale entries encountered along the way are discarded; entries
     /// for future slots aliased into this bucket are kept.
+    ///
+    /// Every entry of a batch is due in the same slot and names a
+    /// distinct node, so no comparison sort is needed: each due node
+    /// sets its bit in a roster bitmap, and the bits are read back in
+    /// ascending order, visiting only the words the batch touched (those
+    /// few word indices are sorted). A drain costs its bucket's length
+    /// plus the batch, not `batch × log(batch)`.
     pub fn drain_due(&mut self, slot: u64, out: &mut Vec<(u64, u32)>) {
         out.clear();
         let bucket = &mut self.buckets[(slot & self.mask) as usize];
@@ -149,12 +163,54 @@ impl WakeQueue {
             } else if s == slot {
                 bucket.swap_remove(i);
                 self.next_wake[node as usize] = u64::MAX;
-                out.push((s, node));
+                let word = &mut self.due_bits[(node / 64) as usize];
+                if *word == 0 {
+                    self.due_words.push(node / 64);
+                }
+                *word |= 1 << (node % 64);
             } else {
                 i += 1;
             }
         }
-        out.sort_unstable();
+        self.due_words.sort_unstable();
+        for &w in &self.due_words {
+            let mut bits = std::mem::take(&mut self.due_bits[w as usize]);
+            while bits != 0 {
+                out.push((slot, w * 64 + bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
+        self.due_words.clear();
+    }
+
+    /// The first slot in `from..until` at which some wake is due, if any.
+    ///
+    /// Scans at most one turn of the wheel from `from`, checking each
+    /// bucket for an entry due exactly at its slot; if the turn finds
+    /// none and `until` lies beyond it, every pending wake is at least a
+    /// turn away, and one pass over the nodes' schedule finds the
+    /// earliest. Drivers use it to jump over slots in which nothing can
+    /// happen.
+    #[must_use]
+    pub fn next_due(&self, from: u64, until: u64) -> Option<u64> {
+        let turn_end = until.min(from.saturating_add(self.mask + 1));
+        for slot in from..turn_end {
+            let bucket = &self.buckets[(slot & self.mask) as usize];
+            if bucket
+                .iter()
+                .any(|&(s, node)| s == slot && self.next_wake[node as usize] == s)
+            {
+                return Some(slot);
+            }
+        }
+        if turn_end == until {
+            return None;
+        }
+        self.next_wake
+            .iter()
+            .copied()
+            .filter(|&s| (turn_end..until).contains(&s))
+            .min()
     }
 }
 
@@ -242,7 +298,7 @@ fn pick_channel(rng: &mut CounterRng, hop: bool, channels: u16) -> ChannelId {
 /// Samples and bulk-charges a node's listens over `inert` deferred
 /// slots: total via one binomial, split across channels via the chained
 /// conditional binomials of a uniform multinomial. Returns the listens
-/// charged.
+/// the node's budget granted.
 fn settle_inert(
     ledger: &mut EnergyLedger,
     rng: &mut CounterRng,
@@ -266,31 +322,41 @@ fn settle_inert(
         return 0;
     }
     if !hop || channels == 1 {
-        ledger.charge_participant_many_on(node as usize, Op::Listen, total, ChannelId::ZERO);
-        return total;
+        return ledger.charge_participant_many_on(
+            node as usize,
+            Op::Listen,
+            total,
+            ChannelId::ZERO,
+        );
     }
     let mut rem = total;
+    let mut granted = 0;
     for c in 0..channels - 1 {
         if rem == 0 {
-            return total;
+            return granted;
         }
         let take = Binomial::new(rem, 1.0 / f64::from(channels - c))
             .expect("1/(C-c) is a probability")
             .sample(rng);
         if take > 0 {
-            ledger.charge_participant_many_on(node as usize, Op::Listen, take, ChannelId::new(c));
+            granted += ledger.charge_participant_many_on(
+                node as usize,
+                Op::Listen,
+                take,
+                ChannelId::new(c),
+            );
         }
         rem -= take;
     }
     if rem > 0 {
-        ledger.charge_participant_many_on(
+        granted += ledger.charge_participant_many_on(
             node as usize,
             Op::Listen,
             rem,
             ChannelId::new(channels - 1),
         );
     }
-    total
+    granted
 }
 
 /// Epoch-mode settlement: a dormant node's deferred listens within one
@@ -298,7 +364,7 @@ fn settle_inert(
 /// [`settle_inert`] collapses to two binomials — one over the epoch's
 /// noisy inert slots (which doubles as the node's jam-detection sample)
 /// and one over the quiet remainder. Returns whether any noisy slot was
-/// sampled, and the listens charged.
+/// sampled, and the listens the node's budget granted.
 fn settle_epoch_inert(
     ledger: &mut EnergyLedger,
     rng: &mut CounterRng,
@@ -326,15 +392,12 @@ fn settle_epoch_inert(
     let heard_noise = draw(rng, noisy);
     let quiet = draw(rng, inert - noisy);
     let total = heard_noise + quiet;
-    if total > 0 {
-        ledger.charge_participant_many_on(
-            node as usize,
-            Op::Listen,
-            total,
-            ChannelId::new(channel),
-        );
-    }
-    (heard_noise > 0, total)
+    let granted = if total > 0 {
+        ledger.charge_participant_many_on(node as usize, Op::Listen, total, ChannelId::new(channel))
+    } else {
+        0
+    };
+    (heard_noise > 0, granted)
 }
 
 /// Runs a gossip-shaped broadcast on the sleep-skipping engine and
@@ -496,10 +559,6 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
         // An uninformed node that sampled noise evades its old channel;
         // everyone else redraws uniformly.
         if epoch_mode && slot_idx > 0 && slot_idx.is_multiple_of(spec.epoch_len) {
-            if telemetry {
-                // Every node redraws its epoch channel at the boundary.
-                prof.rng_draws += n as u64 + 1;
-            }
             for node in 0..=n as u32 {
                 let i = node as usize;
                 let prev = epoch_channel[i];
@@ -545,18 +604,6 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
             prof.wake_drains += 1;
             prof.wake_drained += due.len() as u64;
             collector.observe(MetricId::EngineWakeDrainBatch, due.len() as f64);
-            // Each drained sender redraws its gap (when its rate is
-            // nonzero) and, off the epoch schedule, its channel.
-            let has_alice = u64::from(due.iter().any(|&(_, node)| node == 0));
-            if alice_geo.is_some() {
-                prof.rng_draws += has_alice;
-            }
-            if relay_geo.is_some() {
-                prof.rng_draws += due.len() as u64 - has_alice;
-            }
-            if !epoch_mode && hop && channels > 1 {
-                prof.rng_draws += due.len() as u64;
-            }
         }
         for &(_, node) in due.iter() {
             let rng = &mut rngs[node as usize];
@@ -624,17 +671,6 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
                 );
             }
             ids.sort_unstable();
-            if telemetry {
-                prof.listener_passes += 1;
-                prof.listeners_resolved += ids.len() as u64;
-                // One binomial for the count, one subset sample for
-                // identities, one channel pick per listener when hopping
-                // off the epoch schedule.
-                prof.rng_draws += 2;
-                if !epoch_mode && hop && channels > 1 {
-                    prof.rng_draws += ids.len() as u64;
-                }
-            }
             for &node in ids.iter() {
                 let channel = if epoch_mode {
                     ChannelId::new(epoch_channel[node as usize])
@@ -642,6 +678,11 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
                     pick_channel(&mut rngs[node as usize], hop, channels)
                 };
                 air.listen(node, channel);
+            }
+            if telemetry {
+                prof.listener_passes += 1;
+                // The listens budgets granted, as for settled listens.
+                prof.listeners_resolved += air.listeners().len() as u64;
             }
             air.hear_all(|ledger, pid, reception| {
                 if epoch_mode && reception.is_noisy() {
@@ -741,6 +782,8 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
         // counted (not simulated) on the listener side.
         prof.adversary_plans = slot_idx;
         prof.inert_slots = inert_slots;
+        // Exact: a stream's counter is the number of words it drew.
+        prof.rng_draws = rngs.iter().map(CounterRng::counter).sum::<u64>() + engine_rng.counter();
         prof.flush(collector);
     }
 
@@ -847,6 +890,101 @@ mod tests {
         assert_eq!(out, vec![(3, 0)]);
         q.drain_due(7, &mut out);
         assert_eq!(out, vec![(7, 1)]);
+    }
+
+    #[test]
+    fn wake_queue_matches_a_model_under_random_traffic() {
+        // Random schedule / reschedule / cancel traffic over wheels far
+        // shorter than the horizon, so entries alias and go stale. Time
+        // advances slot by slot or, like a driver skipping dead air, by
+        // `next_due` jumps that leave buckets undrained. Every drain is
+        // checked against a node → slot model, every `next_due` against
+        // a brute-force scan of it.
+        use std::collections::BTreeMap;
+        let nodes = 131u32; // n + 1 over three bitmap words, one partial
+        let horizon = 700u64;
+        let mut rng = CounterRng::new(0x3a7e_9d01);
+        let mut q = WakeQueue::new();
+        let mut out = Vec::new();
+        let mut seen = vec![false; nodes as usize + 1];
+        for episode in 0..24 {
+            let wheel = 1u64 << (episode % 6); // 1 … 32 buckets
+            q.reset_with_buckets(nodes as usize, horizon, wheel);
+            let mut model: BTreeMap<u32, u64> = BTreeMap::new();
+            let mut now = 0u64;
+            while now < horizon {
+                let schedule = |q: &mut WakeQueue, model: &mut BTreeMap<u32, u64>, node, slot| {
+                    q.schedule(node, slot);
+                    if slot < horizon {
+                        model.insert(node, slot);
+                    } else {
+                        model.remove(&node);
+                    }
+                };
+                for _ in 0..rng.gen_range(0..6u32) {
+                    let node = rng.gen_range(0..nodes);
+                    let gap = match rng.gen_range(0..4u32) {
+                        0 => rng.gen_range(0..4),
+                        1 => rng.gen_range(0..4 * wheel + 8),
+                        2 => rng.gen_range(0..horizon),
+                        _ => horizon, // at or past the horizon: unscheduled
+                    };
+                    schedule(&mut q, &mut model, node, now + gap);
+                    if rng.gen_bool(0.2) {
+                        q.cancel(node);
+                        model.remove(&node);
+                    }
+                }
+                // Bursts: a random subset due now or shortly, and now and
+                // then the whole roster due in this very slot.
+                if rng.gen_bool(0.1) {
+                    let k = rng.gen_range(0..=u64::from(nodes));
+                    let at = now + rng.gen_range(0..3);
+                    for node in sample_distinct(&mut rng, u64::from(nodes), k) {
+                        schedule(&mut q, &mut model, node as u32, at);
+                    }
+                }
+                if rng.gen_bool(0.02) {
+                    for node in 0..nodes {
+                        schedule(&mut q, &mut model, node, now);
+                    }
+                }
+                for until in [
+                    now,
+                    now + 1,
+                    now + rng.gen_range(0..wheel + 2),
+                    now + rng.gen_range(0..8 * wheel + 64),
+                    horizon,
+                ] {
+                    let brute = model.values().copied().filter(|&s| s < until).min();
+                    assert_eq!(q.next_due(now, until), brute, "next_due({now}, {until})");
+                }
+                q.drain_due(now, &mut out);
+                let expected: Vec<(u64, u32)> = model
+                    .iter()
+                    .filter(|&(_, &s)| s == now)
+                    .map(|(&node, &s)| (s, node))
+                    .collect();
+                assert_eq!(out, expected, "episode {episode}, slot {now}");
+                model.retain(|_, s| *s != now);
+                seen[out.len()] = true;
+                for node in 0..nodes {
+                    assert_eq!(q.next_wake(node), model.get(&node).copied());
+                }
+                now = if rng.gen_bool(0.3) {
+                    q.next_due(now + 1, horizon).unwrap_or(horizon)
+                } else {
+                    now + 1
+                };
+            }
+        }
+        let n = nodes as usize;
+        assert!(
+            seen[0] && seen[1] && seen[n],
+            "empty, single and full drains"
+        );
+        assert!(seen[2..=64].contains(&true), "a drain within one word");
+        assert!(seen[65..n].contains(&true), "a drain across words");
     }
 
     #[test]
@@ -1100,6 +1238,37 @@ mod tests {
         );
         assert_eq!(report.participant_costs[3].total(), 10);
         assert!(report.participant_refusals[3] > 0);
+    }
+
+    #[test]
+    fn telemetry_counts_the_listens_budgets_granted() {
+        // Node budgets of 100 against a 1,500-slot blanket jam: most
+        // deferred listens are refused. Settled plus materialized listens
+        // must add up to what the ledger charged, and the RNG count must
+        // be every stream's draws.
+        let spec = quiet_spec(16, 2_000);
+        let mut budgets = vec![Budget::limited(100); 17];
+        budgets[0] = Budget::unlimited();
+        let collector = rcb_telemetry::RecordingCollector::new();
+        let report = run_gossip_soa_with(
+            &cfg(2_000, Spectrum::single(), 0),
+            &spec,
+            &budgets,
+            Budget::limited(1_500),
+            &mut Blanket(Spectrum::single()),
+            &SeedTree::new(1),
+            &mut |p| matches!(p, Payload::Nack),
+            &mut GossipSoaScratch::new(),
+            &collector,
+        );
+        let charged: u64 = report.participant_costs.iter().map(|c| c.listens).sum();
+        let refused: u64 = report.participant_refusals.iter().sum();
+        let settled = collector.counter(MetricId::EngineSettledListens);
+        let resolved = collector.counter(MetricId::EngineListenersResolved);
+        assert!(refused > 0, "the budgets never bound");
+        assert!(settled <= charged, "{settled} settled > {charged} charged");
+        assert_eq!(settled + resolved, charged);
+        assert!(collector.counter(MetricId::EngineRngDraws) > 0);
     }
 
     #[test]

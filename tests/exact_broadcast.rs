@@ -19,6 +19,7 @@
 use std::sync::{Arc, OnceLock};
 
 use evildoers::adversary::StrategySpec;
+use evildoers::baselines::{execute_kpsy, KpsyConfig};
 use evildoers::core::{BroadcastSoaScratch, DecoyConfig, Params, RunConfig, SizeKnowledge};
 use evildoers::radio::{
     Adversary, AdversaryCtx, AdversaryMove, Budget, RunReport, Slot, SlotObservation,
@@ -237,16 +238,31 @@ fn untraced_and_traced_runs_agree_on_everything_but_the_trace() {
     assert!(starved_refusals > 0, "the starved variant never ran dry");
 }
 
-/// Forwards a zoo strategy and counts the listener identities Carol
-/// observes.
+/// Forwards a zoo strategy and counts Carol's calls and the listener
+/// identities she observes.
 struct ListenerProbe {
     inner: Box<dyn Adversary>,
     wants_identities: bool,
     observed: u64,
+    plans: u64,
+    observes: u64,
+}
+
+impl ListenerProbe {
+    fn new(inner: Box<dyn Adversary>, wants_identities: bool) -> Self {
+        Self {
+            inner,
+            wants_identities,
+            observed: 0,
+            plans: 0,
+            observes: 0,
+        }
+    }
 }
 
 impl Adversary for ListenerProbe {
     fn plan(&mut self, slot: Slot, ctx: &AdversaryCtx) -> AdversaryMove {
+        self.plans += 1;
         self.inner.plan(slot, ctx)
     }
     fn react(&mut self, slot: Slot, activity: bool, planned: AdversaryMove) -> AdversaryMove {
@@ -256,6 +272,7 @@ impl Adversary for ListenerProbe {
         self.inner.is_reactive()
     }
     fn observe(&mut self, slot: Slot, observation: &SlotObservation<'_>) {
+        self.observes += 1;
         self.observed += observation.listeners.len() as u64;
         self.inner.observe(slot, observation);
     }
@@ -287,11 +304,10 @@ fn observed_listeners_reconcile_with_charged_listens() {
                     let label = format!("{} {variant} {budget:?} seed={seed}", strategy.name());
                     let config = RunConfig::seeded(seed).carol_budget(budget);
                     let run = |wants_identities: bool| {
-                        let mut probe = ListenerProbe {
-                            inner: strategy.slot_adversary(&params, seed),
+                        let mut probe = ListenerProbe::new(
+                            strategy.slot_adversary(&params, seed),
                             wants_identities,
-                            observed: 0,
-                        };
+                        );
                         let collector = Arc::new(RecordingCollector::new());
                         let (outcome, report) = BroadcastSoaScratch::new().run_with(
                             &params,
@@ -316,6 +332,67 @@ fn observed_listeners_reconcile_with_charged_listens() {
                         charged,
                         "{label}: observed + settled vs charged"
                     );
+                }
+            }
+        }
+    }
+}
+
+/// Everything a run reports but its trace, and the run's length.
+fn render_run(outcome: &impl std::fmt::Debug, report: &RunReport) -> (String, u64) {
+    let rendered = format!(
+        "{outcome:?} {:?} {:?} {:?} {} {}",
+        report.stop_reason,
+        report.participant_refusals,
+        report.channel_stats,
+        report.jammed_slots,
+        report.noisy_slots
+    );
+    (rendered, report.slots_elapsed)
+}
+
+#[test]
+fn carol_is_called_in_every_slot_unless_dead_air_is_skipped() {
+    // Once Carol's pool is spent, an untraced run whose adversary does
+    // not want listener identities skips the slots in which no device
+    // acts, without calling her. A traced run, or one whose adversary
+    // wants identities, calls her in every slot. All three runs agree.
+    let params = variant_params("plain", 64);
+    for strategy in [
+        StrategySpec::Continuous,
+        StrategySpec::Spoof(0.3),
+        StrategySpec::Reactive,
+    ] {
+        for seed in [1u64, 2] {
+            // ((rendered run, slots), plans, observes)
+            let run = |driver: &str, trace: usize, wants: bool| {
+                let mut probe = ListenerProbe::new(strategy.slot_adversary(&params, seed), wants);
+                let run = if driver == "broadcast" {
+                    let config = RunConfig::seeded(seed)
+                        .carol_budget(Budget::limited(200))
+                        .trace(trace);
+                    let (outcome, report) =
+                        BroadcastSoaScratch::new().run(&params, &mut probe, &config);
+                    render_run(&outcome, &report)
+                } else {
+                    let n = if driver == "kpsy n=1" { 1 } else { 64 };
+                    let mut config = KpsyConfig::new(n, (1 << 12) - 2, Budget::limited(10), seed);
+                    config.trace_capacity = trace;
+                    let (outcome, report) = execute_kpsy(&config, &mut probe);
+                    render_run(&outcome, &report)
+                };
+                (run, probe.plans, probe.observes)
+            };
+            for driver in ["broadcast", "kpsy n=1", "kpsy n=64"] {
+                let label = format!("{driver} {} seed={seed}", strategy.name());
+                let (skipping, plans, observes) = run(driver, 0, false);
+                let slots = skipping.1;
+                assert!(plans < slots, "{label}: {plans} plans over {slots} slots");
+                assert_eq!(observes, plans, "{label}: an observe per plan");
+                for (trace, wants) in [(7, false), (0, true)] {
+                    let (exact, plans, observes) = run(driver, trace, wants);
+                    assert_eq!(exact, skipping, "{label} trace={trace} wants={wants}");
+                    assert_eq!((plans, observes), (slots, slots), "{label}: every slot");
                 }
             }
         }

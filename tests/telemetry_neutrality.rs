@@ -98,6 +98,44 @@ fn settled_listens_are_telemetry_neutral() {
 }
 
 #[test]
+fn dead_air_skipping_is_telemetry_neutral() {
+    // Once Carol's pool is spent, the untraced ε-BROADCAST and KPSY
+    // drivers skip the slots in which no device acts without calling
+    // her. The outcome must not move with a collector attached, slots
+    // must still count the whole run, and plans only the slots simulated.
+    let cells = [
+        (
+            "broadcast/exact broke",
+            Scenario::broadcast(params(64))
+                .adversary(StrategySpec::Continuous)
+                .carol_budget(300)
+                .seed(7),
+        ),
+        (
+            "kpsy n=1 broke",
+            Scenario::kpsy(KpsySpec {
+                n: 1,
+                horizon: (1 << 14) - 2,
+            })
+            .adversary(StrategySpec::Continuous)
+            .carol_budget(10)
+            .seed(3),
+        ),
+    ];
+    for (label, builder) in cells {
+        let collector = assert_neutral(label, builder.clone());
+        let slots = collector.counter(MetricId::EngineSlots);
+        let plans = collector.counter(MetricId::EngineAdversaryPlans);
+        let outcome = builder.build().unwrap().run();
+        assert_eq!(slots, outcome.slots, "{label}: slots are the run length");
+        assert!(
+            0 < plans && plans < slots,
+            "{label}: {plans} plans over {slots} slots"
+        );
+    }
+}
+
+#[test]
 fn fast_engine_is_telemetry_neutral() {
     let collector = assert_neutral(
         "broadcast/fast",
