@@ -43,8 +43,8 @@
 //! ## Dead air
 //!
 //! Once Carol's capped pool is spent ([`Medium::carol_broke`]), nothing
-//! she plans can air, and a slot in which no device wakes changes no
-//! state: no frame, jam, listen or charge. When the run is untraced and
+//! she plans can air, and a slot in which no device wakes carries no
+//! frame and no jam: it changes no state. When the run is untraced and
 //! its adversary does not want listener identities (the same gate as
 //! settled listens), the driver jumps from such a slot straight to the
 //! next event: a wake or termination ([`WakeQueue::next_due`] on both
@@ -52,8 +52,8 @@
 //! boundaries) or the slot cap. Carol is not consulted for the skipped
 //! slots, which could deliver nothing, so the jump adds its length to
 //! the quiet set's deferred listens. No random draw moves. In the
-//! jammed flagship (n = 2^12, T = 2,000) she is broke after 2,000 slots
-//! and about five in six of the run's 152k slots are skipped.
+//! jammed flagship (n = 2^12, T = 2,000) she is broke after 2,000 slots,
+//! and about 125k of a trial's 152k slots are skipped.
 //!
 //! ## Fidelity
 //!
@@ -66,12 +66,12 @@
 //! is empty there. Tracing (`trace_capacity > 0`) or an adversary whose
 //! [`Adversary::wants_listener_identities`] is true turns settlement and
 //! dead-air skipping off: the run materializes every listener and calls
-//! Carol in every slot, with an identical outcome. Request phases are always materialized: their
-//! noise feeds per-node termination counters. Termination timing
-//! replicates the protocol slot-for-slot: judged devices go quiet on the
-//! round-boundary slot, relayers terminate *after* acting on their
-//! step's final slot, and late recruits wait (sending decoys) until the
-//! next request phase.
+//! Carol in every slot, with an identical outcome. Request phases are
+//! always materialized: their noise feeds per-node termination counters.
+//! Termination timing replicates the protocol slot-for-slot: judged
+//! devices go quiet on the round-boundary slot, relayers terminate
+//! *after* acting on their step's final slot, and late recruits wait
+//! (sending decoys) until the next request phase.
 
 use rcb_auth::{Authority, Payload as MessageBytes};
 use rcb_radio::{

@@ -186,20 +186,18 @@ impl WakeQueue {
     /// The first slot in `from..until` at which some wake is due, if any.
     ///
     /// Scans at most one turn of the wheel from `from`, checking each
-    /// bucket for an entry due exactly at its slot; if the turn finds
+    /// bucket for an entry due exactly at its slot and dropping the stale
+    /// entries it meets, as a drain of that slot would; if the turn finds
     /// none and `until` lies beyond it, every pending wake is at least a
     /// turn away, and one pass over the nodes' schedule finds the
     /// earliest. Drivers use it to jump over slots in which nothing can
-    /// happen.
-    #[must_use]
-    pub fn next_due(&self, from: u64, until: u64) -> Option<u64> {
+    /// happen, without draining them one by one.
+    pub fn next_due(&mut self, from: u64, until: u64) -> Option<u64> {
         let turn_end = until.min(from.saturating_add(self.mask + 1));
         for slot in from..turn_end {
-            let bucket = &self.buckets[(slot & self.mask) as usize];
-            if bucket
-                .iter()
-                .any(|&(s, node)| s == slot && self.next_wake[node as usize] == s)
-            {
+            let bucket = &mut self.buckets[(slot & self.mask) as usize];
+            bucket.retain(|&(s, node)| self.next_wake[node as usize] == s);
+            if bucket.iter().any(|&(s, _)| s == slot) {
                 return Some(slot);
             }
         }
@@ -391,12 +389,12 @@ fn settle_epoch_inert(
     };
     let heard_noise = draw(rng, noisy);
     let quiet = draw(rng, inert - noisy);
-    let total = heard_noise + quiet;
-    let granted = if total > 0 {
-        ledger.charge_participant_many_on(node as usize, Op::Listen, total, ChannelId::new(channel))
-    } else {
-        0
-    };
+    let granted = ledger.charge_participant_many_on(
+        node as usize,
+        Op::Listen,
+        heard_noise + quiet,
+        ChannelId::new(channel),
+    );
     (heard_noise > 0, granted)
 }
 
@@ -936,16 +934,19 @@ mod tests {
                     }
                 }
                 // Bursts: a random subset due now or shortly, and now and
-                // then the whole roster due in this very slot.
+                // then the whole roster due in this very slot, parked in
+                // descending order so that roster order must be restored.
                 if rng.gen_bool(0.1) {
                     let k = rng.gen_range(0..=u64::from(nodes));
                     let at = now + rng.gen_range(0..3);
-                    for node in sample_distinct(&mut rng, u64::from(nodes), k) {
+                    let mut burst = sample_distinct(&mut rng, u64::from(nodes), k);
+                    burst.sort_unstable_by(|a, b| b.cmp(a));
+                    for node in burst {
                         schedule(&mut q, &mut model, node as u32, at);
                     }
                 }
                 if rng.gen_bool(0.02) {
-                    for node in 0..nodes {
+                    for node in (0..nodes).rev() {
                         schedule(&mut q, &mut model, node, now);
                     }
                 }

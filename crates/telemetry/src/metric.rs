@@ -15,7 +15,7 @@
 #[repr(usize)]
 pub enum MetricId {
     // --- exact-engine (era 2) hot-path profile ---
-    /// Slots the exact engine simulated.
+    /// Slots an exact run spanned (its length, dead air included).
     EngineSlots,
     /// Wake-queue drain batches (slots that woke at least one device).
     EngineWakeDrains,
@@ -31,8 +31,9 @@ pub enum MetricId {
     EngineSettledListens,
     /// RNG sampling operations the engine performed.
     EngineRngDraws,
-    /// Adversary plan invocations (one per simulated slot with a live
-    /// adversary).
+    /// Adversary plan invocations: one per simulated slot. Dead air the
+    /// ε-BROADCAST and KPSY drivers skip once Carol is broke has none, so
+    /// `EngineSlots` minus this counter is the dead air.
     EngineAdversaryPlans,
     /// Distribution of wake-queue drain batch sizes (devices per
     /// non-empty drain).

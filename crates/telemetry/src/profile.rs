@@ -16,7 +16,7 @@ use crate::metric::MetricId;
 /// across.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EngineProfile {
-    /// Slots simulated.
+    /// Slots the run spanned, dead air included.
     pub slots: u64,
     /// Wake-queue drain batches that woke at least one device.
     pub wake_drains: u64,
@@ -32,7 +32,7 @@ pub struct EngineProfile {
     pub settled_listens: u64,
     /// RNG sampling operations.
     pub rng_draws: u64,
-    /// Adversary plan invocations.
+    /// Adversary plan invocations: one per simulated slot.
     pub adversary_plans: u64,
 }
 

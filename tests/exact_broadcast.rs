@@ -14,7 +14,15 @@
 //! a result: an untraced run and a traced run (which materializes every
 //! listener in every slot) of one config agree on everything but the
 //! trace. A probe adversary, with and without a request for listener
-//! identities, checks the listeners Carol observes against the ledger.
+//! identities, checks the listeners Carol observes against the ledger,
+//! and counts her calls: once her pool is spent, only an untraced run
+//! whose adversary does not want identities may skip dead air.
+//!
+//! Two smaller tables pin the shapes the 50-entry grid cannot reach:
+//! ε-BROADCAST at n = 256, whose early request slots wake hundreds of
+//! devices at once, and KPSY at n ∈ {1, 64} over 13 epochs. In both,
+//! Carol's pool runs dry mid-run, so most of the run is dead air: slots
+//! in which no device acts and nothing Carol plans can air.
 
 use std::sync::{Arc, OnceLock};
 
