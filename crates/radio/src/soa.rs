@@ -677,9 +677,10 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
                 };
                 air.listen(node, channel);
             }
-            if telemetry {
+            if telemetry && !air.listeners().is_empty() {
+                // Passes that resolve someone, and the listens budgets
+                // granted, as in the ε-BROADCAST driver.
                 prof.listener_passes += 1;
-                // The listens budgets granted, as for settled listens.
                 prof.listeners_resolved += air.listeners().len() as u64;
             }
             air.hear_all(|ledger, pid, reception| {
@@ -1242,7 +1243,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_the_listens_budgets_granted() {
+    fn telemetry_counts_what_happened() {
         // Node budgets of 100 against a 1,500-slot blanket jam: most
         // deferred listens are refused. Settled plus materialized listens
         // must add up to what the ledger charged, and the RNG count must
@@ -1270,6 +1271,28 @@ mod tests {
         assert!(settled <= charged, "{settled} settled > {charged} charged");
         assert_eq!(settled + resolved, charged);
         assert!(collector.counter(MetricId::EngineRngDraws) > 0);
+
+        // A traced run materializes every slot, but with listen_p 0.05
+        // most slots draw no listener: only the others count as passes.
+        let mut sparse = quiet_spec(16, 500);
+        sparse.listen_p = 0.05;
+        let collector = rcb_telemetry::RecordingCollector::new();
+        let report = run_gossip_soa_with(
+            &cfg(500, Spectrum::single(), 1 << 12),
+            &sparse,
+            &vec![Budget::unlimited(); 17],
+            Budget::unlimited(),
+            &mut SilentAdversary,
+            &SeedTree::new(1),
+            &mut |p| matches!(p, Payload::Nack),
+            &mut GossipSoaScratch::new(),
+            &collector,
+        );
+        let heard = report.trace.records().iter().filter(|r| r.listeners > 0);
+        assert_eq!(
+            collector.counter(MetricId::EngineListenerPasses),
+            heard.count() as u64
+        );
     }
 
     #[test]

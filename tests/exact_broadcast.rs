@@ -407,8 +407,8 @@ fn carol_is_called_in_every_slot_unless_dead_air_is_skipped() {
     }
 }
 
-/// Renders `builder`'s outcome with its telemetry stripped.
-fn rendered(builder: ScenarioBuilder) -> ScenarioOutcome {
+/// Runs `builder` and strips the outcome's telemetry.
+fn bare_outcome(builder: ScenarioBuilder) -> ScenarioOutcome {
     let mut outcome = builder.build().expect("valid exact cell").run();
     outcome.telemetry = None;
     outcome
@@ -419,8 +419,8 @@ fn rendered(builder: ScenarioBuilder) -> ScenarioOutcome {
 /// beyond its trace and that Carol spent her whole pool.
 fn fold_runs(mut hash: u64, label: &str, builder: &ScenarioBuilder, pool: u64) -> u64 {
     for seed in [1u64, 2] {
-        let plain = rendered(builder.clone().seed(seed));
-        let traced = rendered(builder.clone().seed(seed).trace(7));
+        let plain = bare_outcome(builder.clone().seed(seed));
+        let traced = bare_outcome(builder.clone().seed(seed).trace(7));
         assert_eq!(
             plain.carol_spend(),
             pool,
