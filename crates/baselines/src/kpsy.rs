@@ -90,9 +90,9 @@ fn epoch_quota(len: u64) -> u64 {
 }
 
 /// Bucket count of the players' wake queue. A player has one pending
-/// wake at a time, so a drain scans only its bucket's `≈ (n + 1)/64`
-/// parked players; a wheel as long as the horizon would instead keep
-/// every slot's burst of due players allocated for the whole run.
+/// wake at a time, so a drain walks only its bucket's `≈ (n + 1)/64`
+/// parked players, and a dead-air jump ([`WakeQueue::next_due`]) scans
+/// at most 64 buckets before its one pass over the roster.
 const WAKE_BUCKETS: u64 = 64;
 
 /// The epoch containing `slot`: `⌊log2(slot + 2)⌋`.

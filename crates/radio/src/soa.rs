@@ -55,31 +55,62 @@ use crate::participant::Reception;
 use crate::slot::Slot;
 use crate::spectrum::ChannelId;
 
-/// Upper bound on wheel size — beyond this, far-future wakes alias into
-/// earlier buckets and are skipped during drains (correctly, at a small
+/// Upper bound on wheel size. Past it, far-future wakes alias into
+/// earlier buckets, and a drain walks past them (correctly, at a small
 /// re-scan cost).
 const MAX_BUCKETS: u64 = 1 << 16;
+
+/// The end of a bucket's list: no node.
+const NIL: u32 = u32::MAX;
 
 /// A calendar queue over slots: each pending wakeup is parked in the
 /// bucket `slot & mask` of a power-of-two wheel.
 ///
-/// The authoritative schedule is the `next_wake` array — one slot per
-/// node, `u64::MAX` meaning unscheduled — so rescheduling or cancelling
-/// is O(1): stale bucket entries are detected (entry slot ≠ the node's
-/// authoritative slot) and dropped lazily during drains. Scheduling at
-/// or past the queue's horizon is a no-op, which is how protocol
-/// deadlines ("senders stop at the horizon") are enforced without a
-/// per-wake branch at drain time.
+/// A bucket is an intrusive doubly linked list threaded through the
+/// nodes: one `u32` head per bucket, and per node its `next`/`prev`
+/// links beside its authoritative wake slot (`u64::MAX` meaning
+/// unscheduled). A node sits in at most one list, its wake slot's, so
+/// rescheduling or cancelling unlinks the old entry at once, in O(1),
+/// and a list holds only pending wakes, some of them aliased from later
+/// turns of the wheel. The storage is sized by [`reset`](Self::reset):
+/// 4 B per bucket and 16 B per node, plus the drains' roster bitmap.
+/// Traffic never grows it, so a slot in which every node wakes costs no
+/// memory.
+///
+/// Scheduling at or past the queue's horizon is a no-op, which is how
+/// protocol deadlines ("senders stop at the horizon") are enforced
+/// without a per-wake branch at drain time.
 #[derive(Debug, Default)]
 pub struct WakeQueue {
-    buckets: Vec<Vec<(u64, u32)>>,
+    /// The first node parked in each bucket, `NIL` when empty.
+    heads: Vec<u32>,
     mask: u64,
-    next_wake: Vec<u64>,
+    /// Per node: its wake slot and its links in that slot's bucket.
+    parked: Vec<Parked>,
     horizon: u64,
     /// A roster bitmap, one bit per node, all clear between drains.
     due_bits: Vec<u64>,
     /// The `due_bits` words a drain set, to read back in ascending order.
     due_words: Vec<u32>,
+}
+
+/// One node's place in a [`WakeQueue`].
+#[derive(Debug, Clone, Copy)]
+struct Parked {
+    /// The slot the node wakes at, `u64::MAX` when unscheduled.
+    wake: u64,
+    /// Its neighbours in its bucket's list, `NIL` at either end; unused
+    /// while unscheduled.
+    prev: u32,
+    next: u32,
+}
+
+impl Parked {
+    const UNSCHEDULED: Self = Self {
+        wake: u64::MAX,
+        prev: NIL,
+        next: NIL,
+    };
 }
 
 impl WakeQueue {
@@ -90,7 +121,7 @@ impl WakeQueue {
     }
 
     /// Re-shapes the queue in place for `nodes` participants and wakes
-    /// strictly below `horizon`, reusing bucket allocations.
+    /// strictly below `horizon`, reusing its allocations.
     pub fn reset(&mut self, nodes: usize, horizon: u64) {
         let buckets = horizon.max(1).next_power_of_two().min(MAX_BUCKETS);
         self.reset_with_buckets(nodes, horizon, buckets);
@@ -104,47 +135,67 @@ impl WakeQueue {
             buckets.is_power_of_two(),
             "bucket count must be a power of two"
         );
-        self.buckets.resize_with(buckets as usize, Vec::new);
-        self.buckets.truncate(buckets as usize);
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
+        self.heads.clear();
+        self.heads.resize(buckets as usize, NIL);
         self.mask = buckets - 1;
-        self.next_wake.clear();
-        self.next_wake.resize(nodes, u64::MAX);
+        self.parked.clear();
+        self.parked.resize(nodes, Parked::UNSCHEDULED);
         self.horizon = horizon;
+        let words = nodes.div_ceil(64);
         self.due_bits.clear();
-        self.due_bits.resize(nodes.div_ceil(64), 0);
+        self.due_bits.resize(words, 0);
+        // A drain lists each bitmap word at most once.
         self.due_words.clear();
+        self.due_words.reserve_exact(words);
     }
 
     /// Schedules `node` to wake at `slot`, replacing any pending wake.
     /// Requests at or past the horizon leave the node unscheduled.
     pub fn schedule(&mut self, node: u32, slot: u64) {
+        self.cancel(node);
         if slot >= self.horizon {
-            self.next_wake[node as usize] = u64::MAX;
             return;
         }
-        self.next_wake[node as usize] = slot;
-        self.buckets[(slot & self.mask) as usize].push((slot, node));
+        let head = &mut self.heads[(slot & self.mask) as usize];
+        let next = std::mem::replace(head, node);
+        if next != NIL {
+            self.parked[next as usize].prev = node;
+        }
+        self.parked[node as usize] = Parked {
+            wake: slot,
+            prev: NIL,
+            next,
+        };
     }
 
-    /// Unschedules `node` (lazily — any bucket entry goes stale).
+    /// Unschedules `node`, unlinking its pending wake if it has one.
     pub fn cancel(&mut self, node: u32) {
-        self.next_wake[node as usize] = u64::MAX;
+        let Parked { wake, prev, next } = self.parked[node as usize];
+        if wake == u64::MAX {
+            return;
+        }
+        self.parked[node as usize].wake = u64::MAX;
+        if prev == NIL {
+            self.heads[(wake & self.mask) as usize] = next;
+        } else {
+            self.parked[prev as usize].next = next;
+        }
+        if next != NIL {
+            self.parked[next as usize].prev = prev;
+        }
     }
 
     /// The slot `node` will next wake at, if scheduled.
     #[must_use]
     pub fn next_wake(&self, node: u32) -> Option<u64> {
-        let slot = self.next_wake[node as usize];
+        let slot = self.parked[node as usize].wake;
         (slot != u64::MAX).then_some(slot)
     }
 
     /// Moves every wake due exactly at `slot` into `out`, sorted by node
     /// id (ascending — the engine processes wakes in roster order).
-    /// Stale entries encountered along the way are discarded; entries
-    /// for future slots aliased into this bucket are kept.
+    /// The walk covers `slot`'s bucket, unlinking the due nodes and
+    /// passing over the wakes aliased into it from later turns.
     ///
     /// Every entry of a batch is due in the same slot and names a
     /// distinct node, so no comparison sort is needed: each due node
@@ -154,23 +205,18 @@ impl WakeQueue {
     /// plus the batch, not `batch × log(batch)`.
     pub fn drain_due(&mut self, slot: u64, out: &mut Vec<(u64, u32)>) {
         out.clear();
-        let bucket = &mut self.buckets[(slot & self.mask) as usize];
-        let mut i = 0;
-        while i < bucket.len() {
-            let (s, node) = bucket[i];
-            if self.next_wake[node as usize] != s {
-                bucket.swap_remove(i);
-            } else if s == slot {
-                bucket.swap_remove(i);
-                self.next_wake[node as usize] = u64::MAX;
+        let mut node = self.heads[(slot & self.mask) as usize];
+        while node != NIL {
+            let Parked { wake, next, .. } = self.parked[node as usize];
+            if wake == slot {
+                self.cancel(node);
                 let word = &mut self.due_bits[(node / 64) as usize];
                 if *word == 0 {
                     self.due_words.push(node / 64);
                 }
                 *word |= 1 << (node % 64);
-            } else {
-                i += 1;
             }
+            node = next;
         }
         self.due_words.sort_unstable();
         for &w in &self.due_words {
@@ -185,28 +231,30 @@ impl WakeQueue {
 
     /// The first slot in `from..until` at which some wake is due, if any.
     ///
-    /// Scans at most one turn of the wheel from `from`, checking each
-    /// bucket for an entry due exactly at its slot and dropping the stale
-    /// entries it meets, as a drain of that slot would; if the turn finds
-    /// none and `until` lies beyond it, every pending wake is at least a
-    /// turn away, and one pass over the nodes' schedule finds the
-    /// earliest. Drivers use it to jump over slots in which nothing can
-    /// happen, without draining them one by one.
-    pub fn next_due(&mut self, from: u64, until: u64) -> Option<u64> {
+    /// Walks the buckets of at most one turn of the wheel from `from`,
+    /// looking for a wake due exactly at its bucket's slot; if the turn
+    /// finds none and `until` lies beyond it, every pending wake is at
+    /// least a turn away, and one pass over the nodes' schedule finds
+    /// the earliest. Drivers use it to jump over slots in which nothing
+    /// can happen, without draining them one by one.
+    pub fn next_due(&self, from: u64, until: u64) -> Option<u64> {
         let turn_end = until.min(from.saturating_add(self.mask + 1));
         for slot in from..turn_end {
-            let bucket = &mut self.buckets[(slot & self.mask) as usize];
-            bucket.retain(|&(s, node)| self.next_wake[node as usize] == s);
-            if bucket.iter().any(|&(s, _)| s == slot) {
-                return Some(slot);
+            let mut node = self.heads[(slot & self.mask) as usize];
+            while node != NIL {
+                let parked = self.parked[node as usize];
+                if parked.wake == slot {
+                    return Some(slot);
+                }
+                node = parked.next;
             }
         }
         if turn_end == until {
             return None;
         }
-        self.next_wake
+        self.parked
             .iter()
-            .copied()
+            .map(|p| p.wake)
             .filter(|&s| (turn_end..until).contains(&s))
             .min()
     }
@@ -863,16 +911,16 @@ mod tests {
     }
 
     #[test]
-    fn wake_queue_reschedule_and_cancel_go_stale_lazily() {
+    fn wake_queue_reschedule_and_cancel_unlink_the_old_entry() {
         let mut q = WakeQueue::new();
         q.reset(4, 1_000);
         q.schedule(1, 5);
-        q.schedule(1, 9); // reschedule: entry at 5 is now stale
+        q.schedule(1, 9); // reschedule: the entry at 5 is unlinked
         q.schedule(2, 5);
         q.cancel(2);
         let mut out = Vec::new();
         q.drain_due(5, &mut out);
-        assert!(out.is_empty(), "stale and cancelled entries must not fire");
+        assert!(out.is_empty(), "moved and cancelled wakes must not fire");
         q.drain_due(9, &mut out);
         assert_eq!(out, vec![(9, 1)]);
     }
@@ -894,7 +942,7 @@ mod tests {
     #[test]
     fn wake_queue_matches_a_model_under_random_traffic() {
         // Random schedule / reschedule / cancel traffic over wheels far
-        // shorter than the horizon, so entries alias and go stale. Time
+        // shorter than the horizon, so entries alias and move. Time
         // advances slot by slot or, like a driver skipping dead air, by
         // `next_due` jumps that leave buckets undrained. Every drain is
         // checked against a node → slot model, every `next_due` against
@@ -987,6 +1035,88 @@ mod tests {
         );
         assert!(seen[2..=64].contains(&true), "a drain within one word");
         assert!(seen[65..n].contains(&true), "a drain across words");
+    }
+
+    /// Walks every bucket's list, with a bound, checking that the lists
+    /// hold exactly the scheduled nodes, each in its slot's bucket and
+    /// linked both ways.
+    fn assert_well_linked(q: &WakeQueue) {
+        let mut listed = 0;
+        for (bucket, &head) in q.heads.iter().enumerate() {
+            let (mut prev, mut node) = (NIL, head);
+            while node != NIL {
+                assert!(listed < q.parked.len(), "a bucket list cycles");
+                let parked = q.parked[node as usize];
+                assert_eq!(parked.wake & q.mask, bucket as u64, "node {node}'s bucket");
+                assert_eq!(parked.prev, prev, "node {node}'s back link");
+                listed += 1;
+                (prev, node) = (node, parked.next);
+            }
+        }
+        let scheduled = q.parked.iter().filter(|p| p.wake != u64::MAX).count();
+        assert_eq!(listed, scheduled, "every scheduled node is listed once");
+    }
+
+    #[test]
+    fn wake_queue_memory_is_fixed_at_reset() {
+        // Whole-roster bursts due in one slot, again and again, then
+        // re-parked across a wheel far shorter than the horizon, with
+        // reschedules, cancels and `next_due` jumps: the storage `reset`
+        // sized must carry all of it, and a drain lists each bitmap word
+        // at most once.
+        let nodes = 300u32; // five bitmap words, one partial
+        let words = 5;
+        let horizon = 20_000u64;
+        let mut rng = CounterRng::new(0x5eed_b0a7);
+        let mut q = WakeQueue::new();
+        q.reset_with_buckets(nodes as usize, horizon, 16);
+        assert_eq!(q.due_words.capacity(), words);
+        let shape = |q: &WakeQueue| {
+            [
+                q.heads.len(),
+                q.heads.capacity(),
+                q.parked.len(),
+                q.parked.capacity(),
+                q.due_bits.len(),
+                q.due_bits.capacity(),
+                q.due_words.capacity(),
+            ]
+        };
+        let sized = shape(&q);
+        assert_eq!(sized[..6], [16, 16, 300, 300, words, words]);
+        let mut out = Vec::new();
+        let (mut now, mut bursts) = (0u64, 0);
+        while now < horizon {
+            for _ in 0..rng.gen_range(0..20u32) {
+                let node = rng.gen_range(0..nodes);
+                q.schedule(node, now + rng.gen_range(1..500));
+                if rng.gen_bool(0.3) {
+                    q.cancel(node);
+                }
+            }
+            let burst = rng.gen_bool(0.2);
+            if burst {
+                bursts += 1;
+                for node in (0..nodes).rev() {
+                    q.schedule(node, now);
+                }
+            }
+            assert_well_linked(&q);
+            q.drain_due(now, &mut out);
+            assert!(!burst || out.len() == nodes as usize);
+            for &(_, node) in &out {
+                q.schedule(node, now + 1 + rng.gen_range(0..2_000));
+            }
+            assert!(q.due_words.is_empty() && q.due_bits.iter().all(|&w| w == 0));
+            assert_eq!(shape(&q), sized, "slot {now}");
+            assert_well_linked(&q);
+            now = if rng.gen_bool(0.3) {
+                q.next_due(now + 1, horizon).unwrap_or(horizon)
+            } else {
+                now + 1
+            };
+        }
+        assert!(bursts > 100, "{bursts} whole-roster drains");
     }
 
     #[test]
