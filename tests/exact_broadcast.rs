@@ -18,19 +18,29 @@
 //! and counts her calls: once her pool is spent, only an untraced run
 //! whose adversary does not want identities may skip dead air.
 //!
-//! Two smaller tables pin the shapes the 50-entry grid cannot reach:
+//! Three smaller tables pin the shapes the 50-entry grid cannot reach:
 //! ε-BROADCAST at n = 256, whose early request slots wake hundreds of
-//! devices at once, and KPSY at n ∈ {1, 64} over 13 epochs. In both,
-//! Carol's pool runs dry mid-run, so most of the run is dead air: slots
-//! in which no device acts and nothing Carol plans can air.
+//! devices at once; ε-BROADCAST at n = 512, whose request phases span
+//! hundreds of slots and whose Carol may run dry inside one; and KPSY at
+//! n ∈ {1, 64} over 13 epochs. In all three, Carol's pool runs dry
+//! mid-run, so most of the run is dead air: slots in which no device
+//! acts and nothing Carol plans can air. The n = 512 table also digests
+//! every slot with traffic as Carol observes it.
+//!
+//! No zoo strategy jams a request slot selectively, so a test jammer
+//! does, with `Only` and `AllExcept` over a fixed id set; traced and
+//! untraced runs must agree on the outcome and on Carol's observations.
 
 use std::sync::{Arc, OnceLock};
 
 use evildoers::adversary::StrategySpec;
 use evildoers::baselines::{execute_kpsy, KpsyConfig};
-use evildoers::core::{BroadcastSoaScratch, DecoyConfig, Params, RunConfig, SizeKnowledge};
+use evildoers::core::{
+    BroadcastSoaScratch, DecoyConfig, Params, PhaseKind, RoundSchedule, RunConfig, SizeKnowledge,
+};
 use evildoers::radio::{
-    Adversary, AdversaryCtx, AdversaryMove, Budget, RunReport, Slot, SlotObservation,
+    Adversary, AdversaryCtx, AdversaryMove, Budget, IdSet, JamDirective, ParticipantId, RunReport,
+    Slot, SlotObservation,
 };
 use evildoers::sim::{KpsySpec, Scenario, ScenarioBuilder, ScenarioOutcome};
 use evildoers::telemetry::{MetricId, RecordingCollector};
@@ -70,6 +80,9 @@ fn variant_params(variant: &str, n: u64) -> Params {
             builder.size_knowledge(SizeKnowledge::PolynomialOverestimate { nu: n * n })
         }
         "starved" => builder.budget_scale(0.02),
+        // Judged from round 4 on, whose request phase is one 64-slot
+        // window, instead of round 8 at n = 512.
+        "early" => builder.min_termination_round(4),
         other => unreachable!("unknown params variant {other}"),
     }
     .build()
@@ -539,4 +552,251 @@ fn kpsy_dead_air_matches_pinned_digests() {
         .map(|&(name, n, hash)| (name.to_string(), n, hash))
         .collect();
     assert_eq!(actual, expected, "KPSY dead-air digests drifted");
+}
+
+/// Forwards an adversary, folds every observation with traffic on it
+/// into an FNV-1a digest, and remembers the last slot Carol planned with
+/// budget left: she ran dry in that slot or never.
+struct TrafficProbe {
+    inner: Box<dyn Adversary>,
+    digest: u64,
+    solvent_until: Option<u64>,
+}
+
+impl TrafficProbe {
+    fn new(inner: Box<dyn Adversary>) -> Self {
+        Self {
+            inner,
+            digest: 0xcbf2_9ce4_8422_2325,
+            solvent_until: None,
+        }
+    }
+}
+
+impl Adversary for TrafficProbe {
+    fn plan(&mut self, slot: Slot, ctx: &AdversaryCtx) -> AdversaryMove {
+        if ctx.budget_remaining != Some(0) {
+            self.solvent_until = Some(slot.index());
+        }
+        self.inner.plan(slot, ctx)
+    }
+    fn react(&mut self, slot: Slot, activity: bool, planned: AdversaryMove) -> AdversaryMove {
+        self.inner.react(slot, activity, planned)
+    }
+    fn is_reactive(&self) -> bool {
+        self.inner.is_reactive()
+    }
+    fn observe(&mut self, slot: Slot, observation: &SlotObservation<'_>) {
+        // Listener identities are left out: an untraced run may settle
+        // the listens that no frame can reach.
+        if !observation.correct_sends.is_empty()
+            || observation.jam_executed
+            || !observation.delivered.is_empty()
+        {
+            let rendered = format!(
+                "{} {:?} {} {:?} {:?}",
+                slot.index(),
+                observation.correct_sends,
+                observation.jam_executed,
+                observation.jammed_channels,
+                observation.delivered
+            );
+            self.digest = fnv1a(self.digest, rendered.as_bytes());
+        }
+        self.inner.observe(slot, observation);
+    }
+}
+
+/// One direct run of the exact driver under a [`TrafficProbe`].
+struct ProbedRun {
+    /// The rendered run and its length (see [`render_run`]).
+    run: (String, u64),
+    /// The probe's traffic digest.
+    traffic: u64,
+    /// The last slot Carol planned with budget left.
+    solvent_until: Option<u64>,
+    /// Operations refused for lack of budget, over all participants.
+    refusals: u64,
+}
+
+fn probed_run(params: &Params, adversary: Box<dyn Adversary>, config: &RunConfig) -> ProbedRun {
+    let mut probe = TrafficProbe::new(adversary);
+    let (outcome, report) = BroadcastSoaScratch::new().run(params, &mut probe, config);
+    ProbedRun {
+        run: render_run(&outcome, &report),
+        traffic: probe.digest,
+        solvent_until: probe.solvent_until,
+        refusals: report.participant_refusals.iter().sum(),
+    }
+}
+
+/// `wide_broadcast_matches_pinned_digests`: (strategy, params variant,
+/// digest) of ε-BROADCAST at n = 512 with a 2,000-unit Carol, folded
+/// over seed {1, 2} × trace capacity {0, 7}. Each run contributes its
+/// rendered outcome and report and its traffic digest.
+#[rustfmt::skip]
+const WIDE_PINS: [(&str, &str, u64); 14] = [
+    ("continuous", "plain", 0x053d_3c8a_dab7_c6b7),
+    ("continuous", "overestimate", 0x4f22_61b8_e298_5621),
+    ("block-request(β=0.5)", "plain", 0x49bb_647c_24ea_42a5),
+    ("block-request(β=0.5)", "overestimate", 0x0978_34da_fa1d_d703),
+    ("block-request(β=0.5)", "starved", 0x90e1_03db_0234_3705),
+    ("spoof(rate=0.3)", "plain", 0x557f_3d71_11c9_3b3d),
+    ("spoof(rate=0.3)", "overestimate", 0x9672_0352_2e53_6771),
+    ("spoof(rate=0.3)", "starved", 0x37ad_1248_7ac1_0389),
+    ("reactive", "plain", 0xe350_246d_5687_22a3),
+    ("reactive", "overestimate", 0x6bd7_e8f4_978a_d91b),
+    ("continuous", "early", 0x4aca_78d7_5b82_3a7d),
+    ("block-request(β=0.5)", "early", 0x52a0_20e6_0964_6923),
+    ("spoof(rate=0.3)", "early", 0xc32b_45b9_8c0c_4ce5),
+    ("reactive", "early", 0x1327_ab85_54f2_8f81),
+];
+
+#[test]
+fn wide_broadcast_matches_pinned_digests() {
+    // At n = 512 a request phase holds hundreds of devices for up to
+    // 512 slots of rounds 1-6. A 2,000-unit pool runs dry inside a
+    // request phase (the continuous jammer in round 6's), so the slots
+    // skipped as dead air start part-way through one. The ν = n²
+    // overestimate's first g-loop subsegment nacks with p = 1/2; the
+    // starved variant refuses actions part-way through a phase. (Starved
+    // nodes under a jammer that spends from slot 0 make the slowest
+    // runs, so those two cells are left out.) Judgements start in round
+    // 8 by default, when noise is rare; the early variant judges from
+    // round 4 on, while the pool still lasts, so every round's verdict
+    // rides on the noise its listeners counted.
+    let cells = [
+        (StrategySpec::Continuous, "plain"),
+        (StrategySpec::Continuous, "overestimate"),
+        (StrategySpec::BlockRequest(0.5), "plain"),
+        (StrategySpec::BlockRequest(0.5), "overestimate"),
+        (StrategySpec::BlockRequest(0.5), "starved"),
+        (StrategySpec::Spoof(0.3), "plain"),
+        (StrategySpec::Spoof(0.3), "overestimate"),
+        (StrategySpec::Spoof(0.3), "starved"),
+        (StrategySpec::Reactive, "plain"),
+        (StrategySpec::Reactive, "overestimate"),
+        (StrategySpec::Continuous, "early"),
+        (StrategySpec::BlockRequest(0.5), "early"),
+        (StrategySpec::Spoof(0.3), "early"),
+        (StrategySpec::Reactive, "early"),
+    ];
+    let mut actual = Vec::new();
+    let mut dry_in_request = 0;
+    let mut starved_refusals = 0;
+    for (strategy, variant) in cells {
+        let params = variant_params(variant, 512);
+        let schedule = RoundSchedule::new(&params);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for seed in [1u64, 2] {
+            let label = format!("{} {variant} seed={seed}", strategy.name());
+            let run = |trace: usize| {
+                let config = RunConfig::seeded(seed)
+                    .carol_budget(Budget::limited(2_000))
+                    .trace(trace);
+                probed_run(&params, strategy.slot_adversary(&params, seed), &config)
+            };
+            let plain = run(0);
+            let traced = run(7);
+            assert_eq!(plain.run, traced.run, "{label}: the traced run differs");
+            assert_eq!(plain.traffic, traced.traffic, "{label}: traffic differs");
+            // The traced run plans every slot, so the pool ran dry in the
+            // last slot it was solvent for.
+            if let Some(last) = traced.solvent_until {
+                let position = schedule.locate(last);
+                if position.phase == PhaseKind::Request && position.offset > 0 {
+                    dry_in_request += 1;
+                }
+            }
+            if variant == "starved" {
+                starved_refusals += plain.refusals;
+            }
+            for run in [&plain, &traced] {
+                let rendered = format!("{:?} {}", run.run, run.traffic);
+                hash = fnv1a(hash, rendered.as_bytes());
+            }
+        }
+        actual.push((strategy.name(), variant, hash));
+    }
+    assert!(dry_in_request > 0, "no pool ran dry inside a request phase");
+    assert!(starved_refusals > 0, "the starved variant never ran dry");
+    let expected: Vec<(String, &str, u64)> = WIDE_PINS
+        .iter()
+        .map(|&(name, variant, hash)| (name.to_string(), variant, hash))
+        .collect();
+    assert_eq!(actual, expected, "wide ε-BROADCAST digests drifted");
+}
+
+/// Jams every request slot with a jam that picks listeners over a fixed
+/// id set: `Only` the set in even rounds, `AllExcept` it in odd ones.
+/// Idle elsewhere. In an empty request slot, the listeners the jam picks
+/// hear noise and the others silence. With `uniform` set it jams every
+/// listener instead, at the same cost.
+struct TargetedRequestJammer {
+    schedule: RoundSchedule,
+    targets: IdSet,
+    uniform: bool,
+}
+
+impl Adversary for TargetedRequestJammer {
+    fn plan(&mut self, slot: Slot, _: &AdversaryCtx) -> AdversaryMove {
+        let position = self.schedule.locate(slot.index());
+        if position.phase != PhaseKind::Request {
+            return AdversaryMove::idle();
+        }
+        let targets = self.targets.clone();
+        let directive = if self.uniform {
+            JamDirective::All
+        } else if position.round.is_multiple_of(2) {
+            JamDirective::Only(targets)
+        } else {
+            JamDirective::AllExcept(targets)
+        };
+        AdversaryMove {
+            jam: directive.into(),
+            sends: Vec::new(),
+        }
+    }
+}
+
+#[test]
+fn targeted_request_jams_resolve_per_listener() {
+    // No zoo strategy picks listeners in a request phase, so this jammer
+    // does: the nodes it picks count noise that the others do not, and
+    // their termination judgements part ways. Traced runs materialize
+    // every listener; untraced ones may settle listens that no frame can
+    // reach, but must resolve a jam that picks listeners one by one. The
+    // same jam made uniform must change some runs, or the check is blind.
+    let targets: IdSet = [0u32, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+        .into_iter()
+        .map(ParticipantId::new)
+        .collect();
+    for variant in ["plain", "overestimate"] {
+        for n in [24u64, 64] {
+            let params = variant_params(variant, n);
+            for budget in [Budget::unlimited(), Budget::limited(1_000)] {
+                for seed in [1u64, 2, 3] {
+                    let label = format!("{variant} n={n} {budget:?} seed={seed}");
+                    let run = |trace: usize, uniform: bool| {
+                        let jammer = TargetedRequestJammer {
+                            schedule: RoundSchedule::new(&params),
+                            targets: targets.clone(),
+                            uniform,
+                        };
+                        let config = RunConfig::seeded(seed).carol_budget(budget).trace(trace);
+                        probed_run(&params, Box::new(jammer), &config)
+                    };
+                    let plain = run(0, false);
+                    let traced = run(7, false);
+                    assert_eq!(plain.run, traced.run, "{label}: the traced run differs");
+                    assert_eq!(plain.traffic, traced.traffic, "{label}: traffic differs");
+                    let uniform = run(7, true);
+                    assert_ne!(
+                        uniform.run, traced.run,
+                        "{label}: the targets are invisible"
+                    );
+                }
+            }
+        }
+    }
 }
