@@ -10,7 +10,9 @@
 //! is drawn geometrically and parked in a bucketed [`WakeQueue`], so a
 //! simulated slot touches only the devices that act in it, plus Carol's
 //! turn; once she is broke, slots in which nobody acts are not simulated
-//! at all (see *Dead air*).
+//! at all (see *Dead air*). Request segments, whose listens only feed
+//! noise tallies, draw their actions device by device instead (see
+//! *Request windows*).
 //!
 //! ## The two-arm reduction
 //!
@@ -55,6 +57,35 @@
 //! jammed flagship (n = 2^12, T = 2,000) she is broke after 2,000 slots,
 //! and about 125k of a trial's 152k slots are skipped.
 //!
+//! ## Request windows
+//!
+//! In a request phase, Alice and the uninformed nodes listen only to
+//! count noise for the round-end termination test, so nothing they hear
+//! changes what they do before the round ends, and nobody is informed
+//! there: Alice only listens, relayers are silent, and Carol cannot mint
+//! `m`. When the run is untraced and its adversary does not want
+//! listener identities, each request segment therefore runs in windows
+//! of at most 64 slots, cut at the segment end and the slot cap, with
+//! the wake queue left empty.
+//!
+//! First node-major: each actor (Alice and every uninformed node that
+//! acts, in roster order) draws its actions in the window from its own
+//! stream in the per-wake order (arm, then gap), charges each in time
+//! order ([`Medium::charge`]), and keeps its charged listens in one
+//! `u64` mask and its charged nacks in another. Then slot-major: each
+//! slot airs its nacks in roster order and takes Carol's turn unchanged.
+//! A slot that no frame can reach ([`Medium::may_deliver`] is false)
+//! under a jam that picks no listeners only records whether it was
+//! noisy, in the window's noise mask. A slot that may deliver, or whose
+//! jam picks listeners ([`Medium::jam_picks_listeners`]), rebuilds its
+//! listener list from the masks and resolves it exactly. When the
+//! window closes, each actor's noise tally gains
+//! `popcount(listens & noise)`, and the listens no listener list held
+//! count as settled. Each device's stream, budget and tally see the
+//! same draws, charges and receptions as on the per-wake path, and
+//! Carol the same calls, so the outcome is identical. Dead air inside a
+//! window is skipped as above, up to the window's next action.
+//!
 //! ## Fidelity
 //!
 //! Per-slot action *marginals* match the Figure 1/2 state machines
@@ -63,19 +94,19 @@
 //! settled. What settlement hides is the identity of the listeners of a
 //! slot that could deliver nothing: the adversary's
 //! [`SlotObservation::listeners`](rcb_radio::SlotObservation::listeners)
-//! is empty there. Tracing (`trace_capacity > 0`) or an adversary whose
-//! [`Adversary::wants_listener_identities`] is true turns settlement and
-//! dead-air skipping off: the run materializes every listener and calls
-//! Carol in every slot, with an identical outcome. Request phases are
-//! always materialized: their noise feeds per-node termination counters.
-//! Termination timing replicates the protocol slot-for-slot: judged
-//! devices go quiet on the round-boundary slot, relayers terminate
-//! *after* acting on their step's final slot, and late recruits wait
-//! (sending decoys) until the next request phase.
+//! is empty there, in request windows as in the quiet set's slots.
+//! Tracing (`trace_capacity > 0`) or an adversary whose
+//! [`Adversary::wants_listener_identities`] is true turns settlement,
+//! request windows and dead-air skipping off: the run wakes and
+//! materializes every listener and calls Carol in every slot, with an
+//! identical outcome. Termination timing replicates the protocol
+//! slot-for-slot: judged devices go quiet on the round-boundary slot,
+//! relayers terminate *after* acting on their step's final slot, and
+//! late recruits wait (sending decoys) until the next request phase.
 
-use rcb_auth::{Authority, Payload as MessageBytes};
+use rcb_auth::{Authority, KeyId, Payload as MessageBytes, Verifier};
 use rcb_radio::{
-    Adversary, Budget, ChannelId, Medium, Payload, Reception, RunReport, Slot, Spectrum,
+    Adversary, Budget, ChannelId, Medium, Op, Payload, Reception, RunReport, Slot, Spectrum,
     StopReason, WakeQueue,
 };
 use rcb_rng::{CounterRng, Geometric, SeedTree};
@@ -121,6 +152,24 @@ fn class(arms: (f64, f64)) -> Class {
     let geo = (pw > 0.0).then(|| Geometric::new(pw).expect("probabilities are clamped to [0,1]"));
     Class { p1, p2, pw, geo }
 }
+
+impl Class {
+    /// Whether a woken device takes its first arm; draws only when both
+    /// arms are possible.
+    #[inline]
+    fn first_arm(&self, rng: &mut CounterRng) -> bool {
+        if self.p2 <= 0.0 {
+            true
+        } else if self.p1 <= 0.0 {
+            false
+        } else {
+            rand::Rng::gen_bool(rng, (self.p1 / self.pw).min(1.0))
+        }
+    }
+}
+
+/// Longest request window, in slots: one bit of a `u64` mask per slot.
+const WINDOW: u64 = 64;
 
 /// What a woken device does on each arm; resolved from (role, phase).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -250,6 +299,146 @@ fn next_request_slot(schedule: &RoundSchedule, slot: u64, round: u32, phase: Pha
     }
 }
 
+/// Whether `reception` hands its listener Alice's authenticated `m`.
+fn carries_m(reception: &Reception, alice: KeyId, verifier: &Verifier) -> bool {
+    matches!(
+        reception,
+        Reception::Frame(Payload::Broadcast(signed))
+            if signed.signer() == alice && verifier.verify_signed(signed)
+    )
+}
+
+/// The actors of a windowed request segment (see *Request windows*):
+/// Alice and the uninformed nodes that act in it, in roster order, each
+/// with the slot of its next action and its charged listens in the
+/// current window. 20 B per actor, plus one nack entry per actor that
+/// nacks in the window.
+#[derive(Debug, Default)]
+struct RequestWindows {
+    actors: Vec<u32>,
+    /// Per actor: the slot of its next action.
+    next: Vec<u64>,
+    /// Per actor: its charged listens in the window, bit `slot − start`.
+    listens: Vec<u64>,
+    /// The window's nacking actors and their charged nacks, in roster
+    /// order; at most one entry per actor, however many nacks.
+    nacks: Vec<(u32, u64)>,
+}
+
+impl RequestWindows {
+    fn clear(&mut self) {
+        self.actors.clear();
+        self.next.clear();
+        self.listens.clear();
+        self.nacks.clear();
+    }
+
+    /// Enrols `node`, whose first action in the segment falls at `slot`.
+    fn push(&mut self, node: u32, slot: u64) {
+        self.actors.push(node);
+        self.next.push(slot);
+        self.listens.push(0);
+    }
+
+    /// The node-major half of window `start..end`: every actor draws its
+    /// actions in the window from its own stream, in the per-wake
+    /// order (arm, then gap), and charges each in time order. Returns
+    /// the mask of slots in which some actor acts, refused actions
+    /// included.
+    fn fill(
+        &mut self,
+        start: u64,
+        end: u64,
+        medium: &mut Medium,
+        rngs: &mut [CounterRng],
+        alice: &Class,
+        uninformed: &Class,
+    ) -> u64 {
+        debug_assert!(end - start <= WINDOW);
+        let mut acted = 0u64;
+        self.nacks.clear();
+        for (i, &node) in self.actors.iter().enumerate() {
+            let mut slot = self.next[i];
+            let mut listens = 0u64;
+            if slot < end {
+                debug_assert!(slot >= start, "node {node} skipped an action");
+                let cls = if node == 0 { alice } else { uninformed };
+                let geo = cls.geo.as_ref().expect("actors act");
+                let rng = &mut rngs[node as usize];
+                let mut nacks = 0u64;
+                while slot < end {
+                    let bit = 1u64 << (slot - start);
+                    acted |= bit;
+                    if cls.first_arm(rng) {
+                        if medium.charge(node, ChannelId::ZERO, Op::Send) {
+                            nacks |= bit;
+                        }
+                    } else if medium.charge(node, ChannelId::ZERO, Op::Listen) {
+                        listens |= bit;
+                    }
+                    slot += 1 + geo.sample(rng);
+                }
+                self.next[i] = slot;
+                if nacks != 0 {
+                    self.nacks.push((node, nacks));
+                }
+            }
+            self.listens[i] = listens;
+        }
+        acted
+    }
+
+    /// Airs the nacks charged for the slot at `bit`, in roster order.
+    fn air_nacks(&self, bit: u64, medium: &mut Medium) {
+        for &(node, nacks) in &self.nacks {
+            if nacks & bit != 0 {
+                medium.air_send(node, ChannelId::ZERO, Payload::Nack);
+            }
+        }
+    }
+
+    /// Puts the listens charged for the slot at `bit` on the slot's
+    /// listener list, in roster order.
+    fn air_listeners(&self, bit: u64, medium: &mut Medium) {
+        for (&node, &listens) in self.actors.iter().zip(&self.listens) {
+            if listens & bit != 0 {
+                medium.air_listener(node, ChannelId::ZERO);
+            }
+        }
+    }
+
+    /// Closes a window: every actor's noise tally gains its listens in
+    /// the window's `noise` slots. Returns the listens no listener list
+    /// held (outside the `resolved` slots): those are settled.
+    fn flush(&self, noise: u64, resolved: u64, noisy: &mut [u64]) -> u64 {
+        let mut settled = 0u64;
+        for (&node, &listens) in self.actors.iter().zip(&self.listens) {
+            noisy[node as usize] += u64::from((listens & noise).count_ones());
+            settled += u64::from((listens & !resolved).count_ones());
+        }
+        settled
+    }
+}
+
+/// Lands the terminations due at `slot`: the device set its done flag
+/// while acting in it, so `live` reflects it from the next slot on.
+fn land_terminations(
+    term: &mut WakeQueue,
+    term_due: &mut Vec<(u64, u32)>,
+    status: &mut [u8],
+    live: &mut u64,
+    slot: u64,
+) {
+    term.drain_due(slot, term_due);
+    for &(_, node) in term_due.iter() {
+        let node = node as usize;
+        if status[node] == 1 {
+            status[node] = 2;
+            *live -= 1;
+        }
+    }
+}
+
 /// Reusable scratch for exact ε-BROADCAST executions.
 ///
 /// `Params` fixes the budgets, schedule, and [`BroadcastOutcome`]
@@ -298,6 +487,8 @@ pub struct BroadcastSoaScratch {
     /// The segment's uninformed nodes whose listens are settled rather
     /// than woken (see module docs), in roster order.
     quiet: Vec<u32>,
+    /// A windowed request segment's actors (see module docs).
+    windows: RequestWindows,
     medium: Medium,
 }
 
@@ -387,6 +578,7 @@ impl BroadcastSoaScratch {
             due,
             term_due,
             quiet,
+            windows,
             medium,
             ..
         } = self;
@@ -417,6 +609,7 @@ impl BroadcastSoaScratch {
         wake.reset(n + 1, max_slots);
         term.reset(n + 1, max_slots);
         quiet.clear();
+        windows.clear();
         // Telemetry: one hoisted bool gates all bookkeeping; counts batch
         // in a plain-integer profile and flush once after the loop.
         let telemetry = collector.enabled();
@@ -446,6 +639,7 @@ impl BroadcastSoaScratch {
                 seg_idx += 1;
             }
             let seg = segments[seg_idx];
+            let mut windowed = false;
             if seg.start == slot_idx {
                 // The finished segment's deferred listens land first.
                 prof.settled_listens += settle_quiet(medium, quiet, deferred);
@@ -480,6 +674,8 @@ impl BroadcastSoaScratch {
                     && seg.phase != PhaseKind::Request
                     && uninf_cls.p1 <= 0.0
                     && uninf_cls.pw >= 1.0;
+                windowed = !materialize_all && seg.phase == PhaseKind::Request;
+                windows.clear();
                 for node in 0..=n as u32 {
                     let nu = node as usize;
                     if status[nu] == 2 {
@@ -510,6 +706,13 @@ impl BroadcastSoaScratch {
                         }
                     }
                     match next {
+                        Some(t) if windowed => {
+                            // Only Alice and uninformed nodes act in a
+                            // request phase.
+                            debug_assert_eq!(status[nu], 0, "node {node} acts in a request phase");
+                            wake.cancel(node);
+                            windows.push(node, t);
+                        }
                         Some(t) => wake.schedule(node, t),
                         None => wake.cancel(node),
                     }
@@ -533,6 +736,80 @@ impl BroadcastSoaScratch {
                     slot_idx = next;
                     continue;
                 }
+            }
+
+            if windowed {
+                // Request windows (see module docs): the segment runs
+                // here, window by window, up to its end, the cap, or
+                // the slot after the last live device terminates. Like
+                // every segment's, its first slot runs even if its
+                // judgement terminated everyone.
+                let end = segments
+                    .get(seg_idx + 1)
+                    .map_or(max_slots, |s| s.start.min(max_slots));
+                let runs = |slot: u64, live: u64| slot == seg.start || live > 0;
+                while slot_idx < end && runs(slot_idx, live) {
+                    debug_assert!(wake.is_empty(), "the wake calendar holds an actor");
+                    let start = slot_idx;
+                    let stop = end.min(start + WINDOW);
+                    debug_assert!(
+                        stop <= max_slots
+                            && segments
+                                .get(seg_idx + 1)
+                                .is_none_or(|next| stop <= next.start),
+                        "window {start}..{stop} runs past its segment or the cap"
+                    );
+                    let acted = windows.fill(start, stop, medium, rngs, &alice_cls, &uninf_cls);
+                    let mut noise = 0u64;
+                    let mut resolved = 0u64;
+                    while slot_idx < stop && runs(slot_idx, live) {
+                        let offset = slot_idx - start;
+                        if slot_idx != seg.start && medium.carol_broke() {
+                            // Dead air, as above, bounded by the
+                            // window's next action.
+                            let ahead = acted >> offset;
+                            let act = if ahead == 0 {
+                                stop
+                            } else {
+                                slot_idx + u64::from(ahead.trailing_zeros())
+                            };
+                            let next = term.next_due(slot_idx, act).unwrap_or(act);
+                            if next > slot_idx {
+                                dead_air += next - slot_idx;
+                                slot_idx = next;
+                                continue;
+                            }
+                        }
+                        let bit = 1u64 << offset;
+                        windows.air_nacks(bit, medium);
+                        medium.carol_turn(Slot::new(slot_idx), adversary, |air| {
+                            if air.may_deliver() || air.jam_picks_listeners() {
+                                // Who listens matters: resolve them all.
+                                windows.air_listeners(bit, air);
+                                resolved |= bit;
+                                if telemetry && !air.listeners().is_empty() {
+                                    prof.listener_passes += 1;
+                                    prof.listeners_resolved += air.listeners().len() as u64;
+                                }
+                                air.hear_all(|_, pid, reception| {
+                                    debug_assert!(
+                                        !carries_m(reception, alice_id, &verifier),
+                                        "{pid} is informed in a request phase"
+                                    );
+                                    if !matches!(reception, Reception::Silence) {
+                                        noisy[pid.index() as usize] += 1;
+                                    }
+                                });
+                            } else if air.is_noisy() {
+                                noise |= bit;
+                            }
+                        });
+                        land_terminations(term, term_due, status, &mut live, slot_idx);
+                        slot_idx += 1;
+                    }
+                    prof.settled_listens += windows.flush(noise, resolved, noisy);
+                }
+                continue;
             }
 
             // 1. Devices due this slot act: pick an arm, charge it, and
@@ -563,14 +840,7 @@ impl BroadcastSoaScratch {
                     continue;
                 }
                 let rng = &mut rngs[nu];
-                let arm1 = if cls.p2 <= 0.0 {
-                    true
-                } else if cls.p1 <= 0.0 {
-                    false
-                } else {
-                    rand::Rng::gen_bool(rng, (cls.p1 / cls.pw).min(1.0))
-                };
-                let send = if arm1 {
+                let send = if cls.first_arm(rng) {
                     Some(match role {
                         Role::Alice | Role::Relaying => Payload::Broadcast(signed_m.clone()),
                         Role::Uninformed => match seg.phase {
@@ -631,14 +901,7 @@ impl BroadcastSoaScratch {
                     }
                     let node = pid.index();
                     let nu = node as usize;
-                    let mut informs = false;
-                    if let Reception::Frame(Payload::Broadcast(signed)) = reception {
-                        informs = nu != 0
-                            && status[nu] == 0
-                            && signed.signer() == alice_id
-                            && verifier.verify_signed(signed);
-                    }
-                    if informs {
+                    if nu != 0 && status[nu] == 0 && carries_m(reception, alice_id, &verifier) {
                         status[nu] = 1;
                         informed[nu] = true;
                         let (rr, rs) = match seg.phase {
@@ -684,17 +947,8 @@ impl BroadcastSoaScratch {
                 quiet.retain(|&node| status[node as usize] == 0);
             }
 
-            // 3. Terminations determined earlier land now: the device set
-            //    its done flag while acting this slot, so `live` reflects
-            //    it from the next slot on.
-            term.drain_due(slot_idx, term_due);
-            for &(_, term_node) in term_due.iter() {
-                let node = term_node as usize;
-                if status[node] == 1 {
-                    status[node] = 2;
-                    live -= 1;
-                }
-            }
+            // 3. Terminations determined earlier land now.
+            land_terminations(term, term_due, status, &mut live, slot_idx);
 
             slot_idx += 1;
         };

@@ -119,6 +119,8 @@ pub struct SlotObservation<'a> {
     /// exact ε-BROADCAST driver (`rcb_core::BroadcastSoaScratch`) both
     /// do, unless the run is traced or the adversary
     /// [`wants_listener_identities`](Adversary::wants_listener_identities).
+    /// The ε-BROADCAST driver settles such slots in request phases too,
+    /// unless the executed jam picks listeners.
     pub listeners: &'a [(ParticipantId, ChannelId)],
     /// Whether any part of her jam plan actually took effect (budget
     /// permitting).
@@ -221,11 +223,14 @@ pub trait Adversary {
     /// Two exact drivers settle provably inert listens (slots where every
     /// listener would hear silence or blanket noise) in bulk: the gossip
     /// driver ([`run_gossip_soa_with`](crate::run_gossip_soa_with)) and
-    /// the ε-BROADCAST driver (`rcb_core::BroadcastSoaScratch`), in its
-    /// inform and propagation phases where uninformed nodes listen in
-    /// every slot. Their [`SlotObservation::listeners`] leaves those
-    /// listeners out even though the nodes paid for the listens —
-    /// aggregate accounting stays exact, identities don't. An adversary
+    /// the ε-BROADCAST driver (`rcb_core::BroadcastSoaScratch`). The
+    /// latter does so in its inform and propagation phases, where
+    /// uninformed nodes listen in every slot, and in its request phases,
+    /// where listeners only count noise, in every slot that cannot
+    /// deliver and whose jam picks no listeners. Their
+    /// [`SlotObservation::listeners`] leaves those listeners out even
+    /// though the nodes paid for the listens — aggregate accounting stays
+    /// exact, identities don't. An adversary
     /// whose strategy reads listener identities returns `true` here to
     /// force per-slot materialization (at the cost of a per-slot listener
     /// walk). Sends, jams, and deliveries are always exact regardless.

@@ -110,7 +110,10 @@ pub struct RunReport {
 /// A driver shapes it with [`reset`](Self::reset); then, for every slot,
 /// commits its woken devices through [`send`](Self::send) and
 /// [`listen`](Self::listen) (in roster order) and hands the slot to
-/// [`carol_turn`](Self::carol_turn). [`report`](Self::report) closes the
+/// [`carol_turn`](Self::carol_turn). A driver that draws a device's
+/// actions ahead of their slots charges them first
+/// ([`charge`](Self::charge)) and airs the charged ones in their slots
+/// ([`air_send`](Self::air_send), [`air_listener`](Self::air_listener)). [`report`](Self::report) closes the
 /// run. Held in a driver's scratch, it allocates nothing per run but the
 /// report once warm.
 #[derive(Debug, Default)]
@@ -170,14 +173,8 @@ impl Medium {
     /// allows, `payload` airs (a refused send is simply not heard).
     #[inline]
     pub fn send(&mut self, node: u32, channel: ChannelId, payload: Payload) {
-        if self
-            .ledger
-            .charge_participant_on(node as usize, Op::Send, channel)
-            .is_charged()
-        {
-            self.correct_sends
-                .push((ParticipantId::new(node), channel, payload.kind()));
-            self.load.push(channel, payload);
+        if self.charge(node, channel, Op::Send) {
+            self.air_send(node, channel, payload);
         }
     }
 
@@ -185,13 +182,39 @@ impl Medium {
     /// allows, it joins the slot's listeners.
     #[inline]
     pub fn listen(&mut self, node: u32, channel: ChannelId) {
-        if self
-            .ledger
-            .charge_participant_on(node as usize, Op::Listen, channel)
-            .is_charged()
-        {
-            self.listeners.push((ParticipantId::new(node), channel));
+        if self.charge(node, channel, Op::Listen) {
+            self.air_listener(node, channel);
         }
+    }
+
+    /// Charges participant `node` one `op` on `channel` without putting
+    /// it on the air; returns whether its budget allowed it. A driver
+    /// that knows a device's actions ahead of their slots charges them
+    /// here, in the device's own time order, and airs the charged ones
+    /// in their slots through [`air_send`](Self::air_send) and
+    /// [`air_listener`](Self::air_listener). Each participant's budget
+    /// is its own, so charging device by device rather than slot by
+    /// slot grants and refuses the same operations.
+    #[inline]
+    pub fn charge(&mut self, node: u32, channel: ChannelId, op: Op) -> bool {
+        self.ledger
+            .charge_participant_on(node as usize, op, channel)
+            .is_charged()
+    }
+
+    /// Airs a send that [`charge`](Self::charge) already granted.
+    #[inline]
+    pub fn air_send(&mut self, node: u32, channel: ChannelId, payload: Payload) {
+        self.correct_sends
+            .push((ParticipantId::new(node), channel, payload.kind()));
+        self.load.push(channel, payload);
+    }
+
+    /// Adds a listen that [`charge`](Self::charge) already granted to
+    /// the slot's listeners.
+    #[inline]
+    pub fn air_listener(&mut self, node: u32, channel: ChannelId) {
+        self.listeners.push((ParticipantId::new(node), channel));
     }
 
     /// Charges participant `node` `count` listens on `channel` at once,
@@ -233,6 +256,33 @@ impl Medium {
         self.spectrum.channels().any(|ch| {
             self.load.on(ch).len() == 1 && !matches!(self.jam.directive_on(ch), JamDirective::All)
         })
+    }
+
+    /// Whether Carol's executed jam picks listeners on some channel
+    /// ([`JamDirective::AllExcept`] or [`JamDirective::Only`]), so that
+    /// what a listener hears there depends on who it is. Only
+    /// meaningful inside [`carol_turn`](Self::carol_turn)'s `resolve`.
+    #[must_use]
+    #[inline]
+    pub fn jam_picks_listeners(&self) -> bool {
+        self.jam.entries().iter().any(|(_, directive)| {
+            matches!(
+                directive,
+                JamDirective::AllExcept(_) | JamDirective::Only(_)
+            )
+        })
+    }
+
+    /// Whether the slot carries a transmission or an executed jam, the
+    /// slots [`RunReport::noisy_slots`] counts. When no frame can reach
+    /// a listener ([`may_deliver`](Self::may_deliver) is false) and the
+    /// jam picks no listeners, every listener hears noise if this holds
+    /// and silence otherwise. Only meaningful inside
+    /// [`carol_turn`](Self::carol_turn)'s `resolve`.
+    #[must_use]
+    #[inline]
+    pub fn is_noisy(&self) -> bool {
+        self.jam.is_active() || !self.load.is_quiet()
     }
 
     /// Resolves the slot's listeners in roster order, recording clean
@@ -315,7 +365,7 @@ impl Medium {
         if jam_executed {
             self.jammed_slots += 1;
         }
-        if jam_executed || !self.load.is_quiet() {
+        if self.is_noisy() {
             self.noisy_slots += 1;
         }
 

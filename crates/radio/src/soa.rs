@@ -87,6 +87,8 @@ pub struct WakeQueue {
     mask: u64,
     /// Per node: its wake slot and its links in that slot's bucket.
     parked: Vec<Parked>,
+    /// How many nodes are scheduled.
+    len: usize,
     horizon: u64,
     /// A roster bitmap, one bit per node, all clear between drains.
     due_bits: Vec<u64>,
@@ -140,6 +142,7 @@ impl WakeQueue {
         self.mask = buckets - 1;
         self.parked.clear();
         self.parked.resize(nodes, Parked::UNSCHEDULED);
+        self.len = 0;
         self.horizon = horizon;
         let words = nodes.div_ceil(64);
         self.due_bits.clear();
@@ -166,6 +169,7 @@ impl WakeQueue {
             prev: NIL,
             next,
         };
+        self.len += 1;
     }
 
     /// Unschedules `node`, unlinking its pending wake if it has one.
@@ -175,6 +179,7 @@ impl WakeQueue {
             return;
         }
         self.parked[node as usize].wake = u64::MAX;
+        self.len -= 1;
         if prev == NIL {
             self.heads[(wake & self.mask) as usize] = next;
         } else {
@@ -183,6 +188,18 @@ impl WakeQueue {
         if next != NIL {
             self.parked[next as usize].prev = prev;
         }
+    }
+
+    /// How many nodes are scheduled.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no node is scheduled.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// The slot `node` will next wake at, if scheduled.
@@ -231,13 +248,17 @@ impl WakeQueue {
 
     /// The first slot in `from..until` at which some wake is due, if any.
     ///
-    /// Walks the buckets of at most one turn of the wheel from `from`,
-    /// looking for a wake due exactly at its bucket's slot; if the turn
-    /// finds none and `until` lies beyond it, every pending wake is at
-    /// least a turn away, and one pass over the nodes' schedule finds
-    /// the earliest. Drivers use it to jump over slots in which nothing
-    /// can happen, without draining them one by one.
+    /// An empty queue answers at once. Otherwise the walk covers the
+    /// buckets of at most one turn of the wheel from `from`, looking for
+    /// a wake due exactly at its bucket's slot; if the turn finds none
+    /// and `until` lies beyond it, every pending wake is at least a turn
+    /// away, and one pass over the nodes' schedule finds the earliest.
+    /// Drivers use it to jump over slots in which nothing can happen,
+    /// without draining them one by one.
     pub fn next_due(&self, from: u64, until: u64) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
         let turn_end = until.min(from.saturating_add(self.mask + 1));
         for slot in from..turn_end {
             let mut node = self.heads[(slot & self.mask) as usize];
@@ -1021,12 +1042,31 @@ mod tests {
                 for node in 0..nodes {
                     assert_eq!(q.next_wake(node), model.get(&node).copied());
                 }
+                assert_eq!(q.len(), model.len(), "episode {episode}, slot {now}");
                 now = if rng.gen_bool(0.3) {
                     q.next_due(now + 1, horizon).unwrap_or(horizon)
                 } else {
                     now + 1
                 };
             }
+            // Refill the queue, then cancel it down to empty in random
+            // order: the count follows the model, and an empty queue
+            // answers `next_due` without a walk.
+            now = rng.gen_range(0..horizon);
+            for node in 0..nodes {
+                q.schedule(node, now + rng.gen_range(0..4 * wheel + 8));
+            }
+            let order = sample_distinct(&mut rng, u64::from(nodes), u64::from(nodes));
+            for (cancelled, node) in order.into_iter().enumerate() {
+                assert_eq!(q.len(), nodes as usize - cancelled);
+                q.cancel(node as u32);
+                q.cancel(node as u32);
+            }
+            assert!(q.is_empty());
+            assert_eq!(q.next_due(now, horizon), None);
+            q.drain_due(now, &mut out);
+            assert!(out.is_empty());
+            assert_well_linked(&q);
         }
         let n = nodes as usize;
         assert!(

@@ -18,18 +18,34 @@ pub enum MetricId {
     /// Slots an exact run spanned (its length, dead air included).
     EngineSlots,
     /// Wake-queue drain batches (slots that woke at least one device).
+    /// The request windows of exact ε-BROADCAST take their actions from
+    /// per-device masks, not the queue, so their slots are not counted.
     EngineWakeDrains,
-    /// Devices drained from the wake queue.
+    /// Devices drained from the wake queue; actions in ε-BROADCAST's
+    /// request windows are not counted (see
+    /// [`EngineWakeDrains`](Self::EngineWakeDrains)).
     EngineWakeDrained,
-    /// Slots whose listener set was exactly materialized.
+    /// Slots whose listener set was exactly materialized. In
+    /// ε-BROADCAST's request windows, only slots that may deliver a
+    /// frame or whose jam picks listeners are.
     EngineListenerPasses,
-    /// Listeners resolved by exact materialization.
+    /// Listeners resolved by exact materialization, over the slots
+    /// [`EngineListenerPasses`](Self::EngineListenerPasses) counts.
     EngineListenersResolved,
-    /// Interesting-send slots deferred to aggregate (inert) settlement.
+    /// Slots whose listens by a settled set (ε-BROADCAST's quiet set,
+    /// a gossip driver's dormant pool) were deferred to aggregate
+    /// settlement instead of resolved, dead air included.
     EngineInertSlots,
-    /// Listens charged through aggregate settlement of inert slots.
+    /// Listens charged without being resolved: the deferred listens of
+    /// [`EngineInertSlots`](Self::EngineInertSlots), and in
+    /// ε-BROADCAST's request windows the listens of slots that resolved
+    /// no listener list. Together with
+    /// [`EngineListenersResolved`](Self::EngineListenersResolved) it
+    /// covers every charged listen.
     EngineSettledListens,
-    /// RNG sampling operations the engine performed.
+    /// Words drawn from the run's random streams (KPSY counts one per
+    /// secret slot it samples). A draw that needs no randomness, such as
+    /// a `p = 1` geometric gap, draws none.
     EngineRngDraws,
     /// Adversary plan invocations: one per simulated slot. Dead air the
     /// ε-BROADCAST and KPSY drivers skip once Carol is broke has none, so
@@ -197,9 +213,9 @@ impl MetricId {
             MetricId::EngineWakeDrained => "Devices drained from the wake queue",
             MetricId::EngineListenerPasses => "Slots whose listener set was exactly materialized",
             MetricId::EngineListenersResolved => "Listeners resolved by exact materialization",
-            MetricId::EngineInertSlots => "Send slots deferred to aggregate settlement",
-            MetricId::EngineSettledListens => "Listens charged via aggregate settlement",
-            MetricId::EngineRngDraws => "RNG sampling operations in the engine hot loop",
+            MetricId::EngineInertSlots => "Slots whose settled listens were deferred",
+            MetricId::EngineSettledListens => "Listens charged without being resolved",
+            MetricId::EngineRngDraws => "Words drawn from the run's random streams",
             MetricId::EngineAdversaryPlans => "Adversary plan invocations",
             MetricId::EngineWakeDrainBatch => "Wake-queue drain batch sizes",
             MetricId::FastPhases => "Phases advanced by the phase-level engines",

@@ -26,11 +26,11 @@ pub struct EngineProfile {
     pub listener_passes: u64,
     /// Listeners resolved by exact materialization.
     pub listeners_resolved: u64,
-    /// Interesting-send slots deferred to aggregate settlement.
+    /// Slots whose settled listens were deferred.
     pub inert_slots: u64,
-    /// Listens charged through aggregate settlement.
+    /// Listens charged without being resolved.
     pub settled_listens: u64,
-    /// RNG sampling operations.
+    /// Words drawn from the run's random streams.
     pub rng_draws: u64,
     /// Adversary plan invocations: one per simulated slot.
     pub adversary_plans: u64,
