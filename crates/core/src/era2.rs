@@ -326,6 +326,15 @@ struct RequestWindows {
 }
 
 impl RequestWindows {
+    /// Empties the windows and makes room for `actors` actors at once:
+    /// growing by doubling would leave up to twice that allocated.
+    fn reset(&mut self, actors: usize) {
+        self.clear();
+        self.actors.reserve_exact(actors);
+        self.next.reserve_exact(actors);
+        self.listens.reserve_exact(actors);
+    }
+
     fn clear(&mut self) {
         self.actors.clear();
         self.next.clear();
@@ -609,7 +618,7 @@ impl BroadcastSoaScratch {
         wake.reset(n + 1, max_slots);
         term.reset(n + 1, max_slots);
         quiet.clear();
-        windows.clear();
+        windows.reset(n + 1);
         // Telemetry: one hoisted bool gates all bookkeeping; counts batch
         // in a plain-integer profile and flush once after the loop.
         let telemetry = collector.enabled();
