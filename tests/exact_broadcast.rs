@@ -260,16 +260,20 @@ fn untraced_and_traced_runs_agree_on_everything_but_the_trace() {
 }
 
 /// Forwards a zoo strategy and counts Carol's calls and the listener
-/// identities she observes.
-struct ListenerProbe {
+/// identities she observes. It also folds every observation with traffic
+/// on it into an FNV-1a digest, and remembers the last slot Carol
+/// planned with budget left: she ran dry in that slot or never.
+struct Probe {
     inner: Box<dyn Adversary>,
     wants_identities: bool,
     observed: u64,
     plans: u64,
     observes: u64,
+    traffic: u64,
+    solvent_until: Option<u64>,
 }
 
-impl ListenerProbe {
+impl Probe {
     fn new(inner: Box<dyn Adversary>, wants_identities: bool) -> Self {
         Self {
             inner,
@@ -277,13 +281,18 @@ impl ListenerProbe {
             observed: 0,
             plans: 0,
             observes: 0,
+            traffic: 0xcbf2_9ce4_8422_2325,
+            solvent_until: None,
         }
     }
 }
 
-impl Adversary for ListenerProbe {
+impl Adversary for Probe {
     fn plan(&mut self, slot: Slot, ctx: &AdversaryCtx) -> AdversaryMove {
         self.plans += 1;
+        if ctx.budget_remaining != Some(0) {
+            self.solvent_until = Some(slot.index());
+        }
         self.inner.plan(slot, ctx)
     }
     fn react(&mut self, slot: Slot, activity: bool, planned: AdversaryMove) -> AdversaryMove {
@@ -295,6 +304,22 @@ impl Adversary for ListenerProbe {
     fn observe(&mut self, slot: Slot, observation: &SlotObservation<'_>) {
         self.observes += 1;
         self.observed += observation.listeners.len() as u64;
+        // Listener identities stay out of the traffic digest: an
+        // untraced run may settle the listens that no frame can reach.
+        if !observation.correct_sends.is_empty()
+            || observation.jam_executed
+            || !observation.delivered.is_empty()
+        {
+            let rendered = format!(
+                "{} {:?} {} {:?} {:?}",
+                slot.index(),
+                observation.correct_sends,
+                observation.jam_executed,
+                observation.jammed_channels,
+                observation.delivered
+            );
+            self.traffic = fnv1a(self.traffic, rendered.as_bytes());
+        }
         self.inner.observe(slot, observation);
     }
     fn wants_listener_identities(&self) -> bool {
@@ -325,10 +350,8 @@ fn observed_listeners_reconcile_with_charged_listens() {
                     let label = format!("{} {variant} {budget:?} seed={seed}", strategy.name());
                     let config = RunConfig::seeded(seed).carol_budget(budget);
                     let run = |wants_identities: bool| {
-                        let mut probe = ListenerProbe::new(
-                            strategy.slot_adversary(&params, seed),
-                            wants_identities,
-                        );
+                        let mut probe =
+                            Probe::new(strategy.slot_adversary(&params, seed), wants_identities);
                         let collector = Arc::new(RecordingCollector::new());
                         let (outcome, report) = BroadcastSoaScratch::new().run_with(
                             &params,
@@ -387,7 +410,7 @@ fn carol_is_called_in_every_slot_unless_dead_air_is_skipped() {
         for seed in [1u64, 2] {
             // ((rendered run, slots), plans, observes)
             let run = |driver: &str, trace: usize, wants: bool| {
-                let mut probe = ListenerProbe::new(strategy.slot_adversary(&params, seed), wants);
+                let mut probe = Probe::new(strategy.slot_adversary(&params, seed), wants);
                 let run = if driver == "broadcast" {
                     let config = RunConfig::seeded(seed)
                         .carol_budget(Budget::limited(200))
@@ -554,60 +577,8 @@ fn kpsy_dead_air_matches_pinned_digests() {
     assert_eq!(actual, expected, "KPSY dead-air digests drifted");
 }
 
-/// Forwards an adversary, folds every observation with traffic on it
-/// into an FNV-1a digest, and remembers the last slot Carol planned with
-/// budget left: she ran dry in that slot or never.
-struct TrafficProbe {
-    inner: Box<dyn Adversary>,
-    digest: u64,
-    solvent_until: Option<u64>,
-}
-
-impl TrafficProbe {
-    fn new(inner: Box<dyn Adversary>) -> Self {
-        Self {
-            inner,
-            digest: 0xcbf2_9ce4_8422_2325,
-            solvent_until: None,
-        }
-    }
-}
-
-impl Adversary for TrafficProbe {
-    fn plan(&mut self, slot: Slot, ctx: &AdversaryCtx) -> AdversaryMove {
-        if ctx.budget_remaining != Some(0) {
-            self.solvent_until = Some(slot.index());
-        }
-        self.inner.plan(slot, ctx)
-    }
-    fn react(&mut self, slot: Slot, activity: bool, planned: AdversaryMove) -> AdversaryMove {
-        self.inner.react(slot, activity, planned)
-    }
-    fn is_reactive(&self) -> bool {
-        self.inner.is_reactive()
-    }
-    fn observe(&mut self, slot: Slot, observation: &SlotObservation<'_>) {
-        // Listener identities are left out: an untraced run may settle
-        // the listens that no frame can reach.
-        if !observation.correct_sends.is_empty()
-            || observation.jam_executed
-            || !observation.delivered.is_empty()
-        {
-            let rendered = format!(
-                "{} {:?} {} {:?} {:?}",
-                slot.index(),
-                observation.correct_sends,
-                observation.jam_executed,
-                observation.jammed_channels,
-                observation.delivered
-            );
-            self.digest = fnv1a(self.digest, rendered.as_bytes());
-        }
-        self.inner.observe(slot, observation);
-    }
-}
-
-/// One direct run of the exact driver under a [`TrafficProbe`].
+/// One direct run of the exact driver under a [`Probe`] that does not
+/// want listener identities.
 struct ProbedRun {
     /// The rendered run and its length (see [`render_run`]).
     run: (String, u64),
@@ -620,11 +591,11 @@ struct ProbedRun {
 }
 
 fn probed_run(params: &Params, adversary: Box<dyn Adversary>, config: &RunConfig) -> ProbedRun {
-    let mut probe = TrafficProbe::new(adversary);
+    let mut probe = Probe::new(adversary, false);
     let (outcome, report) = BroadcastSoaScratch::new().run(params, &mut probe, config);
     ProbedRun {
         run: render_run(&outcome, &report),
-        traffic: probe.digest,
+        traffic: probe.traffic,
         solvent_until: probe.solvent_until,
         refusals: report.participant_refusals.iter().sum(),
     }
