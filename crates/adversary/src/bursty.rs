@@ -1,6 +1,5 @@
 //! The bursty jammer: alternating jam bursts and quiet gaps.
 
-use rcb_core::fast::{PhaseAdversary, PhaseCtx, PhasePlan};
 use rcb_core::phase::{PhaseJamCtx, PhaseJamPlan, PhaseJammer};
 use rcb_radio::{Adversary, AdversaryCtx, AdversaryMove, Slot};
 
@@ -80,14 +79,6 @@ impl Adversary for BurstyJammer {
     }
 }
 
-impl PhaseAdversary for BurstyJammer {
-    fn plan_phase(&mut self, ctx: &PhaseCtx) -> PhasePlan {
-        // Deterministic duty cycle over the phase.
-        let jam = (ctx.phase_len as f64 * self.duty_cycle()).round() as u64;
-        PhasePlan::jam(jam)
-    }
-}
-
 impl PhaseJammer for BurstyJammer {
     /// Multi-channel phase lowering: the exact jammed-slot count of the
     /// periodic pattern over `[start_slot, start_slot + phase_len)` —
@@ -96,12 +87,41 @@ impl PhaseJammer for BurstyJammer {
     /// `jam_all`, the source paper's single-channel "jam everything"
     /// (one unit per firing slot, channel 0).
     fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
-        let mut plan = PhaseJamPlan::idle(ctx.spectrum);
-        plan.set_jam(
-            rcb_radio::ChannelId::ZERO,
-            self.jammed_in_range(ctx.start_slot, ctx.phase_len) as f64,
-        );
-        plan
+        let slots = self.jammed_in_range(ctx.start_slot, ctx.phase_len);
+        PhaseJamPlan::channel_zero(ctx.spectrum, slots as f64)
+    }
+}
+
+/// The ε-BROADCAST fast tier's model of [`BurstyJammer`]: the duty
+/// cycle's share of every phase, `round(phase_len · duty_cycle)` slots
+/// on channel 0, wherever the bursts fall.
+///
+/// The hopping tiers run [`BurstyJammer`]'s exact overlap count instead.
+/// Moving the fast tier onto it moves its pinned digests, so it waits
+/// for the next `ENGINE_ERA` bump, which can then delete this model.
+#[derive(Debug, Clone, Copy)]
+pub struct BurstyDutyJammer {
+    duty_cycle: f64,
+}
+
+impl BurstyDutyJammer {
+    /// The duty-cycle model of `BurstyJammer::new(burst, gap)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `burst + gap == 0`.
+    #[must_use]
+    pub fn new(burst: u64, gap: u64) -> Self {
+        Self {
+            duty_cycle: BurstyJammer::new(burst, gap).duty_cycle(),
+        }
+    }
+}
+
+impl PhaseJammer for BurstyDutyJammer {
+    fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
+        let slots = (ctx.phase_len as f64 * self.duty_cycle).round();
+        PhaseJamPlan::channel_zero(ctx.spectrum, slots)
     }
 }
 
@@ -194,21 +214,32 @@ mod tests {
             informed: 0,
             observation: &empty,
         };
-        let plan = PhaseJammer::plan_phase(&mut carol, &ctx);
+        let plan = carol.plan_phase(&ctx);
         // jam_all is the single-channel pattern: channel 0 only.
         assert_eq!(plan.jam_slots(), &[18.0, 0.0]);
+        // The fast tier's duty-cycle model plans 32 · 1/2 wherever the
+        // bursts fall.
+        let plan = BurstyDutyJammer::new(50, 50).plan_phase(&ctx);
+        assert_eq!(plan.jam_slots(), &[16.0, 0.0]);
     }
 
     #[test]
-    fn phase_plan_respects_duty_cycle() {
-        let mut carol = BurstyJammer::new(1, 3);
-        let ctx = PhaseCtx {
-            round: 6,
-            phase: rcb_core::PhaseKind::Inform,
+    fn duty_model_respects_duty_cycle() {
+        use rcb_core::phase::PhaseObservation;
+        use rcb_radio::Spectrum;
+
+        let spectrum = Spectrum::single();
+        let ctx = PhaseJamCtx {
+            phase: 2,
+            start_slot: 0,
             phase_len: 4000,
+            spectrum,
             budget_remaining: None,
             uninformed: 1,
+            informed: 0,
+            observation: &PhaseObservation::empty(spectrum),
         };
-        assert_eq!(PhaseAdversary::plan_phase(&mut carol, &ctx).jam_slots, 1000);
+        let plan = BurstyDutyJammer::new(1, 3).plan_phase(&ctx);
+        assert_eq!(plan.jam_slots(), &[1000.0]);
     }
 }

@@ -1,6 +1,5 @@
 //! The continuous jammer: scorched earth until the budget runs out.
 
-use rcb_core::fast::{PhaseAdversary, PhaseCtx, PhasePlan};
 use rcb_radio::{Adversary, AdversaryCtx, AdversaryMove, Slot};
 
 /// Jams every slot of every phase while the pooled budget lasts.
@@ -33,19 +32,14 @@ impl Adversary for ContinuousJammer {
     }
 }
 
-impl PhaseAdversary for ContinuousJammer {
-    fn plan_phase(&mut self, ctx: &PhaseCtx) -> PhasePlan {
-        PhasePlan::jam(ctx.phase_len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcb_core::phase::{PhaseJamCtx, PhaseJammer, PhaseObservation};
     use rcb_core::{Params, RunConfig};
 
     use crate::test_util::run_broadcast;
-    use rcb_radio::Budget;
+    use rcb_radio::{Budget, Spectrum};
 
     #[test]
     fn spends_entire_budget_then_protocol_succeeds() {
@@ -80,16 +74,20 @@ mod tests {
     #[test]
     fn phase_level_plan_matches_slot_level_intent() {
         let mut carol = ContinuousJammer;
-        let ctx = PhaseCtx {
-            round: 5,
-            phase: rcb_core::PhaseKind::Inform,
+        let spectrum = Spectrum::single();
+        let ctx = PhaseJamCtx {
+            phase: 3,
+            start_slot: 4_000,
             phase_len: 1000,
+            spectrum,
             budget_remaining: Some(600),
             uninformed: 10,
+            informed: 0,
+            observation: &PhaseObservation::empty(spectrum),
         };
         let plan = carol.plan_phase(&ctx);
         // She *asks* for everything; the simulator clamps to her budget.
-        assert_eq!(plan.jam_slots, 1000);
+        assert_eq!(plan.jam_slots(), &[1000.0]);
         assert!(plan.spare.is_none());
         assert_eq!(plan.byz_sends, 0);
     }

@@ -5,8 +5,8 @@
 //! paper executable, at both simulation granularities:
 //!
 //! * slot level ([`rcb_radio::Adversary`]) for the exact engine, and
-//! * phase level ([`rcb_core::fast::PhaseAdversary`]) for the fast
-//!   simulator.
+//! * phase level ([`rcb_core::phase::PhaseJammer`]) for the phase
+//!   kernel's recurrences, the fast ε-BROADCAST simulator among them.
 //!
 //! | strategy | paper reference | what it does |
 //! |---|---|---|
@@ -24,27 +24,33 @@
 //! | [`AdaptiveJammer`] | Chen–Zheng 2020 adaptive adversary | track per-channel traffic estimates, greedily jam the hottest channels (channel-aware) |
 //!
 //! Every strategy is deterministic given its seed; the analysis harness
-//! constructs them from a serialisable [`StrategySpec`]. Three simulation
+//! constructs them from a serialisable [`StrategySpec`]. Two simulation
 //! granularities exist:
 //!
 //! * slot level ([`rcb_radio::Adversary`]) — every strategy;
-//! * ε-BROADCAST phase level ([`rcb_core::fast::PhaseAdversary`]) — the
-//!   single-channel strategies with a phase model
-//!   ([`StrategySpec::phase_adversary`] returns `None` for slot-only
-//!   ones like [`LaggedJammer`]);
-//! * multi-channel phase level ([`rcb_core::phase::PhaseJammer`]), one
-//!   trait for both hopping phase tiers — the sampled `fast_mc` tier and
-//!   the deterministic fluid tier. It hosts the **whole schedule-free
-//!   zoo**: the channel-aware family via [`AdaptivePhaseJammer`] /
-//!   [`ChannelLaggedPhaseJammer`] and the direct `PhaseJammer` impls on
-//!   [`SplitJammer`] / [`SweepJammer`], plus the lowered single-channel
-//!   strategies — [`RandomJammer`] (per-phase binomial), [`BurstyJammer`]
-//!   (exact periodic interval counts), and [`LaggedPhaseJammer`]
-//!   (expected union-activity pacing). Every lowering is deterministic
-//!   except `Random`'s draw, so the fluid tier runs each of them as is
-//!   and `Random` as its mean, [`RandomFluidJammer`]
-//!   ([`StrategySpec::phase_jammer`] / [`StrategySpec::fluid_jammer`]).
-//!   Only the schedule-bound family stays off these tiers.
+//! * phase level ([`rcb_core::phase::PhaseJammer`]), one trait for every
+//!   phase recurrence of the kernel:
+//!   * the ε-BROADCAST schedule (the `fast` simulator, one channel)
+//!     hosts the single-channel strategies with a phase model
+//!     ([`StrategySpec::phase_adversary`] returns `None` for slot-only
+//!     ones like [`LaggedJammer`]). The schedule-bound ones locate their
+//!     round and phase from the context's start slot, and their plans
+//!     carry the moves only this schedule prices: sparing
+//!     ([`EpsilonExtractor`]) and spoofed frames ([`NackSpoofer`]).
+//!     `Bursty` runs its duty-cycle model here, [`BurstyDutyJammer`];
+//!   * the hopping schedules, on both phase tiers — the sampled
+//!     `fast_mc` tier and the deterministic fluid tier — host the **whole
+//!     schedule-free zoo**: the channel-aware family via
+//!     [`AdaptivePhaseJammer`] / [`ChannelLaggedPhaseJammer`] and the
+//!     direct `PhaseJammer` impls on [`SplitJammer`] / [`SweepJammer`],
+//!     plus the lowered single-channel strategies — [`RandomJammer`]
+//!     (per-phase binomial), [`BurstyJammer`] (exact periodic interval
+//!     counts), and [`LaggedPhaseJammer`] (expected union-activity
+//!     pacing). Every lowering is deterministic except `Random`'s draw,
+//!     so the fluid tier runs each of them as is and `Random` as its
+//!     mean, [`RandomFluidJammer`] ([`StrategySpec::phase_jammer`] /
+//!     [`StrategySpec::fluid_jammer`]). Only the schedule-bound family
+//!     stays off these tiers.
 //!
 //! `rcb_sim::Scenario` rejects any strategy × engine combination without
 //! a model at the required granularity with a typed error. Channel-aware
@@ -69,7 +75,7 @@ mod spec;
 mod spoofer;
 
 pub use adaptive::AdaptiveJammer;
-pub use bursty::BurstyJammer;
+pub use bursty::{BurstyDutyJammer, BurstyJammer};
 pub use continuous::ContinuousJammer;
 pub use lagged::LaggedJammer;
 pub use multichannel::{ChannelLaggedJammer, SplitJammer, SweepJammer};
@@ -83,7 +89,6 @@ pub use spoofer::NackSpoofer;
 
 // Re-export the passive baselines so downstream code has one import path
 // for "every adversary".
-pub use rcb_core::fast::SilentPhaseAdversary;
 pub use rcb_core::phase::SilentPhaseJammer;
 pub use rcb_radio::SilentAdversary;
 

@@ -8,7 +8,7 @@
 //! hand-picked set of spared nodes, steering exactly which nodes end the
 //! protocol informed.
 
-use rcb_core::fast::{PhaseAdversary, PhaseCtx, PhasePlan};
+use rcb_core::phase::{PhaseJamCtx, PhaseJamPlan, PhaseJammer};
 use rcb_core::{PhaseKind, RoundSchedule};
 use rcb_radio::{Adversary, AdversaryCtx, AdversaryMove, IdSet, JamDirective, ParticipantId, Slot};
 
@@ -61,16 +61,16 @@ impl Adversary for EpsilonExtractor {
     }
 }
 
-impl PhaseAdversary for EpsilonExtractor {
-    fn plan_phase(&mut self, ctx: &PhaseCtx) -> PhasePlan {
-        match ctx.phase {
-            PhaseKind::Inform | PhaseKind::Propagation { .. } => PhasePlan {
-                jam_slots: ctx.phase_len,
-                spare: Some(self.spared_count),
-                byz_sends: 0,
-            },
-            PhaseKind::Request => PhasePlan::idle(),
+impl PhaseJammer for EpsilonExtractor {
+    /// Jams every dissemination slot on channel 0 and spares the chosen
+    /// nodes (`spare`); request phases are left alone.
+    fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
+        if self.schedule.locate(ctx.start_slot).phase == PhaseKind::Request {
+            return PhaseJamPlan::idle(ctx.spectrum);
         }
+        let mut plan = PhaseJamPlan::channel_zero(ctx.spectrum, ctx.phase_len as f64);
+        plan.spare = Some(self.spared_count);
+        plan
     }
 }
 

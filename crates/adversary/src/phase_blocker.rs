@@ -7,7 +7,7 @@
 //! [`PhaseBlocker`] implements both (and any mix) by jamming a β-fraction
 //! of each targeted phase, schedule-aware.
 
-use rcb_core::fast::{PhaseAdversary, PhaseCtx, PhasePlan};
+use rcb_core::phase::{PhaseJamCtx, PhaseJamPlan, PhaseJammer};
 use rcb_core::{PhaseKind, RoundSchedule};
 use rcb_radio::{Adversary, AdversaryCtx, AdversaryMove, Slot};
 
@@ -123,13 +123,16 @@ impl Adversary for PhaseBlocker {
     }
 }
 
-impl PhaseAdversary for PhaseBlocker {
-    fn plan_phase(&mut self, ctx: &PhaseCtx) -> PhasePlan {
-        if self.target.matches(ctx.phase) {
-            PhasePlan::jam(self.jam_budget_for(ctx.phase_len))
+impl PhaseJammer for PhaseBlocker {
+    /// The β-fraction of a targeted phase as a slot count on channel 0.
+    fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
+        let phase = self.schedule.locate(ctx.start_slot).phase;
+        let slots = if self.target.matches(phase) {
+            self.jam_budget_for(ctx.phase_len)
         } else {
-            PhasePlan::idle()
-        }
+            0
+        };
+        PhaseJamPlan::channel_zero(ctx.spectrum, slots as f64)
     }
 }
 
@@ -139,7 +142,8 @@ mod tests {
     use rcb_core::{Params, RunConfig};
 
     use crate::test_util::run_broadcast;
-    use rcb_radio::Budget;
+    use rcb_core::phase::PhaseObservation;
+    use rcb_radio::{Budget, Spectrum};
 
     fn schedule(n: u64) -> (Params, RoundSchedule) {
         let params = Params::builder(n).build().unwrap();
@@ -229,19 +233,27 @@ mod tests {
     #[test]
     fn phase_level_plans_match_targets() {
         let (_, s) = schedule(64);
-        let mut carol = PhaseBlocker::new(s, PhaseTarget::dissemination(), 1.0);
-        let inform_ctx = PhaseCtx {
-            round: 5,
-            phase: PhaseKind::Inform,
-            phase_len: 182,
+        let mut carol = PhaseBlocker::new(s.clone(), PhaseTarget::dissemination(), 1.0);
+        let spectrum = Spectrum::single();
+        let empty = PhaseObservation::empty(spectrum);
+        // Round 5's inform phase, then its request phase.
+        let inform_ctx = PhaseJamCtx {
+            phase: 0,
+            start_slot: s.round_start(5),
+            phase_len: s.phase_len(5),
+            spectrum,
             budget_remaining: None,
             uninformed: 64,
+            informed: 0,
+            observation: &empty,
         };
-        assert_eq!(carol.plan_phase(&inform_ctx).jam_slots, 182);
-        let request_ctx = PhaseCtx {
-            phase: PhaseKind::Request,
+        let inform = carol.plan_phase(&inform_ctx);
+        assert_eq!(inform.jam_slots(), &[s.phase_len(5) as f64]);
+        let request_ctx = PhaseJamCtx {
+            start_slot: s.round_start(5) + 2 * s.phase_len(5),
             ..inform_ctx
         };
-        assert_eq!(carol.plan_phase(&request_ctx).jam_slots, 0);
+        assert_eq!(s.locate(request_ctx.start_slot).phase, PhaseKind::Request);
+        assert_eq!(carol.plan_phase(&request_ctx).jam_slots(), &[0.0]);
     }
 }

@@ -53,9 +53,7 @@ impl PhaseJammer for ContinuousJammer {
     /// Jams channel 0 for the whole phase — the single-channel
     /// scorched-earth attack, budget permitting (the engine clamps).
     fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
-        let mut plan = PhaseJamPlan::idle(ctx.spectrum);
-        plan.set_jam(ChannelId::ZERO, ctx.phase_len as f64);
-        plan
+        PhaseJamPlan::channel_zero(ctx.spectrum, ctx.phase_len as f64)
     }
 }
 
@@ -163,17 +161,17 @@ impl PhaseJammer for LaggedPhaseJammer {
         let union_active = s * (1.0 - (-(total_sends as f64) / s).exp());
         let scale = ctx.phase_len as f64 / s;
         let slots = ((union_active * scale).round() as u64).min(ctx.phase_len);
-        let mut plan = PhaseJamPlan::idle(ctx.spectrum);
-        plan.set_jam(ChannelId::ZERO, slots as f64);
-        plan
+        PhaseJamPlan::channel_zero(ctx.spectrum, slots as f64)
     }
 }
 
-/// One retained phase of activity history for the adaptive gate.
+/// One retained phase of activity history for the adaptive gate: its
+/// length and how many channels it marked active (the channels
+/// themselves, in order, in [`AdaptivePhaseJammer::active_log`]).
 #[derive(Debug, Clone)]
 struct GateEntry {
     slots: u64,
-    active: Vec<ChannelId>,
+    active: usize,
 }
 
 /// Phase lowering of [`AdaptiveJammer`](crate::AdaptiveJammer) — the
@@ -202,7 +200,11 @@ pub struct AdaptivePhaseJammer {
     heat: Vec<f64>,
     active_in_window: Vec<u32>,
     history: VecDeque<GateEntry>,
+    /// The channels each retained phase marked active, oldest first.
+    active_log: VecDeque<ChannelId>,
     history_slots: u64,
+    /// Reused buffer for a phase's candidate channels.
+    candidates: Vec<ChannelId>,
     /// Expected active channel-slots per slot of the previous phase —
     /// the observed traffic rate that paces the next phase's spend.
     prev_rate: f64,
@@ -235,7 +237,9 @@ impl AdaptivePhaseJammer {
             heat: vec![0.0; c],
             active_in_window: vec![0; c],
             history: VecDeque::new(),
+            active_log: VecDeque::new(),
             history_slots: 0,
+            candidates: Vec::new(),
             prev_rate: 0.0,
         }
     }
@@ -250,7 +254,7 @@ impl AdaptivePhaseJammer {
     /// Rolls one completed phase into the heat/gate state.
     fn absorb(&mut self, obs: &PhaseObservation) {
         let slots = obs.slots as f64;
-        let mut active = Vec::new();
+        let mut active = 0;
         let mut rate = 0.0;
         for channel in self.spectrum.channels() {
             let i = channel.index() as usize;
@@ -259,7 +263,8 @@ impl AdaptivePhaseJammer {
             let evidence = (sends + delivered) as f64 / slots;
             self.heat[i] += self.reactivity * (evidence - self.heat[i]);
             if sends > 0 {
-                active.push(channel);
+                self.active_log.push_back(channel);
+                active += 1;
                 self.active_in_window[i] += 1;
             }
             rate += obs.expected_active_slots(channel) / slots;
@@ -277,7 +282,7 @@ impl AdaptivePhaseJammer {
             }
             let expired = self.history.pop_front().expect("front just checked");
             self.history_slots -= expired.slots;
-            for channel in expired.active {
+            for channel in self.active_log.drain(..expired.active) {
                 self.active_in_window[channel.index() as usize] -= 1;
             }
         }
@@ -299,18 +304,21 @@ impl PhaseJammer for AdaptivePhaseJammer {
         }
         // Hottest windowed candidates first; channel index breaks ties
         // deterministically (heat values are finite EMAs).
-        let mut candidates: Vec<ChannelId> = self
-            .spectrum
-            .channels()
-            .filter(|c| self.active_in_window[c.index() as usize] > 0)
-            .collect();
+        let (heat, active_in_window) = (&self.heat, &self.active_in_window);
+        let candidates = &mut self.candidates;
+        candidates.clear();
+        candidates.extend(
+            self.spectrum
+                .channels()
+                .filter(|c| active_in_window[c.index() as usize] > 0),
+        );
         candidates.sort_by(|a, b| {
-            let (ha, hb) = (self.heat[a.index() as usize], self.heat[b.index() as usize]);
+            let (ha, hb) = (heat[a.index() as usize], heat[b.index() as usize]);
             hb.partial_cmp(&ha)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(b))
         });
-        for channel in candidates {
+        for &channel in candidates.iter() {
             if spend == 0 {
                 break;
             }

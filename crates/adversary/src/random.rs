@@ -1,9 +1,8 @@
 //! The random jammer: i.i.d. per-slot jamming.
 
 use rand::{Rng, SeedableRng};
-use rcb_core::fast::{PhaseAdversary, PhaseCtx, PhasePlan};
 use rcb_core::phase::{PhaseJamCtx, PhaseJamPlan, PhaseJammer};
-use rcb_radio::{Adversary, AdversaryCtx, AdversaryMove, ChannelId, Slot};
+use rcb_radio::{Adversary, AdversaryCtx, AdversaryMove, Slot};
 use rcb_rng::{Binomial, SimRng};
 
 /// Jams each slot independently with probability `p` (cf. the random
@@ -50,29 +49,18 @@ impl Adversary for RandomJammer {
     }
 }
 
-impl PhaseAdversary for RandomJammer {
-    fn plan_phase(&mut self, ctx: &PhaseCtx) -> PhasePlan {
-        let jam = Binomial::new(ctx.phase_len, self.p)
-            .expect("validated probability")
-            .sample(&mut self.rng);
-        PhasePlan::jam(jam)
-    }
-}
-
 impl PhaseJammer for RandomJammer {
-    /// Multi-channel phase lowering: the slot adversary's `jam_all` is
-    /// the single-channel "jam everything" of the source paper — it
-    /// targets **channel 0 only**, at one unit per firing slot — so the
-    /// lowering plans one binomial draw `J ~ Bin(phase_len, p)` on
-    /// channel 0 and leaves the rest of the spectrum untouched, exactly
-    /// like the slot pattern it aggregates.
+    /// Phase lowering, on every phase tier: the slot adversary's
+    /// `jam_all` is the single-channel "jam everything" of the source
+    /// paper — it targets **channel 0 only**, at one unit per firing
+    /// slot — so the lowering plans one binomial draw
+    /// `J ~ Bin(phase_len, p)` on channel 0 and leaves the rest of the
+    /// spectrum untouched, exactly like the slot pattern it aggregates.
     fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
         let jam = Binomial::new(ctx.phase_len, self.p)
             .expect("validated probability")
             .sample(&mut self.rng);
-        let mut plan = PhaseJamPlan::idle(ctx.spectrum);
-        plan.set_jam(ChannelId::ZERO, jam as f64);
-        plan
+        PhaseJamPlan::channel_zero(ctx.spectrum, jam as f64)
     }
 }
 
@@ -100,9 +88,7 @@ impl RandomFluidJammer {
 
 impl PhaseJammer for RandomFluidJammer {
     fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
-        let mut plan = PhaseJamPlan::idle(ctx.spectrum);
-        plan.set_jam(ChannelId::ZERO, self.p * ctx.phase_len as f64);
-        plan
+        PhaseJamPlan::channel_zero(ctx.spectrum, self.p * ctx.phase_len as f64)
     }
 }
 
@@ -162,7 +148,7 @@ mod tests {
         let spectrum = Spectrum::new(4);
         let mut carol = RandomJammer::new(0.25, 3);
         let empty = PhaseObservation::empty(spectrum);
-        let plan = PhaseJammer::plan_phase(&mut carol, &phase_ctx(spectrum, &empty));
+        let plan = carol.plan_phase(&phase_ctx(spectrum, &empty));
         let per_channel = plan.jam_slots();
         assert!(
             per_channel[1..].iter().all(|&j| j == 0.0),
@@ -186,20 +172,5 @@ mod tests {
     #[should_panic(expected = "must be in [0,1]")]
     fn fluid_model_rejects_bad_probability() {
         let _ = RandomFluidJammer::new(-0.1);
-    }
-
-    #[test]
-    fn phase_plan_density_matches_p() {
-        let mut carol = RandomJammer::new(0.25, 3);
-        let ctx = PhaseCtx {
-            round: 8,
-            phase: rcb_core::PhaseKind::Request,
-            phase_len: 100_000,
-            budget_remaining: None,
-            uninformed: 5,
-        };
-        let plan = PhaseAdversary::plan_phase(&mut carol, &ctx);
-        let frac = plan.jam_slots as f64 / 100_000.0;
-        assert!((frac - 0.25).abs() < 0.02, "fraction {frac}");
     }
 }

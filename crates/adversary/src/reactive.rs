@@ -12,7 +12,7 @@
 //! expected number of *active* slots (the fast simulator's thinning then
 //! removes the corresponding fraction of `m`-slots).
 
-use rcb_core::fast::{PhaseAdversary, PhaseCtx, PhasePlan};
+use rcb_core::phase::{PhaseJamCtx, PhaseJamPlan, PhaseJammer};
 use rcb_core::{Params, PhaseKind};
 use rcb_radio::{Adversary, AdversaryCtx, AdversaryMove, Slot};
 
@@ -73,10 +73,11 @@ impl Adversary for ReactiveJammer {
     }
 }
 
-impl PhaseAdversary for ReactiveJammer {
-    fn plan_phase(&mut self, ctx: &PhaseCtx) -> PhasePlan {
-        if !self.targets(ctx.phase) {
-            return PhasePlan::idle();
+impl PhaseJammer for ReactiveJammer {
+    fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
+        let pos = self.schedule.locate(ctx.start_slot);
+        if !self.targets(pos.phase) {
+            return PhaseJamPlan::idle(ctx.spectrum);
         }
         // Expected number of active slots: Alice's sends, relays' sends,
         // and decoys. The fast simulator treats the jam slots as landing
@@ -86,20 +87,21 @@ impl PhaseAdversary for ReactiveJammer {
         // with decoys this is large (she pays for chaff), without decoys
         // it is just the m-slots.
         let probs =
-            rcb_core::probabilities::phase_probabilities(&self.params, ctx.round, ctx.phase);
+            rcb_core::probabilities::phase_probabilities(&self.params, pos.round, pos.phase);
         let active_nodes = ctx.uninformed as f64;
         let p_decoy = if probs.decoy_send > 0.0 {
             1.0 - (1.0 - probs.decoy_send).powf(active_nodes)
         } else {
             0.0
         };
-        let p_m = match ctx.phase {
+        let p_m = match pos.phase {
             PhaseKind::Inform => probs.alice_send,
             PhaseKind::Propagation { .. } => 1.0 - (1.0 - probs.informed_send).powf(active_nodes),
             PhaseKind::Request => 1.0 - (1.0 - probs.uninformed_nack).powf(active_nodes),
         };
         let p_active = 1.0 - (1.0 - p_m) * (1.0 - p_decoy);
-        PhasePlan::jam((p_active * ctx.phase_len as f64).ceil() as u64)
+        let slots = (p_active * ctx.phase_len as f64).ceil() as u64;
+        PhaseJamPlan::channel_zero(ctx.spectrum, slots as f64)
     }
 }
 
@@ -170,19 +172,26 @@ mod tests {
             .decoys(DecoyConfig::recommended())
             .build()
             .unwrap();
-        let ctx = |params: &Params| PhaseCtx {
-            round: 10,
-            phase: PhaseKind::Inform,
-            phase_len: rcb_core::RoundSchedule::new(params).phase_len(10),
-            budget_remaining: None,
-            uninformed: 1024,
+        let spectrum = rcb_radio::Spectrum::single();
+        let empty = rcb_core::phase::PhaseObservation::empty(spectrum);
+        // Round 10's inform phase.
+        let jam = |params: &Params| {
+            let schedule = rcb_core::RoundSchedule::new(params);
+            let ctx = PhaseJamCtx {
+                phase: 0,
+                start_slot: schedule.round_start(10),
+                phase_len: schedule.phase_len(10),
+                spectrum,
+                budget_remaining: None,
+                uninformed: 1024,
+                informed: 0,
+                observation: &empty,
+            };
+            ReactiveJammer::new(params.clone()).plan_phase(&ctx).total()
         };
-        let mut carol_plain = ReactiveJammer::new(plain.clone());
-        let mut carol_hard = ReactiveJammer::new(hard.clone());
-        let jam_plain = carol_plain.plan_phase(&ctx(&plain)).jam_slots;
-        let jam_hard = carol_hard.plan_phase(&ctx(&hard)).jam_slots;
+        let (jam_plain, jam_hard) = (jam(&plain), jam(&hard));
         assert!(
-            jam_hard > jam_plain * 2,
+            jam_hard > jam_plain * 2.0,
             "decoys must multiply her reactive spend: {jam_plain} vs {jam_hard}"
         );
     }

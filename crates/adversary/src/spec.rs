@@ -2,17 +2,22 @@
 //! analysis harness name their adversaries with these and construct fresh
 //! instances per trial.
 
-use rcb_core::fast::PhaseAdversary;
 use rcb_core::phase::PhaseJammer;
 use rcb_core::{Params, RoundSchedule};
 use rcb_radio::{Adversary, Spectrum};
 
 use crate::{
-    AdaptiveJammer, AdaptivePhaseJammer, BurstyJammer, ChannelLaggedJammer,
+    AdaptiveJammer, AdaptivePhaseJammer, BurstyDutyJammer, BurstyJammer, ChannelLaggedJammer,
     ChannelLaggedPhaseJammer, ContinuousJammer, EpsilonExtractor, LaggedJammer, LaggedPhaseJammer,
     NackSpoofer, PhaseBlocker, PhaseTarget, RandomFluidJammer, RandomJammer, ReactiveJammer,
-    SilentAdversary, SilentPhaseAdversary, SilentPhaseJammer, SplitJammer, SweepJammer,
+    SilentAdversary, SilentPhaseJammer, SplitJammer, SweepJammer,
 };
+
+/// A strategy with a slot-level and an ε-BROADCAST phase-level model in
+/// one object: the schedule-bound family.
+trait SlotAndPhase: Adversary + PhaseJammer {}
+
+impl<T: Adversary + PhaseJammer> SlotAndPhase for T {}
 
 /// A named, parameterised adversary strategy.
 ///
@@ -130,19 +135,13 @@ impl StrategySpec {
         )
     }
 
-    /// Whether a phase-level (fast simulator) model of this strategy
-    /// exists for the ε-BROADCAST schedule. See
+    /// Whether a phase-level model of this strategy exists for the
+    /// ε-BROADCAST schedule, the `fast` simulator's: every single-channel
+    /// strategy but `LaggedReactive`. See
     /// [`StrategySpec::phase_adversary`].
     #[must_use]
     pub fn supports_phase(&self) -> bool {
-        !matches!(
-            self,
-            StrategySpec::LaggedReactive
-                | StrategySpec::SplitUniform
-                | StrategySpec::ChannelSweep { .. }
-                | StrategySpec::ChannelLagged
-                | StrategySpec::Adaptive { .. }
-        )
+        !self.requires_channels() && *self != StrategySpec::LaggedReactive
     }
 
     /// Whether a phase-level **multi-channel** model of this strategy
@@ -165,18 +164,7 @@ impl StrategySpec {
     /// ([`crate::RandomFluidJammer`]), so both tiers host the same set.
     #[must_use]
     pub fn supports_phase_mc(&self) -> bool {
-        matches!(
-            self,
-            StrategySpec::Silent
-                | StrategySpec::Continuous
-                | StrategySpec::Random(_)
-                | StrategySpec::Bursty { .. }
-                | StrategySpec::LaggedReactive
-                | StrategySpec::SplitUniform
-                | StrategySpec::ChannelSweep { .. }
-                | StrategySpec::ChannelLagged
-                | StrategySpec::Adaptive { .. }
-        )
+        !self.requires_schedule()
     }
 
     /// Whether this strategy's behaviour is defined in terms of a
@@ -211,12 +199,21 @@ impl StrategySpec {
         spectrum: Spectrum,
         seed: u64,
     ) -> Box<dyn Adversary> {
+        match self.schedule_bound(params, seed) {
+            Some(carol) => carol,
+            None => self
+                .schedule_free_slot_adversary_on(spectrum, seed)
+                .expect("a strategy is schedule-bound or schedule-free"),
+        }
+    }
+
+    /// Builds a schedule-bound strategy (see
+    /// [`StrategySpec::requires_schedule`]) — one object that serves the
+    /// exact engine and the `fast` simulator alike — or `None` for a
+    /// schedule-free one.
+    fn schedule_bound(&self, params: &Params, seed: u64) -> Option<Box<dyn SlotAndPhase>> {
         let schedule = RoundSchedule::new(params);
-        match *self {
-            StrategySpec::Silent => Box::new(SilentAdversary),
-            StrategySpec::Continuous => Box::new(ContinuousJammer),
-            StrategySpec::Random(p) => Box::new(RandomJammer::new(p, seed)),
-            StrategySpec::Bursty { burst, gap } => Box::new(BurstyJammer::new(burst, gap)),
+        Some(match *self {
             StrategySpec::BlockDissemination(beta) => Box::new(PhaseBlocker::new(
                 schedule,
                 PhaseTarget::dissemination(),
@@ -233,14 +230,8 @@ impl StrategySpec {
             StrategySpec::Extract(x) => Box::new(EpsilonExtractor::sparing_first(schedule, x)),
             StrategySpec::Spoof(rate) => Box::new(NackSpoofer::new(schedule, rate, seed)),
             StrategySpec::Reactive => Box::new(ReactiveJammer::new(params.clone())),
-            StrategySpec::LaggedReactive => Box::new(LaggedJammer::new()),
-            StrategySpec::SplitUniform => Box::new(SplitJammer::new(spectrum)),
-            StrategySpec::ChannelSweep { dwell } => Box::new(SweepJammer::new(spectrum, dwell)),
-            StrategySpec::ChannelLagged => Box::new(ChannelLaggedJammer::new()),
-            StrategySpec::Adaptive { window, reactivity } => {
-                Box::new(AdaptiveJammer::new(spectrum, window, reactivity))
-            }
-        }
+            _ => return None,
+        })
     }
 
     /// Builds the slot-level adversary for protocols *without* a round
@@ -278,39 +269,29 @@ impl StrategySpec {
         }
     }
 
-    /// Builds the phase-level adversary for the fast simulator, or `None`
-    /// when the strategy is slot-only (see
+    /// Builds the phase jammer for the ε-BROADCAST `fast` simulator, or
+    /// `None` when the strategy has no model on its schedule (see
     /// [`StrategySpec::supports_phase`]).
+    ///
+    /// This is the same [`PhaseJammer`] trait the hopping tiers consult,
+    /// over a single channel; the schedule-bound strategies find their
+    /// round and phase from the context's start slot. `Silent`,
+    /// `Continuous` and `Random` run their one phase lowering. `Bursty`
+    /// runs its duty-cycle model ([`BurstyDutyJammer`]), not the exact
+    /// overlap count [`StrategySpec::phase_jammer`] uses.
     #[must_use]
-    pub fn phase_adversary(&self, params: &Params, seed: u64) -> Option<Box<dyn PhaseAdversary>> {
-        let schedule = RoundSchedule::new(params);
-        Some(match *self {
-            StrategySpec::Silent => Box::new(SilentPhaseAdversary),
-            StrategySpec::Continuous => Box::new(ContinuousJammer),
-            StrategySpec::Random(p) => Box::new(RandomJammer::new(p, seed)),
-            StrategySpec::Bursty { burst, gap } => Box::new(BurstyJammer::new(burst, gap)),
-            StrategySpec::BlockDissemination(beta) => Box::new(PhaseBlocker::new(
-                schedule,
-                PhaseTarget::dissemination(),
-                beta,
-            )),
-            StrategySpec::BlockRequest(beta) => Box::new(PhaseBlocker::new(
-                schedule,
-                PhaseTarget::termination(),
-                beta,
-            )),
-            StrategySpec::BlockAll(beta) => {
-                Box::new(PhaseBlocker::new(schedule, PhaseTarget::all(), beta))
+    pub fn phase_adversary(&self, params: &Params, seed: u64) -> Option<Box<dyn PhaseJammer>> {
+        match *self {
+            StrategySpec::Silent | StrategySpec::Continuous | StrategySpec::Random(_) => {
+                self.phase_jammer(Spectrum::single(), seed)
             }
-            StrategySpec::Extract(x) => Box::new(EpsilonExtractor::sparing_first(schedule, x)),
-            StrategySpec::Spoof(rate) => Box::new(NackSpoofer::new(schedule, rate, seed)),
-            StrategySpec::Reactive => Box::new(ReactiveJammer::new(params.clone())),
-            StrategySpec::LaggedReactive
-            | StrategySpec::SplitUniform
-            | StrategySpec::ChannelSweep { .. }
-            | StrategySpec::ChannelLagged
-            | StrategySpec::Adaptive { .. } => return None,
-        })
+            StrategySpec::Bursty { burst, gap } => {
+                Some(Box::new(BurstyDutyJammer::new(burst, gap)))
+            }
+            _ => self
+                .schedule_bound(params, seed)
+                .map(|carol| carol as Box<dyn PhaseJammer>),
+        }
     }
 
     /// Builds the phase-level multi-channel jammer for the sampled

@@ -8,7 +8,7 @@
 //! strategy lets experiment E8 measure exactly that.
 
 use rand::{Rng, SeedableRng};
-use rcb_core::fast::{PhaseAdversary, PhaseCtx, PhasePlan};
+use rcb_core::phase::{PhaseJamCtx, PhaseJamPlan, PhaseJammer};
 use rcb_core::{PhaseKind, RoundSchedule};
 use rcb_radio::{Adversary, AdversaryCtx, AdversaryMove, Payload, Slot};
 use rcb_rng::SimRng;
@@ -78,25 +78,22 @@ impl Adversary for NackSpoofer {
     }
 }
 
-impl PhaseAdversary for NackSpoofer {
-    fn plan_phase(&mut self, ctx: &PhaseCtx) -> PhasePlan {
-        let spoofing = match ctx.phase {
+impl PhaseJammer for NackSpoofer {
+    /// Spoofs `Bin(phase_len, rate)` frames (`byz_sends`) in each phase
+    /// it targets, and jams nothing.
+    fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
+        let spoofing = match self.schedule.locate(ctx.start_slot).phase {
             PhaseKind::Request => true,
             PhaseKind::Inform => self.pollute_inform,
             PhaseKind::Propagation { .. } => false,
         };
+        let mut plan = PhaseJamPlan::idle(ctx.spectrum);
         if spoofing {
-            let sends = rcb_rng::Binomial::new(ctx.phase_len, self.rate)
+            plan.byz_sends = rcb_rng::Binomial::new(ctx.phase_len, self.rate)
                 .expect("validated rate")
                 .sample(&mut self.rng);
-            PhasePlan {
-                jam_slots: 0,
-                spare: None,
-                byz_sends: sends,
-            }
-        } else {
-            PhasePlan::idle()
         }
+        plan
     }
 }
 
@@ -180,15 +177,22 @@ mod tests {
     #[test]
     fn phase_plan_counts_spoofs() {
         let (_, s) = setup(64);
-        let mut carol = NackSpoofer::new(s, 0.5, 5);
-        let ctx = PhaseCtx {
-            round: 7,
-            phase: PhaseKind::Request,
+        let mut carol = NackSpoofer::new(s.clone(), 0.5, 5);
+        let spectrum = rcb_radio::Spectrum::single();
+        // Round 7's request phase.
+        let ctx = PhaseJamCtx {
+            phase: 2,
+            start_slot: s.round_start(7) + 2 * s.phase_len(7),
             phase_len: 10_000,
+            spectrum,
             budget_remaining: None,
             uninformed: 3,
+            informed: 0,
+            observation: &rcb_core::phase::PhaseObservation::empty(spectrum),
         };
+        assert_eq!(s.locate(ctx.start_slot).phase, PhaseKind::Request);
         let plan = carol.plan_phase(&ctx);
+        assert_eq!(plan.total(), 0.0, "spoofing jams nothing");
         assert!(
             (4_600..5_400).contains(&plan.byz_sends),
             "{}",

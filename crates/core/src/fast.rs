@@ -1,4 +1,4 @@
-//! Phase-level aggregated simulator.
+//! Phase-level aggregated ε-BROADCAST simulator.
 //!
 //! The exact engine costs `O(n · slots)` and the final round alone has
 //! `Θ(n^{1+1/k})` slots, so sweeping `n` into the hundreds of thousands
@@ -21,86 +21,29 @@
 //! are treated as independent thinning, and a node's exclusion of its own
 //! transmissions is ignored (an `O(1/n)` effect).
 //!
-//! The adversary is consulted once per phase through [`PhaseAdversary`] —
-//! the phase-level counterpart of `rcb_radio::Adversary`.
+//! The recurrence itself is the third one of the phase kernel
+//! ([`crate::phase`]), beside the two hopping schedules, drawn by the
+//! kernel's sampled realization. Carol is consulted once per phase
+//! through the kernel's one adversary trait, [`PhaseJammer`], on a
+//! single-channel spectrum; her plan's `spare` and `byz_sends` fields
+//! carry the n-uniform extraction and spoofed frames that only this
+//! recurrence prices.
 
-use rcb_radio::CostBreakdown;
-use rcb_rng::math::binomial_cdf_upto;
-use rcb_rng::{Binomial, SeedTree, SimRng};
-use rcb_telemetry::{Collector, EngineTier, Event, MetricId, NoopCollector};
+use rcb_telemetry::{Collector, EngineTier, NoopCollector};
 
-use crate::outcome::{BroadcastOutcome, EngineKind};
+use crate::outcome::BroadcastOutcome;
 use crate::params::Params;
-use crate::probabilities::phase_probabilities;
-use crate::schedule::{PhaseKind, RoundSchedule};
+use crate::phase::{self, PhaseJammer, Sampled};
 
-/// Phase-level context handed to the adversary.
-#[derive(Debug, Clone, Copy)]
-pub struct PhaseCtx {
-    /// Round index `i`.
-    pub round: u32,
-    /// Which phase is about to run.
-    pub phase: PhaseKind,
-    /// Its length in slots.
-    pub phase_len: u64,
-    /// Carol's remaining pooled budget (`None` = unlimited).
-    pub budget_remaining: Option<u64>,
-    /// Number of still-active uninformed nodes (Carol is adaptive: she has
-    /// full information about past behaviour, which at phase granularity
-    /// is exactly this).
-    pub uninformed: u64,
-}
+/// The phase kernel's [`PhaseJammer`] under this module's former name for
+/// its own phase-adversary trait, kept for callers of that name.
+pub use crate::phase::PhaseJammer as PhaseAdversary;
 
-/// Carol's plan for one phase.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhasePlan {
-    /// Slots jammed (positions uniform over the phase unless `spare` is
-    /// set). Costs one unit each; clamped to the remaining budget.
-    pub jam_slots: u64,
-    /// n-uniform targeting: if `Some(x)`, the jamming is *total* (applies
-    /// to every jammed slot for every listener) **except** that `x`
-    /// adversary-chosen uninformed nodes are spared and experience no
-    /// jamming at all — the ε-extraction attack of §2.3.
-    pub spare: Option<u64>,
-    /// Byzantine spoofed frames (fake nacks in request phases, garbage in
-    /// inform/propagation), each in its own uniformly-random slot. Costs
-    /// one unit each.
-    pub byz_sends: u64,
-}
+/// The phase jammer's context, under this module's former name.
+pub type PhaseCtx<'a> = phase::PhaseJamCtx<'a>;
 
-impl PhasePlan {
-    /// A plan that does nothing.
-    #[must_use]
-    pub fn idle() -> Self {
-        Self::default()
-    }
-
-    /// Jam `slots` slots uniformly.
-    #[must_use]
-    pub fn jam(slots: u64) -> Self {
-        Self {
-            jam_slots: slots,
-            ..Self::default()
-        }
-    }
-}
-
-/// Phase-granularity adversary interface (fast-simulator counterpart of
-/// `rcb_radio::Adversary`).
-pub trait PhaseAdversary {
-    /// Decides the plan for the phase described by `ctx`.
-    fn plan_phase(&mut self, ctx: &PhaseCtx) -> PhasePlan;
-}
-
-/// The no-attack phase adversary.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SilentPhaseAdversary;
-
-impl PhaseAdversary for SilentPhaseAdversary {
-    fn plan_phase(&mut self, _ctx: &PhaseCtx) -> PhasePlan {
-        PhasePlan::idle()
-    }
-}
+/// A phase jammer's plan, under this module's former name.
+pub type PhasePlan = phase::PhaseJamPlan;
 
 /// Configuration for a fast run.
 #[derive(Debug, Clone, Copy)]
@@ -134,18 +77,19 @@ impl FastConfig {
 /// # Example
 ///
 /// ```
-/// use rcb_core::fast::{run_fast, FastConfig, SilentPhaseAdversary};
+/// use rcb_core::fast::{run_fast, FastConfig};
+/// use rcb_core::phase::SilentPhaseJammer;
 /// use rcb_core::Params;
 ///
 /// let params = Params::builder(100_000).min_termination_round(6).build()?;
-/// let outcome = run_fast(&params, &mut SilentPhaseAdversary, &FastConfig::seeded(3));
+/// let outcome = run_fast(&params, &mut SilentPhaseJammer, &FastConfig::seeded(3));
 /// assert!(outcome.informed_fraction() > 0.95);
 /// # Ok::<(), rcb_core::ParamsError>(())
 /// ```
 #[must_use]
 pub fn run_fast(
     params: &Params,
-    adversary: &mut dyn PhaseAdversary,
+    adversary: &mut dyn PhaseJammer,
     config: &FastConfig,
 ) -> BroadcastOutcome {
     run_fast_with(params, adversary, config, &NoopCollector)
@@ -154,385 +98,36 @@ pub fn run_fast(
 /// [`run_fast`] with a telemetry collector attached.
 ///
 /// When the collector is enabled, every phase emits one structured
-/// [`Event`] (tier `fast`) carrying the quantities the phase-level
-/// engine is otherwise opaque about: the rendezvous probability of an
-/// uninformed listener, the surviving-slot fraction after jam thinning,
-/// and requested-versus-executed jam slots (the difference is Carol's
-/// budget fizzle). Telemetry is purely observational — it never draws
-/// from the run's RNG stream.
+/// [`Event`](rcb_telemetry::Event) (tier `fast`) carrying the quantities
+/// the phase-level engine is otherwise opaque about: the rendezvous
+/// probability of an uninformed listener, the surviving-slot fraction
+/// after jam thinning, and requested-versus-executed jam slots (the
+/// difference is Carol's budget fizzle). Telemetry is purely
+/// observational — it never draws from the run's RNG stream.
 #[must_use]
 pub fn run_fast_with<C: Collector + ?Sized>(
     params: &Params,
-    adversary: &mut dyn PhaseAdversary,
+    adversary: &mut dyn PhaseJammer,
     config: &FastConfig,
     collector: &C,
 ) -> BroadcastOutcome {
-    let telemetry = collector.enabled();
-    let seeds = SeedTree::new(config.seed);
-    let mut rng: SimRng = seeds.stream("fast-sim", 0);
-    let schedule = RoundSchedule::new(params);
-    let n = params.n();
-    let threshold = params.termination_threshold();
-
-    let mut state = FastState {
-        uninformed: n,
-        relay_set: 0,
-        informed_done: 0,
-        uninformed_terminated: 0,
-        alice_terminated: false,
-        alice: CostBreakdown::default(),
-        nodes: CostBreakdown::default(),
-        carol: CostBreakdown::default(),
-        carol_budget: config.carol_budget,
-        slots: 0,
-        rounds_entered: params.start_round(),
-    };
-
-    for (phase_idx, (round, phase, phase_len)) in schedule.phases().enumerate() {
-        if state.finished() {
-            break;
-        }
-        state.rounds_entered = round;
-        let requested = {
-            let ctx = PhaseCtx {
-                round,
-                phase,
-                phase_len,
-                budget_remaining: state.carol_remaining(),
-                uninformed: state.uninformed,
-            };
-            adversary.plan_phase(&ctx)
-        };
-        let plan = state.charge_carol(requested, phase_len);
-        let probs = phase_probabilities(params, round, phase);
-
-        let digest = match phase {
-            PhaseKind::Inform => state.run_seeding_phase(
-                params,
-                &mut rng,
-                phase_len,
-                &plan,
-                SeedingKind::AliceInform {
-                    alice_send: probs.alice_send,
-                },
-                probs.uninformed_listen,
-                probs.decoy_send,
-            ),
-            PhaseKind::Propagation { step } => {
-                let relays = state.relay_set;
-                let digest = state.run_seeding_phase(
-                    params,
-                    &mut rng,
-                    phase_len,
-                    &plan,
-                    SeedingKind::Relays {
-                        relays,
-                        send_p: probs.informed_send,
-                    },
-                    probs.uninformed_listen,
-                    probs.decoy_send,
-                );
-                // The old relay set terminates informed at the end of its
-                // step; nodes informed in the final step get no duty and
-                // terminate when the request phase starts.
-                state.informed_done += relays;
-                if step == params.propagation_steps() {
-                    state.informed_done += state.relay_set;
-                    state.relay_set = 0;
-                }
-                digest
-            }
-            PhaseKind::Request => {
-                state.run_request_phase(params, &mut rng, phase_len, &plan, threshold, round)
-            }
-        };
-        state.slots += phase_len;
-
-        if telemetry {
-            collector.add(MetricId::FastPhases, 1);
-            collector.add(MetricId::FastInformed, digest.informed);
-            collector.add(
-                MetricId::FastJamRequested,
-                requested.jam_slots.min(phase_len),
-            );
-            collector.add(MetricId::FastJamExecuted, plan.jam_slots);
-            collector.gauge(MetricId::FastRendezvousP, digest.rendezvous_p);
-            collector.gauge(MetricId::FastSurviveP, digest.survive_p);
-            collector.event(
-                Event::new(EngineTier::Fast, "broadcast", "phase", phase_idx as u64)
-                    .field("round", f64::from(round))
-                    .field("phase_len", phase_len as f64)
-                    .field("jam_requested", requested.jam_slots.min(phase_len) as f64)
-                    .field("jam_executed", plan.jam_slots as f64)
-                    .field("newly_informed", digest.informed as f64)
-                    .field("terminated", digest.terminated as f64)
-                    .field("rendezvous_p", digest.rendezvous_p)
-                    .field("survive_p", digest.survive_p)
-                    .field("uninformed", state.uninformed as f64),
-            );
-        }
-    }
-
-    BroadcastOutcome {
-        n,
-        informed_nodes: state.informed_done + state.relay_set,
-        uninformed_terminated: state.uninformed_terminated,
-        unterminated_nodes: state.uninformed,
-        alice_terminated: state.alice_terminated,
-        alice_cost: state.alice,
-        node_total_cost: state.nodes,
-        max_node_cost: None,
-        carol_cost: state.carol,
-        slots: state.slots,
-        rounds_entered: state.rounds_entered,
-        engine: EngineKind::Fast,
-        node_costs: None,
-    }
-}
-
-/// Who is seeding `m` this phase.
-enum SeedingKind {
-    AliceInform { alice_send: f64 },
-    Relays { relays: u64, send_p: f64 },
-}
-
-/// Per-phase aggregates surfaced through telemetry events. Computed
-/// from values the phase derives anyway, so returning it costs nothing.
-#[derive(Debug, Clone, Copy, Default)]
-struct PhaseDigest {
-    /// Nodes newly informed this phase (seeding phases only).
-    informed: u64,
-    /// Uninformed nodes that terminated this phase (request phases only).
-    terminated: u64,
-    /// Probability an uninformed listener rendezvoused with a surviving
-    /// `m`-slot (request phases: 0).
-    rendezvous_p: f64,
-    /// Fraction of `m`-slots surviving jam/spoof/decoy thinning
-    /// (request phases: the complement of the noise probability).
-    survive_p: f64,
-}
-
-struct FastState {
-    uninformed: u64,
-    relay_set: u64,
-    informed_done: u64,
-    uninformed_terminated: u64,
-    alice_terminated: bool,
-    alice: CostBreakdown,
-    nodes: CostBreakdown,
-    carol: CostBreakdown,
-    carol_budget: Option<u64>,
-    slots: u64,
-    rounds_entered: u32,
-}
-
-impl FastState {
-    fn finished(&self) -> bool {
-        self.uninformed == 0 && self.relay_set == 0 && self.alice_terminated
-    }
-
-    fn carol_remaining(&self) -> Option<u64> {
-        self.carol_budget
-            .map(|cap| cap.saturating_sub(self.carol.total()))
-    }
-
-    /// Clamps a plan to Carol's remaining budget and charges it.
-    fn charge_carol(&mut self, mut plan: PhasePlan, phase_len: u64) -> PhasePlan {
-        plan.jam_slots = plan.jam_slots.min(phase_len);
-        plan.byz_sends = plan.byz_sends.min(phase_len);
-        if let Some(rem) = self.carol_remaining() {
-            plan.jam_slots = plan.jam_slots.min(rem);
-            let after_jam = rem - plan.jam_slots;
-            plan.byz_sends = plan.byz_sends.min(after_jam);
-        }
-        self.carol.jams += plan.jam_slots;
-        self.carol.sends += plan.byz_sends;
-        plan
-    }
-
-    /// Inform and propagation phases share one structure: a seeding source
-    /// transmits `m`; uninformed nodes listen; jamming/decoys/spoofs thin
-    /// the successful slots; listeners of surviving slots become informed.
-    #[allow(clippy::too_many_arguments)]
-    fn run_seeding_phase(
-        &mut self,
-        params: &Params,
-        rng: &mut SimRng,
-        s: u64,
-        plan: &PhasePlan,
-        seeding: SeedingKind,
-        listen_p: f64,
-        decoy_p: f64,
-    ) -> PhaseDigest {
-        let u = self.uninformed;
-        // Decoy-noise probability per slot (decoy senders: all active
-        // correct nodes ≈ uninformed + relays).
-        let active = u + self.relay_set;
-        let p_decoy_slot = if decoy_p > 0.0 {
-            1.0 - (1.0 - decoy_p).powf(active as f64)
-        } else {
-            0.0
-        };
-        // Decoy transmission costs.
-        if decoy_p > 0.0 && active > 0 {
-            let decoy_sends = sample_bin(rng, active.saturating_mul(s), decoy_p);
-            self.nodes.sends += decoy_sends;
-        }
-
-        // Slots carrying exactly one copy of m from the seeding source.
-        let m_slots = match seeding {
-            SeedingKind::AliceInform { alice_send } => {
-                let sends = sample_bin(rng, s, alice_send);
-                self.alice.sends += sends;
-                sends
-            }
-            SeedingKind::Relays { relays, send_p } => {
-                if relays == 0 {
-                    self.relay_set = 0;
-                    // Known ledger error (ROADMAP.md): this skips the uninformed nodes' listens.
-                    return PhaseDigest::default();
-                }
-                let total_sends = sample_bin(rng, relays.saturating_mul(s), send_p);
-                self.nodes.sends += total_sends;
-                // Slots with exactly one relay transmission.
-                let p_one = exactly_one_prob(relays, send_p);
-                sample_bin(rng, s, p_one)
-            }
-        };
-
-        // Thinning: survive uniform jamming, byz collisions, decoy
-        // collisions.
-        let clean_frac = if plan.spare.is_some() {
-            1.0 // spared nodes experience no jamming; others get nothing
-        } else {
-            1.0 - plan.jam_slots as f64 / s as f64
-        };
-        let byz_frac = 1.0 - plan.byz_sends as f64 / s as f64;
-        let survive_p = (clean_frac * byz_frac * (1.0 - p_decoy_slot)).clamp(0.0, 1.0);
-        let good_slots = sample_bin(rng, m_slots, survive_p);
-
-        // Listening costs for all uninformed nodes over the phase.
-        // Known ledger error (ROADMAP.md): nodes informed mid-phase pay for the whole phase.
-        if u > 0 {
-            self.nodes.listens += sample_bin(rng, u.saturating_mul(s), listen_p);
-        }
-
-        // Who becomes informed?
-        let p_informed = 1.0 - (1.0 - listen_p).powf(good_slots as f64);
-        let newly = match plan.spare {
-            Some(x) if plan.jam_slots >= s => {
-                // Total blockade except x hand-picked nodes.
-                sample_bin(rng, x.min(u), p_informed)
-            }
-            Some(x) => {
-                // Partial jam with spared nodes: spared nodes see all
-                // m-slots, others see the thinned ones. Conservative model:
-                // spared nodes use unjammed success probability.
-                let unjammed_good = sample_bin(
-                    rng,
-                    m_slots,
-                    (byz_frac * (1.0 - p_decoy_slot)).clamp(0.0, 1.0),
-                );
-                let p_spared = 1.0 - (1.0 - listen_p).powf(unjammed_good as f64);
-                let spared_informed = sample_bin(rng, x.min(u), p_spared);
-                let rest = u - x.min(u);
-                spared_informed + sample_bin(rng, rest, p_informed)
-            }
-            None => sample_bin(rng, u, p_informed),
-        };
-        self.uninformed -= newly;
-        self.relay_set = newly;
-
-        // The paper's lemmas require ε′n active uninformed nodes for the
-        // seeding machinery; when u hits 0 everything downstream is a no-op.
-        let _ = params;
-
-        PhaseDigest {
-            informed: newly,
-            terminated: 0,
-            rendezvous_p: p_informed,
-            survive_p,
-        }
-    }
-
-    fn run_request_phase(
-        &mut self,
-        params: &Params,
-        rng: &mut SimRng,
-        s: u64,
-        plan: &PhasePlan,
-        threshold: u64,
-        round: u32,
-    ) -> PhaseDigest {
-        let u = self.uninformed;
-        let probs = phase_probabilities(params, round, PhaseKind::Request);
-
-        // Per-slot noise probability: a nack from anyone, a byz spoof, or a
-        // jam (jams are noise for every listener — spares do not matter to
-        // the termination counters Carol wants to *inflate*; she spares no
-        // one here).
-        let p_nack_slot = 1.0 - (1.0 - probs.uninformed_nack).powf(u as f64);
-        let attack_frac = ((plan.jam_slots + plan.byz_sends) as f64 / s as f64).min(1.0);
-        let p_noisy = 1.0 - (1.0 - p_nack_slot) * (1.0 - attack_frac);
-
-        // Costs.
-        if u > 0 {
-            self.nodes.sends += sample_bin(rng, u.saturating_mul(s), probs.uninformed_nack);
-            self.nodes.listens += sample_bin(rng, u.saturating_mul(s), probs.uninformed_listen);
-        }
-        let alice_listens = sample_bin(rng, s, probs.alice_listen);
-        self.alice.listens += alice_listens;
-
-        // Alice's termination test.
-        if !self.alice_terminated && round >= params.min_termination_round() {
-            let noisy_heard = sample_bin_given(rng, alice_listens, p_noisy);
-            if noisy_heard <= threshold {
-                self.alice_terminated = true;
-            }
-        }
-
-        // Node termination: each uninformed node's noisy-heard count is
-        // Bin(s, listen_p · p_noisy); it terminates iff ≤ threshold.
-        let mut terminators = 0;
-        if u > 0 && round >= params.min_termination_round() {
-            let p_term = binomial_cdf_upto(s, probs.uninformed_listen * p_noisy, threshold);
-            terminators = sample_bin(rng, u, p_term);
-            self.uninformed -= terminators;
-            self.uninformed_terminated += terminators;
-        }
-
-        PhaseDigest {
-            informed: 0,
-            terminated: terminators,
-            rendezvous_p: 0.0,
-            survive_p: 1.0 - p_noisy,
-        }
-    }
-}
-
-/// `P(exactly one of `relays` senders transmits)` in a slot.
-fn exactly_one_prob(relays: u64, p: f64) -> f64 {
-    if relays == 0 || p <= 0.0 {
-        return 0.0;
-    }
-    let r = relays as f64;
-    (r * p * (1.0 - p).powf(r - 1.0)).clamp(0.0, 1.0)
-}
-
-fn sample_bin(rng: &mut SimRng, n: u64, p: f64) -> u64 {
-    Binomial::new(n, p.clamp(0.0, 1.0))
-        .expect("probability already clamped")
-        .sample(rng)
-}
-
-/// Binomial over an already-sampled count.
-fn sample_bin_given(rng: &mut SimRng, n: u64, p: f64) -> u64 {
-    sample_bin(rng, n, p)
+    phase::run_broadcast(
+        Sampled::new(config.seed, "fast-sim"),
+        EngineTier::Fast,
+        params,
+        config.carol_budget,
+        adversary,
+        collector,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::EngineKind;
+    use crate::phase::{PhaseJamCtx, PhaseJamPlan, SilentPhaseJammer};
+    use crate::schedule::{PhaseKind, RoundSchedule};
+    use rcb_radio::Spectrum;
 
     fn params(n: u64) -> Params {
         // Default termination floor: the noisy-channel margins of
@@ -543,7 +138,7 @@ mod tests {
     #[test]
     fn silent_run_informs_almost_everyone() {
         let p = params(10_000);
-        let o = run_fast(&p, &mut SilentPhaseAdversary, &FastConfig::seeded(1));
+        let o = run_fast(&p, &mut SilentPhaseJammer, &FastConfig::seeded(1));
         assert!(o.informed_fraction() > 0.97, "{}", o.informed_fraction());
         assert!(o.alice_terminated);
         assert_eq!(o.engine, EngineKind::Fast);
@@ -557,7 +152,7 @@ mod tests {
     #[test]
     fn runs_scale_to_large_n_quickly() {
         let p = Params::builder(1 << 17).build().unwrap();
-        let o = run_fast(&p, &mut SilentPhaseAdversary, &FastConfig::seeded(2));
+        let o = run_fast(&p, &mut SilentPhaseJammer, &FastConfig::seeded(2));
         assert!(o.informed_fraction() > 0.95);
         assert!(o.completed());
     }
@@ -565,8 +160,8 @@ mod tests {
     #[test]
     fn deterministic_by_seed() {
         let p = params(5_000);
-        let a = run_fast(&p, &mut SilentPhaseAdversary, &FastConfig::seeded(7));
-        let b = run_fast(&p, &mut SilentPhaseAdversary, &FastConfig::seeded(7));
+        let a = run_fast(&p, &mut SilentPhaseJammer, &FastConfig::seeded(7));
+        let b = run_fast(&p, &mut SilentPhaseJammer, &FastConfig::seeded(7));
         assert_eq!(a.informed_nodes, b.informed_nodes);
         assert_eq!(a.alice_cost, b.alice_cost);
         assert_eq!(a.node_total_cost, b.node_total_cost);
@@ -575,9 +170,25 @@ mod tests {
 
     /// Jams every slot of every phase while budget lasts.
     struct FullJammer;
-    impl PhaseAdversary for FullJammer {
-        fn plan_phase(&mut self, ctx: &PhaseCtx) -> PhasePlan {
-            PhasePlan::jam(ctx.phase_len)
+    impl PhaseJammer for FullJammer {
+        fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
+            PhaseJamPlan::channel_zero(ctx.spectrum, ctx.phase_len as f64)
+        }
+    }
+
+    /// Plans `plan(len)` in the phases of one kind and nothing elsewhere.
+    struct OnPhase {
+        schedule: RoundSchedule,
+        kind: fn(PhaseKind) -> bool,
+        plan: fn(u64) -> PhaseJamPlan,
+    }
+    impl PhaseJammer for OnPhase {
+        fn plan_phase(&mut self, ctx: &PhaseJamCtx<'_>) -> PhaseJamPlan {
+            if (self.kind)(self.schedule.locate(ctx.start_slot).phase) {
+                (self.plan)(ctx.phase_len)
+            } else {
+                PhaseJamPlan::idle(ctx.spectrum)
+            }
         }
     }
 
@@ -594,7 +205,7 @@ mod tests {
         assert!(o.carol_spend() <= budget);
         assert!(o.carol_spend() >= budget - 1, "she should spend it all");
         // Delivery happened later than a quiet run would: more slots used.
-        let quiet = run_fast(&p, &mut SilentPhaseAdversary, &FastConfig::seeded(3));
+        let quiet = run_fast(&p, &mut SilentPhaseJammer, &FastConfig::seeded(3));
         assert!(o.slots >= quiet.slots);
     }
 
@@ -610,71 +221,53 @@ mod tests {
 
     #[test]
     fn n_uniform_sparing_informs_exactly_the_chosen_few() {
-        /// Blocks every propagation phase totally but spares 50 nodes;
-        /// leaves other phases alone.
-        struct Extractor;
-        impl PhaseAdversary for Extractor {
-            fn plan_phase(&mut self, ctx: &PhaseCtx) -> PhasePlan {
-                match ctx.phase {
-                    PhaseKind::Propagation { .. } => PhasePlan {
-                        jam_slots: ctx.phase_len,
-                        spare: Some(50),
-                        byz_sends: 0,
-                    },
-                    _ => PhasePlan::idle(),
-                }
-            }
-        }
         let p = params(2_000);
-        let o = run_fast(&p, &mut Extractor, &FastConfig::seeded(5));
+        // Blocks every propagation phase totally but spares 50 nodes;
+        // leaves other phases alone.
+        let mut extractor = OnPhase {
+            schedule: RoundSchedule::new(&p),
+            kind: |phase| matches!(phase, PhaseKind::Propagation { .. }),
+            plan: |len| {
+                let mut plan = PhaseJamPlan::channel_zero(Spectrum::single(), len as f64);
+                plan.spare = Some(50);
+                plan
+            },
+        };
+        let o = run_fast(&p, &mut extractor, &FastConfig::seeded(5));
         // Inform phases still seed S_1 directly from Alice, so delivery
         // exceeds 50 — but propagation's mass effect is destroyed, so the
         // informed count stays far below n until very late rounds when
         // the inform phase alone suffices... In practice the run ends with
         // a visible deficit versus the quiet run at equal seeds.
-        let quiet = run_fast(&p, &mut SilentPhaseAdversary, &FastConfig::seeded(5));
+        let quiet = run_fast(&p, &mut SilentPhaseJammer, &FastConfig::seeded(5));
         assert!(o.informed_nodes <= quiet.informed_nodes);
         assert!(o.carol_spend() > 0);
     }
 
     #[test]
     fn request_spoofing_delays_alice() {
-        /// Spoofs nacks across the whole request phase.
-        struct Spoofer;
-        impl PhaseAdversary for Spoofer {
-            fn plan_phase(&mut self, ctx: &PhaseCtx) -> PhasePlan {
-                match ctx.phase {
-                    PhaseKind::Request => PhasePlan {
-                        jam_slots: 0,
-                        spare: None,
-                        byz_sends: ctx.phase_len,
-                    },
-                    _ => PhasePlan::idle(),
-                }
-            }
-        }
         let p = params(2_000);
+        // Spoofs nacks across the whole request phase.
+        let mut spoofer = OnPhase {
+            schedule: RoundSchedule::new(&p),
+            kind: |phase| phase == PhaseKind::Request,
+            plan: |len| {
+                let mut plan = PhaseJamPlan::idle(Spectrum::single());
+                plan.byz_sends = len;
+                plan
+            },
+        };
         let budget = 300_000u64;
         let spoofed = run_fast(
             &p,
-            &mut Spoofer,
+            &mut spoofer,
             &FastConfig::seeded(6).carol_budget(budget),
         );
-        let quiet = run_fast(&p, &mut SilentPhaseAdversary, &FastConfig::seeded(6));
+        let quiet = run_fast(&p, &mut SilentPhaseJammer, &FastConfig::seeded(6));
         // Spoofed nacks keep everyone awake longer.
         assert!(spoofed.slots >= quiet.slots);
         assert!(spoofed.alice_cost.total() >= quiet.alice_cost.total());
         // But she still terminates once Carol is broke.
         assert!(spoofed.alice_terminated);
-    }
-
-    #[test]
-    fn exactly_one_prob_shapes() {
-        assert_eq!(exactly_one_prob(0, 0.5), 0.0);
-        assert!((exactly_one_prob(1, 0.5) - 0.5).abs() < 1e-12);
-        // n·p(1-p)^{n-1} peaks near p = 1/n.
-        let peak = exactly_one_prob(1000, 1.0 / 1000.0);
-        assert!((peak - (1.0f64 - 1.0 / 1000.0).powf(999.0)).abs() < 1e-9);
-        assert!(peak > 0.36 && peak < 0.37); // ≈ 1/e
     }
 }

@@ -141,7 +141,7 @@ pub fn run_fast_mc_with<C: Collector + ?Sized>(
     collector: &C,
 ) -> (BroadcastOutcome, Vec<ChannelStats>) {
     phase::run_memoryless(
-        Sampled::new(config.seed),
+        Sampled::new(config.seed, "fast-mc"),
         &config.shape(),
         config.phase_len,
         spectrum,
@@ -177,7 +177,7 @@ pub fn run_fast_mc_epoch_with<C: Collector + ?Sized>(
     collector: &C,
 ) -> (BroadcastOutcome, Vec<ChannelStats>) {
     phase::run_epoch(
-        Sampled::new(config.seed),
+        Sampled::new(config.seed, "fast-mc"),
         &config.shape(),
         epoch_len,
         spectrum,

@@ -46,14 +46,14 @@
 //! * [`execute_hopping_soa`] / [`HoppingConfig`] — the multi-channel
 //!   epidemic-style random-hopping broadcast, the first `C > 1`
 //!   workload;
-//! * [`fast`] — the phase-level aggregated simulator for large `n`;
-//! * [`phase`] — the phase kernel of the hopping broadcasts: one
-//!   recurrence per hopping schedule and the one [`phase::PhaseJammer`]
-//!   trait, realized twice —
-//!   * [`fast_mc`] — sampled: the phase-level Monte-Carlo spectrum
+//! * [`phase`] — the phase kernel: one recurrence per schedule (the two
+//!   hopping schedules and ε-BROADCAST's rounds) and the one
+//!   [`phase::PhaseJammer`] trait, realized twice —
+//!   * sampled: [`fast`], the phase-level ε-BROADCAST simulator for
+//!     large `n`, and [`fast_mc`], the phase-level Monte-Carlo spectrum
 //!     simulator;
-//!   * [`fluid`] — in expectation: the deterministic mean-field tier
-//!     (`O(phases · C)`, independent of `n`);
+//!   * in expectation: [`fluid`], the deterministic mean-field tier of
+//!     the hopping broadcasts (`O(phases · C)`, independent of `n`);
 //! * [`DecoyConfig`] — §4.1 reactive hardening; [`SizeKnowledge`] — §4.2
 //!   unknown-size operation.
 //!

@@ -1,5 +1,6 @@
-//! The phase kernel of the hopping broadcasts: one recurrence per
-//! hopping schedule, behind the `fast_mc` and `fluid` tiers.
+//! The phase kernel: one recurrence per schedule — the two hopping
+//! schedules behind the `fast_mc` and `fluid` tiers, and ε-BROADCAST's
+//! round schedule behind the `fast` tier.
 //!
 //! The exact engine prices a hopping run at `O(n · slots)` — at
 //! `n = 2^16` and the horizons the multi-channel experiments use, one
@@ -15,16 +16,21 @@
 //!   every device retunes each slot;
 //! * the **epoch** schedule of [`crate::execute_epoch_hopping_soa`], where
 //!   every device holds one channel for a whole epoch (one phase per
-//!   epoch).
+//!   epoch);
+//! * the **ε-BROADCAST** schedule of the paper's Figures 1–2 on one
+//!   channel — inform, the propagation steps, then request with its
+//!   noise-count termination test — whose model and approximations
+//!   [`crate::fast`] documents.
 //!
 //! Each recurrence is generic over a *realization* of its random
 //! quantities. The sampled realization draws them from the run's RNG —
 //! binomial counts, multinomial channel splits, Alice's epoch channel —
-//! so every tally is a whole number ([`crate::fast_mc`]). The expected
-//! realization takes their means, with no RNG anywhere
-//! ([`crate::fluid`]).
+//! so every tally is a whole number ([`crate::fast_mc`], and
+//! [`crate::fast`] on its own stream). The expected realization takes
+//! their means, with no RNG anywhere ([`crate::fluid`]); only the
+//! hopping recurrences run it so far.
 //!
-//! # The model
+//! # The hopping model
 //!
 //! Within a phase of `s` slots the informed set is frozen at its
 //! start-of-phase size `i` (state changes take effect at phase
@@ -65,20 +71,27 @@
 //!
 //! Carol is consulted once per phase through [`PhaseJammer`] — the
 //! multi-channel, phase-granularity counterpart of
-//! [`rcb_radio::Adversary`] — and observes the previous phase only as a
+//! [`rcb_radio::Adversary`], and the one phase-level adversary trait of
+//! every recurrence — and observes the previous hopping phase only as a
 //! whole-count [`PhaseObservation`] rollup (no slot-level clairvoyance).
 //! On the fluid tier the kernel rounds its expected tallies and masses
 //! to whole counts and floors her budget, so one jammer serves both
 //! tiers. Plans are per-channel `f64` slot counts: the sampled tier
 //! rounds each channel to whole slots, the fluid tier executes them as
-//! exact expectations.
+//! exact expectations. The ε-BROADCAST recurrence also prices a plan's
+//! sparing ([`PhaseJamPlan::spare`]) and Byzantine frames
+//! ([`PhaseJamPlan::byz_sends`]); the hopping recurrences ignore both.
 
 use rand::Rng;
 use rcb_radio::{ChannelId, ChannelStats, CostBreakdown, Spectrum};
+use rcb_rng::math::binomial_cdf_upto;
 use rcb_rng::{Binomial, SeedTree, SimRng};
 use rcb_telemetry::{Collector, EngineTier, Event, MetricId};
 
 use crate::outcome::{BroadcastOutcome, EngineKind};
+use crate::params::Params;
+use crate::probabilities::{phase_probabilities, PhaseProbabilities};
+use crate::schedule::{PhaseKind, RoundSchedule};
 
 /// Alice's per-slot transmission probability under hopping gossip —
 /// fixed at 1/2, mirroring the exact protocol's `HoppingAlice`.
@@ -154,12 +167,15 @@ impl PhaseObservation {
 pub struct PhaseJamCtx<'a> {
     /// Phase index (0-based).
     pub phase: u32,
-    /// Index of the phase's first slot.
+    /// Index of the phase's first slot. On the ε-BROADCAST schedule,
+    /// [`RoundSchedule::locate`](crate::RoundSchedule::locate) maps it to
+    /// the phase's round and [`PhaseKind`].
     pub start_slot: u64,
     /// Phase length in slots (the final phase may be shorter than the
     /// configured length).
     pub phase_len: u64,
-    /// The spectrum the run hops over.
+    /// The spectrum the run hops over (a single channel for
+    /// ε-BROADCAST).
     pub spectrum: Spectrum,
     /// Carol's remaining pooled budget (`None` = unlimited).
     pub budget_remaining: Option<u64>,
@@ -170,11 +186,13 @@ pub struct PhaseJamCtx<'a> {
     /// Rollup of the previous phase ([`PhaseObservation::slots`] is 0
     /// before the first phase resolves) — the adversary's whole feedback
     /// channel, per the adaptive model of Chen & Zheng 2020 aggregated to
-    /// phase granularity.
+    /// phase granularity. The ε-BROADCAST recurrence observes nothing:
+    /// its rollup always reads 0 slots and empty tallies.
     pub observation: &'a PhaseObservation,
 }
 
-/// A jammer's plan for one phase: how many slots to jam on each channel.
+/// A jammer's plan for one phase: how many slots to jam on each channel,
+/// plus the two moves only the ε-BROADCAST recurrence prices.
 ///
 /// Each jammed slot on each channel costs one budget unit when it
 /// executes, exactly like a slot-level [`JamPlan`](rcb_radio::JamPlan)
@@ -182,9 +200,62 @@ pub struct PhaseJamCtx<'a> {
 /// sampled tier rounds it to whole slots) and, when the pooled budget
 /// cannot cover the whole plan, fizzles it proportionally across
 /// channels (uniform-in-time spending).
+///
+/// The per-channel counts sit inline for spectra of up to four channels,
+/// so planning a phase allocates nothing there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseJamPlan {
-    jam_slots: Vec<f64>,
+    jam_slots: JamSlots,
+    /// n-uniform targeting (§2.3): with `Some(x)` the jam is total for
+    /// every listener except `x` adversary-chosen uninformed nodes, who
+    /// hear no jamming at all. Only the ε-BROADCAST recurrence reads it;
+    /// the hopping recurrences ignore it.
+    pub spare: Option<u64>,
+    /// Byzantine frames (spoofed nacks in request phases, garbage
+    /// elsewhere), each in its own uniformly random slot and costing one
+    /// unit, charged after the jam and clamped to the phase length. Only
+    /// the ε-BROADCAST recurrence reads it; the hopping recurrences
+    /// ignore it.
+    pub byz_sends: u64,
+}
+
+/// Channels a [`PhaseJamPlan`] stores inline.
+const INLINE_CHANNELS: usize = 4;
+
+/// Per-channel jam counts: inline up to [`INLINE_CHANNELS`] channels, on
+/// the heap beyond.
+#[derive(Debug, Clone, PartialEq)]
+struct JamSlots {
+    len: usize,
+    inline: [f64; INLINE_CHANNELS],
+    heap: Vec<f64>,
+}
+
+impl JamSlots {
+    fn filled(len: usize, slots: f64) -> Self {
+        let mut inline = [0.0; INLINE_CHANNELS];
+        let heap = if len <= INLINE_CHANNELS {
+            inline[..len].fill(slots);
+            Vec::new()
+        } else {
+            vec![slots; len]
+        };
+        Self { len, inline, heap }
+    }
+
+    fn get(&self) -> &[f64] {
+        match self.inline.get(..self.len) {
+            Some(inline) => inline,
+            None => &self.heap,
+        }
+    }
+
+    fn get_mut(&mut self) -> &mut [f64] {
+        match self.inline.get_mut(..self.len) {
+            Some(inline) => inline,
+            None => &mut self.heap,
+        }
+    }
 }
 
 impl PhaseJamPlan {
@@ -199,14 +270,25 @@ impl PhaseJamPlan {
     #[must_use]
     pub fn blanket(spectrum: Spectrum, slots: f64) -> Self {
         Self {
-            jam_slots: vec![slots; spectrum.channel_count() as usize],
+            jam_slots: JamSlots::filled(spectrum.channel_count() as usize, slots),
+            spare: None,
+            byz_sends: 0,
         }
+    }
+
+    /// Jams `slots` slots on channel 0 only — the source paper's
+    /// single-channel "jam everything" (`jam_all`), one unit per slot.
+    #[must_use]
+    pub fn channel_zero(spectrum: Spectrum, slots: f64) -> Self {
+        let mut plan = Self::idle(spectrum);
+        plan.set_jam(ChannelId::ZERO, slots);
+        plan
     }
 
     /// Sets the jammed-slot count on one channel (out-of-spectrum
     /// channels are ignored).
     pub fn set_jam(&mut self, channel: ChannelId, slots: f64) {
-        if let Some(entry) = self.jam_slots.get_mut(channel.index() as usize) {
+        if let Some(entry) = self.jam_slots.get_mut().get_mut(channel.index() as usize) {
             *entry = slots;
         }
     }
@@ -215,32 +297,31 @@ impl PhaseJamPlan {
     /// plan's spectrum).
     #[must_use]
     pub fn jam_on(&self, channel: ChannelId) -> f64 {
-        self.jam_slots
-            .get(channel.index() as usize)
-            .copied()
-            .unwrap_or(0.0)
+        let slots = self.jam_slots().get(channel.index() as usize);
+        slots.copied().unwrap_or(0.0)
     }
 
     /// Per-channel jammed-slot counts, index-aligned with the spectrum.
     #[must_use]
     pub fn jam_slots(&self) -> &[f64] {
-        &self.jam_slots
+        self.jam_slots.get()
     }
 
     /// Total units the plan requests.
     #[must_use]
     pub fn total(&self) -> f64 {
-        self.jam_slots.iter().sum()
+        self.jam_slots().iter().sum()
     }
 }
 
-/// Phase-granularity, channel-aware adversary interface — what both
-/// phase tiers consult once per phase.
+/// Phase-granularity, channel-aware adversary interface — what every
+/// phase recurrence consults once per phase.
 ///
 /// Implementations live in `rcb-adversary`: every schedule-free
-/// strategy has one. A stochastic strategy draws from its own seeded
-/// RNG on the sampled tier; the fluid tier's determinism contract needs
-/// its mean plan instead (`rcb_adversary::RandomFluidJammer`).
+/// strategy has one, and so does every strategy with an ε-BROADCAST
+/// phase model. A stochastic strategy draws from its own seeded RNG on
+/// the sampled tier; the fluid tier's determinism contract needs its
+/// mean plan instead (`rcb_adversary::RandomFluidJammer`).
 pub trait PhaseJammer {
     /// Decides the per-channel jam split for the phase described by
     /// `ctx`. Everything the jammer may legally know — including the
@@ -313,7 +394,8 @@ pub(crate) trait Realization {
     fn fizzle(jam: &mut [f64], total: f64, rem: f64);
 }
 
-/// The `fast_mc` realization: whole counts drawn from one seeded stream.
+/// The sampled realization (`fast_mc`, `fast`): whole counts drawn from
+/// one seeded stream.
 pub(crate) struct Sampled {
     rng: SimRng,
     /// Unit weights for even splits, grown to the widest one seen.
@@ -321,9 +403,10 @@ pub(crate) struct Sampled {
 }
 
 impl Sampled {
-    pub(crate) fn new(seed: u64) -> Self {
+    /// Draws from the run's `stream` under `seed`.
+    pub(crate) fn new(seed: u64, stream: &str) -> Self {
         Self {
-            rng: SeedTree::new(seed).stream("fast-mc", 0),
+            rng: SeedTree::new(seed).stream(stream, 0),
             ones: Vec::new(),
         }
     }
@@ -496,13 +579,23 @@ struct PhaseRecord {
     phase_len: u64,
     requested: f64,
     executed: f64,
-    /// The spectrum-wide coincidence probability (memoryless schedule
-    /// only; the epoch schedule has one per channel).
-    p_one: Option<f64>,
-    clean_avg: f64,
-    rendezvous_p: f64,
     newly: f64,
+    rendezvous_p: f64,
+    /// The fraction of slots the attack left clean: the spectrum-average
+    /// clean fraction on the hopping schedules, the surviving `m`-slot
+    /// (or, in request phases, quiet-slot) fraction on ε-BROADCAST.
+    survive_p: f64,
     uninformed: f64,
+    schedule: ScheduleFields,
+}
+
+/// The event fields only one schedule records.
+enum ScheduleFields {
+    /// Hopping: the spectrum-wide coincidence probability (memoryless
+    /// schedule only; the epoch schedule has one per channel).
+    Hopping { p_one: Option<f64> },
+    /// ε-BROADCAST: the round, and the uninformed nodes that terminated.
+    Broadcast { round: u32, terminated: f64 },
 }
 
 /// One run's telemetry, accumulated locally and flushed in bulk.
@@ -513,8 +606,8 @@ struct PhaseRecord {
 /// semantics by writing only the final phase's values, and events buffer
 /// into a reusable `Vec` flushed through [`Collector::event_batch`]
 /// every [`EVENT_FLUSH_CHUNK`] phases — one store lock per chunk
-/// instead of per phase. Each tier keeps its own counters: `Fast*` on
-/// the sampled tier, `Fluid*` on the fluid tier.
+/// instead of per phase. Each tier keeps its own counters: `Fluid*` on
+/// the fluid tier, `Fast*` on the sampled ones.
 struct Recorder {
     tier: EngineTier,
     protocol: &'static str,
@@ -527,23 +620,56 @@ struct Recorder {
 }
 
 impl Recorder {
+    /// A recorder for one run, or `None` when `collector` is disabled.
+    fn new<C: Collector + ?Sized>(
+        collector: &C,
+        tier: EngineTier,
+        protocol: &'static str,
+    ) -> Option<Self> {
+        collector.enabled().then(|| Self {
+            tier,
+            protocol,
+            events: Vec::new(),
+            phases: 0,
+            informed: 0.0,
+            jam_requested: 0.0,
+            jam_executed: 0.0,
+            last: None,
+        })
+    }
+
     fn record<C: Collector + ?Sized>(&mut self, collector: &C, phase: PhaseRecord) {
         self.phases += 1;
         self.informed += phase.newly;
         self.jam_requested += phase.requested;
         self.jam_executed += phase.executed;
-        let mut fields = vec![
+        let jam = [
             ("phase_len", phase.phase_len as f64),
             ("jam_requested", phase.requested),
             ("jam_executed", phase.executed),
         ];
-        fields.extend(phase.p_one.map(|p| ("p_one", p)));
-        fields.extend([
-            ("clean_avg", phase.clean_avg),
+        let (rendezvous, newly) = (
             ("rendezvous_p", phase.rendezvous_p),
             ("newly_informed", phase.newly),
-            ("uninformed", phase.uninformed),
-        ]);
+        );
+        let uninformed = ("uninformed", phase.uninformed);
+        let fields = match phase.schedule {
+            ScheduleFields::Hopping { p_one } => (jam.into_iter())
+                .chain(p_one.map(|p| ("p_one", p)))
+                .chain([
+                    ("clean_avg", phase.survive_p),
+                    rendezvous,
+                    newly,
+                    uninformed,
+                ])
+                .collect(),
+            ScheduleFields::Broadcast { round, terminated } => [("round", f64::from(round))]
+                .into_iter()
+                .chain(jam)
+                .chain([newly, ("terminated", terminated), rendezvous])
+                .chain([("survive_p", phase.survive_p), uninformed])
+                .collect(),
+        };
         self.events.push(Event {
             tier: self.tier,
             protocol: self.protocol,
@@ -570,7 +696,7 @@ impl Recorder {
             collector.add(MetricId::FastJamExecuted, self.jam_executed as u64);
             if let Some(last) = &self.last {
                 collector.gauge(MetricId::FastRendezvousP, last.rendezvous_p);
-                collector.gauge(MetricId::FastSurviveP, last.clean_avg);
+                collector.gauge(MetricId::FastSurviveP, last.survive_p);
             }
         }
         collector.event_batch(&mut self.events);
@@ -622,16 +748,7 @@ impl<'a, R: Realization, C: Collector + ?Sized> Run<'a, R, C> {
             spectrum,
             adversary,
             collector,
-            telemetry: collector.enabled().then(|| Recorder {
-                tier: R::TIER,
-                protocol,
-                events: Vec::new(),
-                phases: 0,
-                informed: 0.0,
-                jam_requested: 0.0,
-                jam_executed: 0.0,
-                last: None,
-            }),
+            telemetry: Recorder::new(collector, R::TIER, protocol),
             observation: PhaseObservation::empty(spectrum),
             jam: vec![0.0; c],
             sends: vec![0.0; c],
@@ -790,7 +907,7 @@ fn execute_jam<R: Realization>(
     jam: &mut [f64],
 ) -> f64 {
     for (ch, slots) in jam.iter_mut().enumerate() {
-        let planned = plan.jam_slots.get(ch).copied().unwrap_or(0.0);
+        let planned = plan.jam_slots().get(ch).copied().unwrap_or(0.0);
         let planned = if planned.is_finite() {
             planned.clamp(0.0, s as f64)
         } else {
@@ -946,11 +1063,11 @@ pub(crate) fn run_memoryless<R: Realization, C: Collector + ?Sized>(
             phase_len: s,
             requested,
             executed,
-            p_one: Some(p_one),
-            clean_avg,
-            rendezvous_p: d.p_phase,
             newly: d.newly,
+            rendezvous_p: d.p_phase,
+            survive_p: clean_avg,
             uninformed: u,
+            schedule: ScheduleFields::Hopping { p_one: Some(p_one) },
         });
         start += s;
         phase += 1;
@@ -1095,20 +1212,355 @@ pub(crate) fn run_epoch<R: Realization, C: Collector + ?Sized>(
             phase_len: s,
             requested,
             executed,
-            p_one: None,
-            clean_avg: clean_acc / c as f64,
+            newly: newly_total,
             rendezvous_p: if uninformed > 0.0 {
                 rendezvous_acc / uninformed
             } else {
                 0.0
             },
-            newly: newly_total,
+            survive_p: clean_acc / c as f64,
             uninformed: u_total,
+            schedule: ScheduleFields::Hopping { p_one: None },
         });
         start += s;
         phase += 1;
     }
     run.finish(phase)
+}
+
+/// Who seeds `m` in an inform or propagation phase.
+#[derive(Clone, Copy)]
+enum Seeding {
+    /// Alice, transmitting with this per-slot probability.
+    Alice(f64),
+    /// Last phase's newly informed nodes, each transmitting with this
+    /// per-slot probability.
+    Relays(f64),
+}
+
+/// Carol's executed moves for one ε-BROADCAST phase.
+struct Attack {
+    jam: f64,
+    byz: f64,
+    spare: Option<f64>,
+}
+
+/// One ε-BROADCAST phase's outcome, as its telemetry event reports it.
+#[derive(Default)]
+struct BroadcastDigest {
+    /// Nodes newly informed (seeding phases only).
+    informed: f64,
+    /// Uninformed nodes that terminated (request phases only).
+    terminated: f64,
+    /// Probability an uninformed listener met a surviving `m`-slot
+    /// (request phases: 0).
+    rendezvous_p: f64,
+    /// Fraction of `m`-slots surviving jam, spoof and decoy thinning
+    /// (request phases: the complement of the noise probability).
+    survive_p: f64,
+}
+
+/// The ε-BROADCAST population and ledgers.
+#[derive(Default)]
+struct Broadcast {
+    uninformed: f64,
+    /// Nodes informed in the last seeding phase: the next propagation
+    /// step's relays.
+    relay_set: f64,
+    /// Informed nodes past their relay duty.
+    informed_done: f64,
+    uninformed_terminated: f64,
+    alice_terminated: bool,
+    alice_sends: f64,
+    alice_listens: f64,
+    node_sends: f64,
+    node_listens: f64,
+    carol_jams: f64,
+    carol_sends: f64,
+}
+
+impl Broadcast {
+    /// Consults Carol for the phase `[start, start + s)` and executes her
+    /// plan against her remaining budget: the jam through
+    /// [`execute_jam`], then as many Byzantine frames as the rest covers.
+    /// Returns the clamped jam request and what executes.
+    fn attack<R: Realization>(
+        &mut self,
+        adversary: &mut dyn PhaseJammer,
+        carol_budget: Option<u64>,
+        phase: usize,
+        start: u64,
+        s: u64,
+    ) -> (f64, Attack) {
+        let remaining =
+            carol_budget.map(|cap| (cap as f64 - (self.carol_jams + self.carol_sends)).max(0.0));
+        let plan = adversary.plan_phase(&PhaseJamCtx {
+            phase: phase as u32,
+            start_slot: start,
+            phase_len: s,
+            spectrum: Spectrum::single(),
+            budget_remaining: remaining.map(|rem| rem as u64),
+            uninformed: round_count(self.uninformed),
+            informed: round_count(self.informed_done + self.relay_set),
+            observation: &PhaseObservation::default(),
+        });
+        let mut jam = [0.0];
+        let requested = execute_jam::<R>(&plan, s, remaining, &mut jam);
+        let [jam] = jam;
+        let byz = (plan.byz_sends as f64)
+            .min(s as f64)
+            .min(remaining.map_or(f64::INFINITY, |rem| rem - jam));
+        self.carol_jams += jam;
+        self.carol_sends += byz;
+        let spare = plan.spare.map(|x| x as f64);
+        (requested, Attack { jam, byz, spare })
+    }
+
+    /// Inform and propagation phases share one structure: a seeding
+    /// source transmits `m`, uninformed nodes listen, and jamming, decoys
+    /// and Byzantine frames thin the slots that carry it; a listener of a
+    /// surviving slot is informed.
+    fn seeding<R: Realization>(
+        &mut self,
+        real: &mut R,
+        s: u64,
+        attack: &Attack,
+        source: Seeding,
+        probs: &PhaseProbabilities,
+    ) -> BroadcastDigest {
+        let (listen_p, decoy_p) = (probs.uninformed_listen, probs.decoy_send);
+        let u = self.uninformed;
+        // Decoy noise per slot; the decoy senders are all active correct
+        // nodes, about the uninformed plus the relays.
+        let active = u + self.relay_set;
+        let p_decoy_slot = if decoy_p > 0.0 {
+            1.0 - (1.0 - decoy_p).powf(active)
+        } else {
+            0.0
+        };
+        if decoy_p > 0.0 && active > 0.0 {
+            self.node_sends += real.binomial(active, s, decoy_p);
+        }
+
+        // Slots carrying exactly one copy of `m` from the seeding source.
+        let m_slots = match source {
+            Seeding::Alice(alice_send) => {
+                let sends = real.binomial(1.0, s, alice_send);
+                self.alice_sends += sends;
+                sends
+            }
+            Seeding::Relays(send_p) => {
+                let relays = self.relay_set;
+                if relays == 0.0 {
+                    // Known ledger error (ROADMAP.md): this skips the uninformed nodes' listens.
+                    return BroadcastDigest::default();
+                }
+                self.node_sends += real.binomial(relays, s, send_p);
+                real.binomial(1.0, s, exactly_one_prob(relays, send_p))
+            }
+        };
+
+        // Thinning: survive uniform jamming, Byzantine collisions and
+        // decoy collisions.
+        let clean_frac = if attack.spare.is_some() {
+            1.0 // spared nodes experience no jamming; others get nothing
+        } else {
+            1.0 - attack.jam / s as f64
+        };
+        let byz_frac = 1.0 - attack.byz / s as f64;
+        let survive_p = (clean_frac * byz_frac * (1.0 - p_decoy_slot)).clamp(0.0, 1.0);
+        let good_slots = real.binomial(m_slots, 1, survive_p);
+
+        // Listening costs for all uninformed nodes over the phase.
+        // Known ledger error (ROADMAP.md): nodes informed mid-phase pay for the whole phase.
+        if u > 0.0 {
+            self.node_listens += real.binomial(u, s, listen_p);
+        }
+
+        // Who becomes informed?
+        let p_informed = 1.0 - (1.0 - listen_p).powf(good_slots);
+        let newly = match attack.spare {
+            // Total blockade except x hand-picked nodes.
+            Some(x) if attack.jam >= s as f64 => real.binomial(x.min(u), 1, p_informed),
+            Some(x) => {
+                // Partial jam with spared nodes: spared nodes see all
+                // m-slots, others see the thinned ones. Conservative
+                // model: spared nodes use the unjammed success probability.
+                let unjammed_p = (byz_frac * (1.0 - p_decoy_slot)).clamp(0.0, 1.0);
+                let unjammed_good = real.binomial(m_slots, 1, unjammed_p);
+                let p_spared = 1.0 - (1.0 - listen_p).powf(unjammed_good);
+                let spared = x.min(u);
+                let spared_informed = real.binomial(spared, 1, p_spared);
+                spared_informed + real.binomial(u - spared, 1, p_informed)
+            }
+            None => real.binomial(u, 1, p_informed),
+        };
+        self.uninformed -= newly;
+        self.relay_set = newly;
+        BroadcastDigest {
+            informed: newly,
+            terminated: 0.0,
+            rendezvous_p: p_informed,
+            survive_p,
+        }
+    }
+
+    /// The request phase: uninformed nodes nack and listen, Alice
+    /// listens, and from the termination floor on each of them
+    /// terminates when the noise it heard stays within the threshold.
+    fn request<R: Realization>(
+        &mut self,
+        real: &mut R,
+        params: &Params,
+        round: u32,
+        s: u64,
+        attack: &Attack,
+        probs: &PhaseProbabilities,
+    ) -> BroadcastDigest {
+        let u = self.uninformed;
+        // Per-slot noise probability: a nack from anyone, a Byzantine
+        // frame, or a jam (jams are noise for every listener — spares do
+        // not matter to the termination counters Carol wants to
+        // *inflate*; she spares no one here).
+        let p_nack_slot = 1.0 - (1.0 - probs.uninformed_nack).powf(u);
+        let attack_frac = ((attack.jam + attack.byz) / s as f64).min(1.0);
+        let p_noisy = 1.0 - (1.0 - p_nack_slot) * (1.0 - attack_frac);
+
+        if u > 0.0 {
+            self.node_sends += real.binomial(u, s, probs.uninformed_nack);
+            self.node_listens += real.binomial(u, s, probs.uninformed_listen);
+        }
+        let alice_listens = real.binomial(1.0, s, probs.alice_listen);
+        self.alice_listens += alice_listens;
+
+        let judged = round >= params.min_termination_round();
+        let threshold = params.termination_threshold();
+        if judged
+            && !self.alice_terminated
+            && real.binomial(alice_listens, 1, p_noisy) <= threshold as f64
+        {
+            self.alice_terminated = true;
+        }
+
+        // Each uninformed node's noisy-heard count is
+        // Bin(s, listen_p · p_noisy); it terminates iff ≤ threshold.
+        let mut terminated = 0.0;
+        if u > 0.0 && judged {
+            let p_term = binomial_cdf_upto(s, probs.uninformed_listen * p_noisy, threshold);
+            terminated = real.binomial(u, 1, p_term);
+            self.uninformed -= terminated;
+            self.uninformed_terminated += terminated;
+        }
+        BroadcastDigest {
+            informed: 0.0,
+            terminated,
+            rendezvous_p: 0.0,
+            survive_p: 1.0 - p_noisy,
+        }
+    }
+}
+
+/// `P(exactly one of `relays` senders transmits)` in a slot.
+fn exactly_one_prob(relays: f64, p: f64) -> f64 {
+    if relays == 0.0 || p <= 0.0 {
+        return 0.0;
+    }
+    (relays * p * (1.0 - p).powf(relays - 1.0)).clamp(0.0, 1.0)
+}
+
+/// The ε-BROADCAST recurrence: the paper's round schedule — inform, the
+/// propagation steps, then request with its noise-count termination
+/// test — one phase at a time on one channel, until Alice and every
+/// node have terminated or the schedule ends. Events carry `tier`.
+pub(crate) fn run_broadcast<R: Realization, C: Collector + ?Sized>(
+    mut real: R,
+    tier: EngineTier,
+    params: &Params,
+    carol_budget: Option<u64>,
+    adversary: &mut dyn PhaseJammer,
+    collector: &C,
+) -> BroadcastOutcome {
+    let mut telemetry = Recorder::new(collector, tier, "broadcast");
+    let n = params.n();
+    let mut run = Broadcast {
+        uninformed: n as f64,
+        ..Broadcast::default()
+    };
+    let mut slots = 0;
+    let mut rounds_entered = params.start_round();
+    for (index, (round, phase, s)) in RoundSchedule::new(params).phases().enumerate() {
+        if run.uninformed == 0.0 && run.relay_set == 0.0 && run.alice_terminated {
+            break;
+        }
+        rounds_entered = round;
+        let (requested, attack) = run.attack::<R>(adversary, carol_budget, index, slots, s);
+        let probs = phase_probabilities(params, round, phase);
+        let digest = match phase {
+            PhaseKind::Inform => {
+                let alice = Seeding::Alice(probs.alice_send);
+                run.seeding(&mut real, s, &attack, alice, &probs)
+            }
+            PhaseKind::Propagation { step } => {
+                let relays = run.relay_set;
+                let relaying = Seeding::Relays(probs.informed_send);
+                let digest = run.seeding(&mut real, s, &attack, relaying, &probs);
+                // The old relay set terminates informed at the end of its
+                // step; nodes informed in the final step get no duty and
+                // terminate when the request phase starts.
+                run.informed_done += relays;
+                if step == params.propagation_steps() {
+                    run.informed_done += run.relay_set;
+                    run.relay_set = 0.0;
+                }
+                digest
+            }
+            PhaseKind::Request => run.request(&mut real, params, round, s, &attack, &probs),
+        };
+        slots += s;
+        if let Some(recorder) = &mut telemetry {
+            recorder.record(
+                collector,
+                PhaseRecord {
+                    index: index as u32,
+                    phase_len: s,
+                    requested,
+                    executed: attack.jam,
+                    newly: digest.informed,
+                    rendezvous_p: digest.rendezvous_p,
+                    survive_p: digest.survive_p,
+                    uninformed: run.uninformed,
+                    schedule: ScheduleFields::Broadcast {
+                        round,
+                        terminated: digest.terminated,
+                    },
+                },
+            );
+        }
+    }
+    if let Some(recorder) = &mut telemetry {
+        recorder.finish(collector);
+    }
+
+    let costs = |sends: f64, listens: f64, jams: f64| CostBreakdown {
+        sends: round_count(sends),
+        listens: round_count(listens),
+        jams: round_count(jams),
+    };
+    BroadcastOutcome {
+        n,
+        informed_nodes: round_count(run.informed_done + run.relay_set),
+        uninformed_terminated: round_count(run.uninformed_terminated),
+        unterminated_nodes: round_count(run.uninformed),
+        alice_terminated: run.alice_terminated,
+        alice_cost: costs(run.alice_sends, run.alice_listens, 0.0),
+        node_total_cost: costs(run.node_sends, run.node_listens, 0.0),
+        max_node_cost: None,
+        carol_cost: costs(run.carol_sends, 0.0, run.carol_jams),
+        slots,
+        rounds_entered,
+        engine: R::ENGINE,
+        node_costs: None,
+    }
 }
 
 #[cfg(test)]
@@ -1158,7 +1610,13 @@ mod tests {
         };
         let spectrum = Spectrum::new(channels);
         match tier {
-            Tier::Sampled => on(Sampled::new(seed), &shape, schedule, spectrum, jammer),
+            Tier::Sampled => on(
+                Sampled::new(seed, "fast-mc"),
+                &shape,
+                schedule,
+                spectrum,
+                jammer,
+            ),
             Tier::Expected => on(Expected, &shape, schedule, spectrum, jammer),
         }
     }
@@ -1381,7 +1839,7 @@ mod tests {
             real.split_even(total, &mut out);
             out
         }
-        let mut sampled = Sampled::new(1);
+        let mut sampled = Sampled::new(1, "fast-mc");
         let out = split(&mut sampled, 10_000.0, &[1.0, 0.0, 1.0]);
         assert_eq!((out.iter().sum::<f64>(), out[1]), (10_000.0, 0.0));
         let uniform = even(&mut sampled, 100_000.0);
@@ -1408,6 +1866,16 @@ mod tests {
         assert!(m > 1.0 && m <= 100.0);
         // p = 0.5, s large: mean ≈ 2.
         assert!((truncated_geometric_mean(0.5, 1_000) - 2.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn exactly_one_prob_shapes() {
+        assert_eq!(exactly_one_prob(0.0, 0.5), 0.0);
+        assert!((exactly_one_prob(1.0, 0.5) - 0.5).abs() < 1e-12);
+        // n·p(1-p)^{n-1} peaks near p = 1/n.
+        let peak = exactly_one_prob(1000.0, 1.0 / 1000.0);
+        assert!((peak - (1.0f64 - 1.0 / 1000.0).powf(999.0)).abs() < 1e-9);
+        assert!(peak > 0.36 && peak < 0.37); // ≈ 1/e
     }
 
     #[test]

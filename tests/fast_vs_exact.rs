@@ -3,9 +3,9 @@
 //! scales — across quiet, jammed, and spoofed conditions. Both engines
 //! run through the same `Scenario`, differing only in `.engine(..)`.
 //!
-//! A digest table pins the fast simulator itself across the whole
-//! `phase_adversary` zoo and four `Params` variants: outcomes and the
-//! telemetry each phase emits.
+//! A digest table pins the fast simulator itself — the phase kernel's
+//! ε-BROADCAST recurrence — across the whole `phase_adversary` zoo and
+//! four `Params` variants: outcomes and the telemetry each phase emits.
 
 use std::sync::Arc;
 
@@ -203,7 +203,9 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// `fast_simulator_matches_pinned_digests`: (strategy, params variant,
-/// outcome digest, telemetry digest), captured on `rcb_core::fast`.
+/// outcome digest, telemetry digest), captured on `rcb_core::fast` while
+/// it still ran its own phase loop behind its own adversary trait; the
+/// fold into the phase kernel left every digest unchanged.
 #[rustfmt::skip]
 const FAST_PINS: [(&str, &str, u64, u64); 40] = [
     ("silent", "plain", 0x85d8_0c90_61ab_03dd, 0x88f9_dcb2_791b_b607),
