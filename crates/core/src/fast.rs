@@ -29,7 +29,7 @@
 //! carry the n-uniform extraction and spoofed frames that only this
 //! recurrence prices.
 
-use rcb_telemetry::{Collector, EngineTier, NoopCollector};
+use rcb_telemetry::{Collector, NoopCollector};
 
 use crate::outcome::BroadcastOutcome;
 use crate::params::Params;
@@ -113,7 +113,6 @@ pub fn run_fast_with<C: Collector + ?Sized>(
 ) -> BroadcastOutcome {
     phase::run_broadcast(
         Sampled::new(config.seed, "fast-sim"),
-        EngineTier::Fast,
         params,
         config.carol_budget,
         adversary,

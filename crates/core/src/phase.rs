@@ -1471,16 +1471,16 @@ fn exactly_one_prob(relays: f64, p: f64) -> f64 {
 /// The ε-BROADCAST recurrence: the paper's round schedule — inform, the
 /// propagation steps, then request with its noise-count termination
 /// test — one phase at a time on one channel, until Alice and every
-/// node have terminated or the schedule ends. Events carry `tier`.
+/// node have terminated or the schedule ends. It records as the `fast`
+/// tier, the only one that runs it.
 pub(crate) fn run_broadcast<R: Realization, C: Collector + ?Sized>(
     mut real: R,
-    tier: EngineTier,
     params: &Params,
     carol_budget: Option<u64>,
     adversary: &mut dyn PhaseJammer,
     collector: &C,
 ) -> BroadcastOutcome {
-    let mut telemetry = Recorder::new(collector, tier, "broadcast");
+    let mut telemetry = Recorder::new(collector, EngineTier::Fast, "broadcast");
     let n = params.n();
     let mut run = Broadcast {
         uninformed: n as f64,
