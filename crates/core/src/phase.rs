@@ -219,7 +219,10 @@ pub struct PhaseJamPlan {
     pub byz_sends: u64,
 }
 
-/// Channels a [`PhaseJamPlan`] stores inline.
+/// Channels a [`PhaseJamPlan`] stores inline. Its constructors and
+/// accessors are `#[inline]`: every jammer builds one plan per phase from
+/// another crate, and the fast ε-BROADCAST loop spends only a few hundred
+/// nanoseconds on a whole phase.
 const INLINE_CHANNELS: usize = 4;
 
 /// Per-channel jam counts: inline up to [`INLINE_CHANNELS`] channels, on
@@ -232,10 +235,10 @@ struct JamSlots {
 }
 
 impl JamSlots {
+    #[inline]
     fn filled(len: usize, slots: f64) -> Self {
-        let mut inline = [0.0; INLINE_CHANNELS];
+        let inline = std::array::from_fn(|ch| if ch < len { slots } else { 0.0 });
         let heap = if len <= INLINE_CHANNELS {
-            inline[..len].fill(slots);
             Vec::new()
         } else {
             vec![slots; len]
@@ -243,6 +246,7 @@ impl JamSlots {
         Self { len, inline, heap }
     }
 
+    #[inline]
     fn get(&self) -> &[f64] {
         match self.inline.get(..self.len) {
             Some(inline) => inline,
@@ -250,6 +254,7 @@ impl JamSlots {
         }
     }
 
+    #[inline]
     fn get_mut(&mut self) -> &mut [f64] {
         match self.inline.get_mut(..self.len) {
             Some(inline) => inline,
@@ -261,6 +266,7 @@ impl JamSlots {
 impl PhaseJamPlan {
     /// A plan that jams nothing on any channel of `spectrum`.
     #[must_use]
+    #[inline]
     pub fn idle(spectrum: Spectrum) -> Self {
         Self::blanket(spectrum, 0.0)
     }
@@ -268,6 +274,7 @@ impl PhaseJamPlan {
     /// Blankets every channel of `spectrum` for `slots` slots — the
     /// budget-splitting uniform jam (costs `C · slots` units).
     #[must_use]
+    #[inline]
     pub fn blanket(spectrum: Spectrum, slots: f64) -> Self {
         Self {
             jam_slots: JamSlots::filled(spectrum.channel_count() as usize, slots),
@@ -279,6 +286,7 @@ impl PhaseJamPlan {
     /// Jams `slots` slots on channel 0 only — the source paper's
     /// single-channel "jam everything" (`jam_all`), one unit per slot.
     #[must_use]
+    #[inline]
     pub fn channel_zero(spectrum: Spectrum, slots: f64) -> Self {
         let mut plan = Self::idle(spectrum);
         plan.set_jam(ChannelId::ZERO, slots);
@@ -287,6 +295,7 @@ impl PhaseJamPlan {
 
     /// Sets the jammed-slot count on one channel (out-of-spectrum
     /// channels are ignored).
+    #[inline]
     pub fn set_jam(&mut self, channel: ChannelId, slots: f64) {
         if let Some(entry) = self.jam_slots.get_mut().get_mut(channel.index() as usize) {
             *entry = slots;
@@ -303,6 +312,7 @@ impl PhaseJamPlan {
 
     /// Per-channel jammed-slot counts, index-aligned with the spectrum.
     #[must_use]
+    #[inline]
     pub fn jam_slots(&self) -> &[f64] {
         self.jam_slots.get()
     }

@@ -206,7 +206,10 @@ impl RoundSchedule {
         };
         let i = self.start_round + j as u32;
         let within = slot - self.round_starts[j];
-        let len = self.phase_len(i);
+        // A round is k + 1 phases of one length, so that length divides
+        // out of the round's span without `phase_len`'s `powf`: the phase
+        // jammers locate every phase they plan.
+        let len = (self.round_starts[j + 1] - self.round_starts[j]) / (u64::from(self.k) + 1);
         let phase_idx = (within / len) as u32;
         let offset = within % len;
         let phase = if phase_idx == 0 {
