@@ -70,9 +70,14 @@
 //!
 //! First node-major: each actor (Alice and every uninformed node that
 //! acts, in roster order) draws its actions in the window from its own
-//! stream in the per-wake order (arm, then gap), charges each in time
-//! order ([`Medium::charge`]), and keeps its charged listens in one
-//! `u64` mask and its charged nacks in another. Then slot-major: each
+//! stream in the per-wake order (arm, then gap) into a nack mask and a
+//! listen mask, one `u64` bit per slot, and charges them in one ledger
+//! step ([`Medium::charge_window`]): with `r` the smaller of its action
+//! count and its remaining budget, the first `r` actions in time order
+//! are granted and the rest refused. That is what charging each action
+//! in its slot grants, since an actor's budget is its own and an actor
+//! refused once stays broke for the rest of the window. The masks keep
+//! the granted actions. Then slot-major: each
 //! slot airs its nacks in roster order and takes Carol's turn unchanged.
 //! A slot that no frame can reach ([`Medium::may_deliver`] is false)
 //! under a jam that picks no listeners only records whether it was
@@ -104,9 +109,10 @@
 //! relayers terminate *after* acting on their step's final slot, and
 //! late recruits wait (sending decoys) until the next request phase.
 
+use rand::distributions::{Bernoulli, Distribution};
 use rcb_auth::{Authority, KeyId, Payload as MessageBytes, Verifier};
 use rcb_radio::{
-    Adversary, Budget, ChannelId, Medium, Op, Payload, Reception, RunReport, Slot, Spectrum,
+    Adversary, Budget, ChannelId, Medium, Payload, Reception, RunReport, Slot, Spectrum,
     StopReason, WakeQueue,
 };
 use rcb_rng::{CounterRng, Geometric, SeedTree};
@@ -137,20 +143,30 @@ struct Segment {
     waiting: f64,
 }
 
-/// An arm pair reduced to sampling form: wake probability and the
-/// geometric gap distribution (absent when the class never acts).
+/// An arm pair reduced to sampling form: wake probability, the
+/// geometric gap distribution (absent when the class never acts) and,
+/// given a wake, the first arm's chance `p₁ / p_w`.
 struct Class {
     p1: f64,
     p2: f64,
     pw: f64,
     geo: Option<Geometric>,
+    arm: Bernoulli,
 }
 
 fn class(arms: (f64, f64)) -> Class {
     let (p1, p2) = arms;
     let pw = p1 + p2 - p1 * p2;
     let geo = (pw > 0.0).then(|| Geometric::new(pw).expect("probabilities are clamped to [0,1]"));
-    Class { p1, p2, pw, geo }
+    let first = if pw > 0.0 { (p1 / pw).min(1.0) } else { 0.0 };
+    let arm = Bernoulli::new(first).expect("a ratio in [0, 1]");
+    Class {
+        p1,
+        p2,
+        pw,
+        geo,
+        arm,
+    }
 }
 
 impl Class {
@@ -163,7 +179,7 @@ impl Class {
         } else if self.p1 <= 0.0 {
             false
         } else {
-            rand::Rng::gen_bool(rng, (self.p1 / self.pw).min(1.0))
+            self.arm.sample(rng)
         }
     }
 }
@@ -351,9 +367,9 @@ impl RequestWindows {
 
     /// The node-major half of window `start..end`: every actor draws its
     /// actions in the window from its own stream, in the per-wake
-    /// order (arm, then gap), and charges each in time order. Returns
-    /// the mask of slots in which some actor acts, refused actions
-    /// included.
+    /// order (arm, then gap), into a nack and a listen mask, and charges
+    /// them in one ledger step ([`Medium::charge_window`]). Returns the
+    /// mask of slots in which some actor acts, refused actions included.
     fn fill(
         &mut self,
         start: u64,
@@ -377,17 +393,16 @@ impl RequestWindows {
                 let mut nacks = 0u64;
                 while slot < end {
                     let bit = 1u64 << (slot - start);
-                    acted |= bit;
                     if cls.first_arm(rng) {
-                        if medium.charge(node, ChannelId::ZERO, Op::Send) {
-                            nacks |= bit;
-                        }
-                    } else if medium.charge(node, ChannelId::ZERO, Op::Listen) {
+                        nacks |= bit;
+                    } else {
                         listens |= bit;
                     }
                     slot += 1 + geo.sample(rng);
                 }
                 self.next[i] = slot;
+                acted |= nacks | listens;
+                (nacks, listens) = medium.charge_window(node, ChannelId::ZERO, nacks, listens);
                 if nacks != 0 {
                     self.nacks.push((node, nacks));
                 }

@@ -4,6 +4,24 @@
 //! simulated without touching the slots it sleeps through: the gap to its
 //! next active slot is `Geometric(p)`. The exact engine uses this to skip
 //! a participant forward across long idle stretches.
+//!
+//! ## The threshold table
+//!
+//! A variate is the inversion `⌊ln U / ln(1−p)⌋` of one uniform `U`,
+//! which costs a logarithm and a division. With `ln_q` the divisor and
+//! `t_k = exp(k·ln_q)`, the variate is `k` exactly when
+//! `t_{k+1} < U ≤ t_k`, so [`Geometric::new`] precomputes `t_1, …, t_16`
+//! and [`Geometric::sample`] answers `k` from them, without the
+//! logarithm, whenever `U` lies inside `(t_{k+1}, t_k)` with more than a
+//! relative `2^-32` to spare on each side. There the formula's floor is
+//! provably `k`: `ln`, `exp` and the division each err by a few ULPs
+//! (about `1e-15` relative), and a relative `2^-32` shift of `U` moves
+//! `ln U / ln_q` by `2^-32 / |ln_q| ≥ 2^-38` (`|ln_q| ≤ 53·ln 2` for
+//! any double `p < 1`), far more than those errors move it. Every
+//! other `U` (inside a guard band, below `t_16`, or `0`) takes the
+//! formula, and so does every `p` whose table holds under ¾ of the
+//! mass (`t_16 ≥ 1/4`, so `p ≲ 0.083`). Each variate draws the same
+//! one word and returns the same value as the formula alone.
 
 use std::fmt;
 
@@ -43,7 +61,19 @@ impl std::error::Error for GeometricError {}
 pub struct Geometric {
     p: f64,
     ln_q: f64,
+    /// `lower[j] = t_{j+1}·(1 − 2^-32)`, the low edge of the guard band
+    /// around `t_{j+1}`.
+    lower: [f64; TABLE],
+    /// `upper[j] = t_{j+1}·(1 + 2^-32)`, its high edge; the last entry is
+    /// `+∞` when the table is not used.
+    upper: [f64; TABLE],
 }
+
+/// Thresholds in a sampler's table.
+const TABLE: usize = 16;
+
+/// The guard band's half-width, relative to its threshold.
+const GUARD: f64 = 1.0 / (1u64 << 32) as f64;
 
 impl Geometric {
     /// Creates a sampler with success probability `p ∈ (0, 1]`.
@@ -56,9 +86,24 @@ impl Geometric {
         if !p.is_finite() || !(0.0..=1.0).contains(&p) || p == 0.0 {
             return Err(GeometricError(()));
         }
+        let ln_q = (-p).ln_1p();
+        let mut lower = [0.0; TABLE];
+        let mut upper = [0.0; TABLE];
+        for (k, (lo, hi)) in (1..).zip(lower.iter_mut().zip(&mut upper)) {
+            let t = (f64::from(k) * ln_q).exp();
+            *lo = t * (1.0 - GUARD);
+            *hi = t * (1.0 + GUARD);
+        }
+        if (TABLE as f64 * ln_q).exp() >= 0.25 {
+            // `t_16 ≥ 1/4`: under ¾ of the mass in the table, so every
+            // variate takes the formula.
+            upper[TABLE - 1] = f64::INFINITY;
+        }
         Ok(Self {
             p,
-            ln_q: (-p).ln_1p(),
+            ln_q,
+            lower,
+            upper,
         })
     }
 
@@ -68,20 +113,44 @@ impl Geometric {
         self.p
     }
 
-    /// Draws one variate: failures before the first success.
+    /// Draws one variate: failures before the first success. Draws one
+    /// word, or none at `p = 1`.
     #[must_use]
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         if self.p >= 1.0 {
             return 0;
         }
-        // Inversion: ⌊ln U / ln(1−p)⌋ is Geometric(p).
-        let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        let x = u.ln() / self.ln_q;
-        if x >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            x as u64
+        self.at(rng.gen())
+    }
+
+    /// The variate at uniform `u`: from the table where it provably
+    /// agrees with [`invert`](Self::invert), from the formula elsewhere
+    /// (see the module docs).
+    #[inline]
+    fn at(&self, u: f64) -> u64 {
+        if u > self.upper[TABLE - 1] {
+            // `k` thresholds lie above `u`'s guard band; the lower edges
+            // fall with `k`, so they are `t_1, …, t_k`, and `k < 16`.
+            let k = self.lower.iter().filter(|&&lo| u < lo).count();
+            if u > self.upper[k] {
+                return k as u64;
+            }
         }
+        self.invert(u)
+    }
+
+    /// The reference inversion `⌊ln U / ln(1−p)⌋` (`U = 0` read as the
+    /// smallest normal double; the cast saturates at `u64::MAX`).
+    #[inline]
+    fn invert(&self, u: f64) -> u64 {
+        (u.max(f64::MIN_POSITIVE).ln() / self.ln_q) as u64
+    }
+
+    /// Whether [`sample`](Self::sample) may answer from the table.
+    #[cfg(test)]
+    fn tabled(&self) -> bool {
+        self.upper[TABLE - 1].is_finite()
     }
 
     /// Mean `= (1−p)/p`.
@@ -95,7 +164,8 @@ impl Geometric {
 mod tests {
     use super::*;
     use crate::stats::RunningStats;
-    use rand::SeedableRng;
+    use crate::CounterRng;
+    use rand::{Rng, SeedableRng};
 
     type TestRng = crate::Xoshiro256PlusPlus;
 
@@ -155,6 +225,98 @@ mod tests {
         }
         assert!((direct.mean() - inverted.mean()).abs() < 0.1);
         assert!((direct.variance() - inverted.variance()).abs() < 2.0);
+    }
+
+    /// The largest `p` whose table is skipped (`t_16 ≥ 1/4`); the next
+    /// double up is the smallest that takes it.
+    fn largest_skipped_p() -> f64 {
+        let tabled = |bits: u64| Geometric::new(f64::from_bits(bits)).unwrap().tabled();
+        let (mut skip, mut take) = (0.05f64.to_bits(), 0.1f64.to_bits());
+        assert!(!tabled(skip) && tabled(take));
+        while take - skip > 1 {
+            let mid = skip + (take - skip) / 2;
+            if tabled(mid) {
+                take = mid;
+            } else {
+                skip = mid;
+            }
+        }
+        f64::from_bits(skip)
+    }
+
+    /// Every grid point `m·2^-53` (the values `gen::<f64>` returns)
+    /// within `±2^11` points of each threshold and of each guard-band
+    /// edge must take the reference's value.
+    fn assert_grid_matches(g: &Geometric) {
+        const SPAN: u64 = 1 << 11;
+        const TOP: u64 = (1 << 53) - 1;
+        let scale = (1u64 << 53) as f64;
+        let mut ranges: Vec<(u64, u64)> = Vec::new();
+        for j in 0..TABLE {
+            let t = (((j + 1) as f64) * g.ln_q).exp();
+            for centre in [t, g.lower[j], g.upper[j]] {
+                let m = (centre * scale) as u64;
+                ranges.push((m.saturating_sub(SPAN), (m + SPAN + 1).min(TOP)));
+            }
+        }
+        ranges.sort_unstable();
+        let mut next = 0u64;
+        for (lo, hi) in ranges {
+            for m in lo.max(next)..=hi {
+                let u = m as f64 / scale;
+                assert_eq!(g.at(u), g.invert(u), "p {}, U = {m}·2^-53", g.p);
+            }
+            next = next.max(hi + 1);
+        }
+    }
+
+    /// Every sampler returns the reference inversion's value from the
+    /// same word. A zero guard fails this (first at p ≈ 0.17, next to
+    /// `t_10`).
+    #[test]
+    fn table_matches_the_reference_inversion() {
+        let skipped = largest_skipped_p();
+        let taken = f64::from_bits(skipped.to_bits() + 1);
+        let cases = [
+            // The flagship's request wake rates.
+            (0.171_4, true),
+            (0.342_5, true),
+            (0.684_8, true),
+            (0.5, true),
+            (0.9, true),
+            (1.0 - 2f64.powi(-53), true),
+            (skipped, false),
+            (taken, true),
+            (1e-300, false),
+            (1.0, true),
+        ];
+        for (i, &(p, tabled)) in cases.iter().enumerate() {
+            let g = Geometric::new(p).unwrap();
+            assert_eq!(g.tabled(), tabled, "p {p}");
+            if tabled && p < 1.0 {
+                assert_grid_matches(&g);
+            }
+            let reference = |rng: &mut CounterRng| {
+                if p >= 1.0 {
+                    0
+                } else {
+                    g.invert(rng.gen())
+                }
+            };
+            // 2^17 variates per p: one word each (none at p = 1), and the
+            // reference's value from it.
+            let mut rng = CounterRng::new(0x6E0 + i as u64);
+            let words = u64::from(p < 1.0);
+            for _ in 0..1 << 17 {
+                let before = rng.counter();
+                let mut replay = rng;
+                let want = reference(&mut replay);
+                assert_eq!(g.sample(&mut rng), want, "p {p}");
+                assert_eq!(rng.counter(), before + words, "p {p}");
+            }
+            // U = 0, what a word below 2^11 gives.
+            assert_eq!(g.at(0.0), g.invert(0.0), "p {p}, U = 0");
+        }
     }
 
     #[test]

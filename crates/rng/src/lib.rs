@@ -18,7 +18,10 @@
 //!   a node's stream survives skipped slots and draw-order changes.
 //! * [`Binomial`] — exact binomial sampling (BINV inversion for small
 //!   `n·min(p,1−p)`, BTPE for large), plus a slow geometric-skip validator.
-//! * [`Geometric`] — geometric sampling for skip-ahead Bernoulli streams.
+//! * [`Geometric`] — geometric sampling for skip-ahead Bernoulli streams:
+//!   one word per variate, inverted through a precomputed threshold table
+//!   wherever the table provably returns the logarithmic formula's value,
+//!   and through the formula everywhere else.
 //! * [`sample_distinct`](subset::sample_distinct) — Floyd's algorithm for
 //!   uniform distinct index subsets (used to pick *which* listeners a
 //!   successful slot informs).

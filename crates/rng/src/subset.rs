@@ -47,51 +47,6 @@ pub fn sample_distinct<R: Rng + ?Sized>(rng: &mut R, n: u64, k: u64) -> Vec<u64>
     out
 }
 
-/// Fisher–Yates partial shuffle: moves a uniform `k`-subset of `items` to
-/// the front, in uniform random order, and returns that prefix length.
-///
-/// Used when a phase informs `k` nodes out of a materialised roster and the
-/// caller wants both the identities and a random service order.
-pub fn partial_shuffle<T, R: Rng + ?Sized>(rng: &mut R, items: &mut [T], k: usize) -> usize {
-    let k = k.min(items.len());
-    for i in 0..k {
-        let j = rng.gen_range(i..items.len());
-        items.swap(i, j);
-    }
-    k
-}
-
-/// Draws a Bernoulli subset: each of `0..n` included independently w.p. `p`.
-///
-/// Implemented with geometric skips so the cost is proportional to the
-/// output size, not to `n`. Used by the exact engine to decide which nodes
-/// act in a slot without iterating all of them.
-#[must_use]
-pub fn bernoulli_subset<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> Vec<u64> {
-    if p <= 0.0 || n == 0 {
-        return Vec::new();
-    }
-    if p >= 1.0 {
-        return (0..n).collect();
-    }
-    let ln_q = (-p).ln_1p();
-    let mut out = Vec::new();
-    let mut idx = 0u64;
-    loop {
-        let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        let skip = u.ln() / ln_q;
-        if skip >= (n - idx) as f64 {
-            return out;
-        }
-        idx += skip as u64;
-        out.push(idx);
-        idx += 1;
-        if idx >= n {
-            return out;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,59 +92,5 @@ mod tests {
                 "element {i} frequency {freq}"
             );
         }
-    }
-
-    #[test]
-    fn partial_shuffle_prefix_is_subset() {
-        let mut rng = TestRng::seed_from_u64(1);
-        let mut items: Vec<u32> = (0..50).collect();
-        let k = partial_shuffle(&mut rng, &mut items, 7);
-        assert_eq!(k, 7);
-        let prefix: HashSet<_> = items[..7].iter().collect();
-        assert_eq!(prefix.len(), 7);
-        // Still a permutation of the original multiset.
-        let mut sorted = items.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn partial_shuffle_k_larger_than_len() {
-        let mut rng = TestRng::seed_from_u64(2);
-        let mut items = vec![1, 2, 3];
-        assert_eq!(partial_shuffle(&mut rng, &mut items, 10), 3);
-    }
-
-    #[test]
-    fn bernoulli_subset_edges() {
-        let mut rng = TestRng::seed_from_u64(3);
-        assert!(bernoulli_subset(&mut rng, 100, 0.0).is_empty());
-        assert_eq!(bernoulli_subset(&mut rng, 5, 1.0), vec![0, 1, 2, 3, 4]);
-        assert!(bernoulli_subset(&mut rng, 0, 0.7).is_empty());
-    }
-
-    #[test]
-    fn bernoulli_subset_density_matches_p() {
-        let mut rng = TestRng::seed_from_u64(4);
-        let n = 200_000u64;
-        let p = 0.03;
-        let total: usize = (0..20)
-            .map(|_| bernoulli_subset(&mut rng, n, p).len())
-            .sum();
-        let mean = total as f64 / 20.0;
-        let expect = n as f64 * p;
-        let sd = (n as f64 * p * (1.0 - p) / 20.0).sqrt();
-        assert!(
-            (mean - expect).abs() < 6.0 * sd,
-            "mean {mean}, expect {expect}"
-        );
-    }
-
-    #[test]
-    fn bernoulli_subset_is_sorted_and_distinct() {
-        let mut rng = TestRng::seed_from_u64(5);
-        let v = bernoulli_subset(&mut rng, 10_000, 0.05);
-        assert!(v.windows(2).all(|w| w[0] < w[1]));
-        assert!(v.iter().all(|&x| x < 10_000));
     }
 }
