@@ -70,14 +70,9 @@
 //!
 //! First node-major: each actor (Alice and every uninformed node that
 //! acts, in roster order) draws its actions in the window from its own
-//! stream in the per-wake order (arm, then gap) into a nack mask and a
-//! listen mask, one `u64` bit per slot, and charges them in one ledger
-//! step ([`Medium::charge_window`]): with `r` the smaller of its action
-//! count and its remaining budget, the first `r` actions in time order
-//! are granted and the rest refused. That is what charging each action
-//! in its slot grants, since an actor's budget is its own and an actor
-//! refused once stays broke for the rest of the window. The masks keep
-//! the granted actions. Then slot-major: each
+//! stream in the per-wake order (arm, then gap), charges each in time
+//! order ([`Medium::charge`]), and keeps its charged listens in one
+//! `u64` mask and its charged nacks in another. Then slot-major: each
 //! slot airs its nacks in roster order and takes Carol's turn unchanged.
 //! A slot that no frame can reach ([`Medium::may_deliver`] is false)
 //! under a jam that picks no listeners only records whether it was
@@ -112,7 +107,7 @@
 use rand::distributions::{Bernoulli, Distribution};
 use rcb_auth::{Authority, KeyId, Payload as MessageBytes, Verifier};
 use rcb_radio::{
-    Adversary, Budget, ChannelId, Medium, Payload, Reception, RunReport, Slot, Spectrum,
+    Adversary, Budget, ChannelId, Medium, Op, Payload, Reception, RunReport, Slot, Spectrum,
     StopReason, WakeQueue,
 };
 use rcb_rng::{CounterRng, Geometric, SeedTree};
@@ -367,9 +362,9 @@ impl RequestWindows {
 
     /// The node-major half of window `start..end`: every actor draws its
     /// actions in the window from its own stream, in the per-wake
-    /// order (arm, then gap), into a nack and a listen mask, and charges
-    /// them in one ledger step ([`Medium::charge_window`]). Returns the
-    /// mask of slots in which some actor acts, refused actions included.
+    /// order (arm, then gap), and charges each in time order. Returns
+    /// the mask of slots in which some actor acts, refused actions
+    /// included.
     fn fill(
         &mut self,
         start: u64,
@@ -393,16 +388,17 @@ impl RequestWindows {
                 let mut nacks = 0u64;
                 while slot < end {
                     let bit = 1u64 << (slot - start);
+                    acted |= bit;
                     if cls.first_arm(rng) {
-                        nacks |= bit;
-                    } else {
+                        if medium.charge(node, ChannelId::ZERO, Op::Send) {
+                            nacks |= bit;
+                        }
+                    } else if medium.charge(node, ChannelId::ZERO, Op::Listen) {
                         listens |= bit;
                     }
                     slot += 1 + geo.sample(rng);
                 }
                 self.next[i] = slot;
-                acted |= nacks | listens;
-                (nacks, listens) = medium.charge_window(node, ChannelId::ZERO, nacks, listens);
                 if nacks != 0 {
                     self.nacks.push((node, nacks));
                 }

@@ -163,29 +163,6 @@ impl Meter {
         self.refusals += count - granted;
         granted
     }
-
-    /// Charges one send per set bit of `sends` and one listen per set bit
-    /// of `listens` (disjoint masks) in one step, in ascending bit order:
-    /// the first ones up to the remaining budget are granted and the rest
-    /// refused one-for-one, as unit charges in that order would (once
-    /// refused, a meter stays broke). Returns the granted bits of each.
-    fn try_charge_masks(&mut self, sends: u64, listens: u64) -> (u64, u64) {
-        debug_assert_eq!(sends & listens, 0, "one operation per bit");
-        let wanted = sends | listens;
-        let mut granted = wanted;
-        if let Some(cap) = self.budget.cap() {
-            let left = cap.saturating_sub(self.spent.total());
-            for _ in left..u64::from(wanted.count_ones()) {
-                // Refuse the latest operation still granted.
-                granted ^= 1 << (63 - granted.leading_zeros());
-            }
-        }
-        let (sends, listens) = (sends & granted, listens & granted);
-        self.spent.sends += u64::from(sends.count_ones());
-        self.spent.listens += u64::from(listens.count_ones());
-        self.refusals += u64::from((wanted ^ granted).count_ones());
-        (sends, listens)
-    }
 }
 
 /// The simulation's energy ledger: one meter per correct participant plus
@@ -384,31 +361,6 @@ impl EnergyLedger {
             }
         }
         granted
-    }
-
-    /// Charges a correct participant's operations in up to 64 slots at
-    /// once on `channel`: one send per set bit of `sends` and one listen
-    /// per set bit of `listens` (disjoint masks, bit order = time order).
-    /// The first ones up to the remaining budget are granted, exactly as
-    /// unit charges in time order would grant them, and the rest recorded
-    /// as refusals. Returns the granted bits of each mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range, or `channel` is outside the
-    /// ledger's spectrum.
-    pub(crate) fn charge_participant_masks_on(
-        &mut self,
-        id: usize,
-        sends: u64,
-        listens: u64,
-        channel: ChannelId,
-    ) -> (u64, u64) {
-        let (sends, listens) = self.participants[id].try_charge_masks(sends, listens);
-        let entry = &mut self.correct_by_channel[channel.index() as usize];
-        entry.sends += u64::from(sends.count_ones());
-        entry.listens += u64::from(listens.count_ones());
-        (sends, listens)
     }
 
     /// Attempts to charge one unit to Carol's pool, on channel 0.

@@ -111,12 +111,11 @@ pub struct RunReport {
 /// commits its woken devices through [`send`](Self::send) and
 /// [`listen`](Self::listen) (in roster order) and hands the slot to
 /// [`carol_turn`](Self::carol_turn). A driver that draws a device's
-/// actions in a window ahead of their slots charges them first
-/// ([`charge_window`](Self::charge_window)) and airs the charged ones in
-/// their slots ([`air_send`](Self::air_send),
-/// [`air_listener`](Self::air_listener)). [`report`](Self::report)
-/// closes the run. Held in a driver's scratch, it allocates nothing per
-/// run but the report once warm.
+/// actions ahead of their slots charges them first
+/// ([`charge`](Self::charge)) and airs the charged ones in their slots
+/// ([`air_send`](Self::air_send), [`air_listener`](Self::air_listener)). [`report`](Self::report) closes the
+/// run. Held in a driver's scratch, it allocates nothing per run but the
+/// report once warm.
 #[derive(Debug, Default)]
 pub struct Medium {
     /// Every correct participant's and Carol's spend.
@@ -189,40 +188,21 @@ impl Medium {
     }
 
     /// Charges participant `node` one `op` on `channel` without putting
-    /// it on the air; returns whether its budget allowed it.
+    /// it on the air; returns whether its budget allowed it. A driver
+    /// that knows a device's actions ahead of their slots charges them
+    /// here, in the device's own time order, and airs the charged ones
+    /// in their slots through [`air_send`](Self::air_send) and
+    /// [`air_listener`](Self::air_listener). Each participant's budget
+    /// is its own, so charging device by device rather than slot by
+    /// slot grants and refuses the same operations.
     #[inline]
-    fn charge(&mut self, node: u32, channel: ChannelId, op: Op) -> bool {
+    pub fn charge(&mut self, node: u32, channel: ChannelId, op: Op) -> bool {
         self.ledger
             .charge_participant_on(node as usize, op, channel)
             .is_charged()
     }
 
-    /// Charges participant `node`'s actions on `channel` in a window of
-    /// up to 64 slots in one ledger step, without putting them on the
-    /// air: a send per set bit of `sends` and a listen per set bit of
-    /// `listens` (disjoint masks; bit `i` is the window's `i`-th slot).
-    /// With `r` the smaller of the action count and the remaining
-    /// budget, the first `r` actions in time order are granted and the
-    /// rest refused, which is what charging each in its slot grants: a
-    /// participant's budget is its own, and once refused it stays broke
-    /// for the rest of the window. Returns the granted `(sends,
-    /// listens)`; a driver airs them in their slots through
-    /// [`air_send`](Self::air_send) and
-    /// [`air_listener`](Self::air_listener).
-    #[inline]
-    pub fn charge_window(
-        &mut self,
-        node: u32,
-        channel: ChannelId,
-        sends: u64,
-        listens: u64,
-    ) -> (u64, u64) {
-        self.ledger
-            .charge_participant_masks_on(node as usize, sends, listens, channel)
-    }
-
-    /// Airs a send that [`charge_window`](Self::charge_window) already
-    /// granted.
+    /// Airs a send that [`charge`](Self::charge) already granted.
     #[inline]
     pub fn air_send(&mut self, node: u32, channel: ChannelId, payload: Payload) {
         self.correct_sends
@@ -230,8 +210,8 @@ impl Medium {
         self.load.push(channel, payload);
     }
 
-    /// Adds a listen that [`charge_window`](Self::charge_window) already
-    /// granted to the slot's listeners.
+    /// Adds a listen that [`charge`](Self::charge) already granted to
+    /// the slot's listeners.
     #[inline]
     pub fn air_listener(&mut self, node: u32, channel: ChannelId) {
         self.listeners.push((ParticipantId::new(node), channel));
@@ -644,64 +624,6 @@ mod tests {
         assert!(!r0.jammed());
         let r1 = report.trace.get(Slot::new(1)).unwrap();
         assert_eq!((r1.listeners, r1.delivered), (0, 0), "the ear stopped");
-    }
-
-    #[test]
-    fn window_charge_grants_what_per_slot_charges_grant() {
-        // 26 actions over a 64-slot window, nacks and listens
-        // interleaved, charged on channel 1 of 2.
-        let slots =
-            |keep: fn(u64) -> bool| (0..64).filter(|&s| keep(s)).fold(0u64, |m, s| m | 1 << s);
-        let sends = slots(|s| s % 5 == 0);
-        let listens = slots(|s| s % 3 == 1 && s % 5 != 0);
-        let actions = u64::from((sends | listens).count_ones());
-        let ch = ChannelId::new(1);
-        for (budget, before) in [
-            // Broke before the window, with and without refusals on record.
-            (Budget::limited(10), 10),
-            (Budget::limited(10), 12),
-            // Runs out inside the window, on its last action, after it.
-            (Budget::limited(20), 10),
-            (Budget::limited(10 + actions), 10),
-            (Budget::limited(100), 10),
-            (Budget::unlimited(), 10),
-        ] {
-            let fresh = || {
-                let mut medium = Medium::new();
-                medium.reset(&[budget], Budget::unlimited(), Spectrum::new(2), 0);
-                for _ in 0..before {
-                    medium.charge(0, ChannelId::ZERO, Op::Listen);
-                }
-                medium
-            };
-            let (mut unit, mut window) = (fresh(), fresh());
-            let (mut granted_sends, mut granted_listens) = (0u64, 0u64);
-            for bit in (0..64).map(|s| 1u64 << s) {
-                if sends & bit != 0 && unit.charge(0, ch, Op::Send) {
-                    granted_sends |= bit;
-                }
-                if listens & bit != 0 && unit.charge(0, ch, Op::Listen) {
-                    granted_listens |= bit;
-                }
-            }
-            let granted = window.charge_window(0, ch, sends, listens);
-            assert_eq!(granted, (granted_sends, granted_listens), "budget {budget}");
-            let left = budget
-                .cap()
-                .map_or(actions, |cap| cap.saturating_sub(before));
-            assert_eq!(
-                u64::from((granted.0 | granted.1).count_ones()),
-                left.min(actions),
-                "budget {budget}"
-            );
-            let (a, b) = (&unit.ledger, &window.ledger);
-            assert_eq!(a.participant_spend(0usize), b.participant_spend(0usize));
-            assert_eq!(
-                a.participant_refusals(0usize),
-                b.participant_refusals(0usize)
-            );
-            assert_eq!(a.correct_channel_spend(), b.correct_channel_spend());
-        }
     }
 
     #[test]

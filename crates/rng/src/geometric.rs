@@ -19,9 +19,11 @@
 //! `ln U / ln_q` by `2^-32 / |ln_q| ≥ 2^-38` (`|ln_q| ≤ 53·ln 2` for
 //! any double `p < 1`), far more than those errors move it. Every
 //! other `U` (inside a guard band, below `t_16`, or `0`) takes the
-//! formula, and so does every `p` whose table holds under ¾ of the
-//! mass (`t_16 ≥ 1/4`, so `p ≲ 0.083`). Each variate draws the same
-//! one word and returns the same value as the formula alone.
+//! formula. The argument holds at any `p`: where neighbouring guard
+//! bands overlap, the interval between them is empty and every `U`
+//! there takes the formula too, and at small `p`, where `t_16` is close
+//! to 1, almost every `U` fails the first compare. Each variate draws
+//! the same one word and returns the same value as the formula alone.
 
 use std::fmt;
 
@@ -64,8 +66,7 @@ pub struct Geometric {
     /// `lower[j] = t_{j+1}·(1 − 2^-32)`, the low edge of the guard band
     /// around `t_{j+1}`.
     lower: [f64; TABLE],
-    /// `upper[j] = t_{j+1}·(1 + 2^-32)`, its high edge; the last entry is
-    /// `+∞` when the table is not used.
+    /// `upper[j] = t_{j+1}·(1 + 2^-32)`, its high edge.
     upper: [f64; TABLE],
 }
 
@@ -93,11 +94,6 @@ impl Geometric {
             let t = (f64::from(k) * ln_q).exp();
             *lo = t * (1.0 - GUARD);
             *hi = t * (1.0 + GUARD);
-        }
-        if (TABLE as f64 * ln_q).exp() >= 0.25 {
-            // `t_16 ≥ 1/4`: under ¾ of the mass in the table, so every
-            // variate takes the formula.
-            upper[TABLE - 1] = f64::INFINITY;
         }
         Ok(Self {
             p,
@@ -145,12 +141,6 @@ impl Geometric {
     #[inline]
     fn invert(&self, u: f64) -> u64 {
         (u.max(f64::MIN_POSITIVE).ln() / self.ln_q) as u64
-    }
-
-    /// Whether [`sample`](Self::sample) may answer from the table.
-    #[cfg(test)]
-    fn tabled(&self) -> bool {
-        self.upper[TABLE - 1].is_finite()
     }
 
     /// Mean `= (1−p)/p`.
@@ -227,23 +217,6 @@ mod tests {
         assert!((direct.variance() - inverted.variance()).abs() < 2.0);
     }
 
-    /// The largest `p` whose table is skipped (`t_16 ≥ 1/4`); the next
-    /// double up is the smallest that takes it.
-    fn largest_skipped_p() -> f64 {
-        let tabled = |bits: u64| Geometric::new(f64::from_bits(bits)).unwrap().tabled();
-        let (mut skip, mut take) = (0.05f64.to_bits(), 0.1f64.to_bits());
-        assert!(!tabled(skip) && tabled(take));
-        while take - skip > 1 {
-            let mid = skip + (take - skip) / 2;
-            if tabled(mid) {
-                take = mid;
-            } else {
-                skip = mid;
-            }
-        }
-        f64::from_bits(skip)
-    }
-
     /// Every grid point `m·2^-53` (the values `gen::<f64>` returns)
     /// within `±2^11` points of each threshold and of each guard-band
     /// edge must take the reference's value.
@@ -275,25 +248,27 @@ mod tests {
     /// `t_10`).
     #[test]
     fn table_matches_the_reference_inversion() {
-        let skipped = largest_skipped_p();
-        let taken = f64::from_bits(skipped.to_bits() + 1);
         let cases = [
             // The flagship's request wake rates.
-            (0.171_4, true),
-            (0.342_5, true),
-            (0.684_8, true),
-            (0.5, true),
-            (0.9, true),
-            (1.0 - 2f64.powi(-53), true),
-            (skipped, false),
-            (taken, true),
-            (1e-300, false),
-            (1.0, true),
+            0.171_4,
+            0.342_5,
+            0.684_8,
+            0.5,
+            0.9,
+            1.0 - 2f64.powi(-53),
+            // Small rates: from 37 % (0.06) to nearly all of the mass
+            // lies below `t_16`.
+            0.06,
+            0.03,
+            0.01,
+            3.7e-5,
+            // Every threshold rounds to 1 and the guard bands coincide.
+            1e-300,
+            1.0,
         ];
-        for (i, &(p, tabled)) in cases.iter().enumerate() {
+        for (i, &p) in cases.iter().enumerate() {
             let g = Geometric::new(p).unwrap();
-            assert_eq!(g.tabled(), tabled, "p {p}");
-            if tabled && p < 1.0 {
+            if p < 1.0 {
                 assert_grid_matches(&g);
             }
             let reference = |rng: &mut CounterRng| {
