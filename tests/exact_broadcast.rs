@@ -30,6 +30,15 @@
 //! No zoo strategy jams a request slot selectively, so a test jammer
 //! does, with `Only` and `AllExcept` over a fixed id set; traced and
 //! untraced runs must agree on the outcome and on Carol's observations.
+//!
+//! A last table pins the exact gossip driver (`rcb_radio::soa`) under
+//! its four protocols: naive, epidemic, hopping and epoch hopping, over
+//! the schedule-free single-channel zoo at C ∈ {1, 4} and the
+//! channel-aware strategies at C = 4. Every run of it goes through one
+//! shared `ScenarioScratch`, protocols and spectra interleaved, so a
+//! scratch that leaks state from one protocol's run into the next fails
+//! it. Traced and untraced gossip runs are only identically
+//! distributed, so that table does not compare them.
 
 use std::sync::{Arc, OnceLock};
 
@@ -42,7 +51,10 @@ use evildoers::radio::{
     Adversary, AdversaryCtx, AdversaryMove, Budget, IdSet, JamDirective, ParticipantId, RunReport,
     Slot, SlotObservation,
 };
-use evildoers::sim::{KpsySpec, Scenario, ScenarioBuilder, ScenarioOutcome};
+use evildoers::sim::{
+    EpidemicSpec, EpochHoppingSpec, HoppingSpec, KpsySpec, NaiveSpec, Scenario, ScenarioBuilder,
+    ScenarioOutcome, ScenarioScratch,
+};
 use evildoers::telemetry::{MetricId, RecordingCollector};
 
 /// The slot-level strategies of the table: the single-channel zoo,
@@ -575,6 +587,193 @@ fn kpsy_dead_air_matches_pinned_digests() {
         .map(|&(name, n, hash)| (name.to_string(), n, hash))
         .collect();
     assert_eq!(actual, expected, "KPSY dead-air digests drifted");
+}
+
+/// The gossip table's strategies on every spectrum: the schedule-free
+/// single-channel zoo.
+const GOSSIP_ZOO: [StrategySpec; 5] = [
+    StrategySpec::Silent,
+    StrategySpec::Continuous,
+    StrategySpec::Random(0.4),
+    StrategySpec::Bursty { burst: 16, gap: 48 },
+    StrategySpec::LaggedReactive,
+];
+
+/// The gossip table's channel-aware strategies, at C = 4 only.
+const GOSSIP_CHANNEL_ZOO: [StrategySpec; 4] = [
+    StrategySpec::SplitUniform,
+    StrategySpec::ChannelSweep { dwell: 8 },
+    StrategySpec::ChannelLagged,
+    StrategySpec::Adaptive {
+        window: 8,
+        reactivity: 0.5,
+    },
+];
+
+/// Carol's pool in the gossip table: every strategy but `Silent` spends
+/// it well before the horizon.
+const GOSSIP_POOL: u64 = 240;
+
+/// The gossip table's entries, in pin order: (label, builder).
+fn gossip_entries() -> Vec<(String, ScenarioBuilder)> {
+    // Off the default shape, so that each spec field must reach the
+    // driver: uninformed nodes listen with p = 0.3, informed ones relay
+    // with p = 2/n.
+    let (n, horizon, listen_p, relay_rate, epoch_len) = (24u64, 1_500u64, 0.3, 2.0, 16u64);
+    let protocol = |name: &str, channels: u16| -> ScenarioBuilder {
+        match name {
+            "naive" => Scenario::naive(NaiveSpec { n, horizon }),
+            "epidemic" => Scenario::epidemic(EpidemicSpec {
+                n,
+                horizon,
+                listen_p,
+                relay_rate,
+            }),
+            "hopping" => Scenario::hopping(HoppingSpec {
+                n,
+                horizon,
+                listen_p,
+                relay_rate,
+            }),
+            "epoch-hopping" => Scenario::epoch_hopping(EpochHoppingSpec {
+                n,
+                horizon,
+                listen_p,
+                relay_rate,
+                epoch_len,
+            }),
+            other => unreachable!("unknown gossip protocol {other}"),
+        }
+        .channels(channels)
+    };
+    let mut cells = Vec::new();
+    for strategy in GOSSIP_ZOO {
+        for (name, channels) in [
+            ("naive", 1),
+            ("epidemic", 1),
+            ("hopping", 1),
+            ("hopping", 4),
+            ("epoch-hopping", 1),
+            ("epoch-hopping", 4),
+        ] {
+            cells.push((strategy, name, channels));
+        }
+    }
+    for strategy in GOSSIP_CHANNEL_ZOO {
+        cells.push((strategy, "hopping", 4));
+        cells.push((strategy, "epoch-hopping", 4));
+    }
+    cells
+        .into_iter()
+        .map(|(strategy, name, channels)| {
+            let builder = protocol(name, channels)
+                .adversary(strategy)
+                .carol_budget(GOSSIP_POOL);
+            (format!("{name} {} C={channels}", strategy.name()), builder)
+        })
+        .collect()
+}
+
+/// `gossip_matches_pinned_digests`: (entry, outcome digest, engine
+/// counter digest), each folded over seed {1, 2} × trace capacity
+/// {0, 7}.
+#[rustfmt::skip]
+const GOSSIP_PINS: [(&str, u64, u64); 38] = [
+    ("naive silent C=1", 0x3f46_c25e_11a0_b483, 0xc893_96d3_2501_4a05),
+    ("epidemic silent C=1", 0x72f3_0611_7c33_b91b, 0xe6c7_a0af_52d9_619f),
+    ("hopping silent C=1", 0x50ea_28ac_cb7e_9e71, 0xe6c7_a0af_52d9_619f),
+    ("hopping silent C=4", 0x06bd_7ee5_91c3_7612, 0x0aff_f1c5_8e59_d5b8),
+    ("epoch-hopping silent C=1", 0x9b16_0cba_9be4_c2cb, 0xe6c7_a0af_52d9_619f),
+    ("epoch-hopping silent C=4", 0xd229_658a_6856_3287, 0x17a9_aea3_1bbb_b8c5),
+    ("naive continuous C=1", 0x1ef1_2214_2ed6_80ff, 0xea85_e4ee_6529_ca2d),
+    ("epidemic continuous C=1", 0x7ff2_1c26_e97b_ea07, 0x89ac_c6bb_5574_12bc),
+    ("hopping continuous C=1", 0xee51_8ee5_90b3_e2d7, 0x89ac_c6bb_5574_12bc),
+    ("hopping continuous C=4", 0x23b7_0c4a_b99d_466c, 0xb59c_7798_7092_4620),
+    ("epoch-hopping continuous C=1", 0x7ea1_1e1e_08bf_2fcf, 0x89ac_c6bb_5574_12bc),
+    ("epoch-hopping continuous C=4", 0xf137_b5cf_0cc5_5385, 0x6502_2028_71a8_242e),
+    ("naive random(p=0.4) C=1", 0xbb85_e43a_5d12_30ed, 0xc893_96d3_2501_4a05),
+    ("epidemic random(p=0.4) C=1", 0xfe26_7355_4802_3c2f, 0x0892_c18f_b670_361e),
+    ("hopping random(p=0.4) C=1", 0xd3a3_5f97_9889_5a4b, 0x0892_c18f_b670_361e),
+    ("hopping random(p=0.4) C=4", 0xf549_099d_b442_d9fa, 0x2278_b40c_2597_6d8b),
+    ("epoch-hopping random(p=0.4) C=1", 0x4ae9_0d52_28d6_6187, 0x0892_c18f_b670_361e),
+    ("epoch-hopping random(p=0.4) C=4", 0xc295_4c1d_14a2_38ac, 0x7eee_f5a6_7cd0_9141),
+    ("naive bursty(16/48) C=1", 0xd485_d798_b757_f4bb, 0x8702_6004_efa4_864b),
+    ("epidemic bursty(16/48) C=1", 0xebc5_d809_a072_6324, 0x49e0_075c_e109_9456),
+    ("hopping bursty(16/48) C=1", 0x6e0e_a1db_be60_fc16, 0x49e0_075c_e109_9456),
+    ("hopping bursty(16/48) C=4", 0x0afe_78f0_99c2_f2db, 0xa34a_7be0_a26b_ae21),
+    ("epoch-hopping bursty(16/48) C=1", 0xb19a_8785_6263_32a0, 0x49e0_075c_e109_9456),
+    ("epoch-hopping bursty(16/48) C=4", 0x3195_cba1_0ff7_f264, 0x23e0_5a84_f0cd_f5c6),
+    ("naive lagged-reactive C=1", 0x3138_9c68_288d_a2f5, 0xc893_96d3_2501_4a05),
+    ("epidemic lagged-reactive C=1", 0x7a5d_9d20_4c17_6327, 0xcf0e_4c7f_3db9_db12),
+    ("hopping lagged-reactive C=1", 0x2274_266e_7f80_6ae1, 0xcf0e_4c7f_3db9_db12),
+    ("hopping lagged-reactive C=4", 0x937d_caad_1d53_92d9, 0xe653_8eda_9645_6c40),
+    ("epoch-hopping lagged-reactive C=1", 0xc26b_dd67_020e_019b, 0xcf0e_4c7f_3db9_db12),
+    ("epoch-hopping lagged-reactive C=4", 0x41ff_479e_9710_6429, 0x1f65_b68e_9718_8930),
+    ("hopping split-uniform C=4", 0x3d42_806b_2acb_0a89, 0xa8ac_1da2_7a8b_2186),
+    ("epoch-hopping split-uniform C=4", 0xd444_7087_11b5_25c5, 0x88aa_becb_9f59_1fb5),
+    ("hopping channel-sweep(dwell=8) C=4", 0xe256_2a08_954a_7981, 0xf816_3554_9f00_ef66),
+    ("epoch-hopping channel-sweep(dwell=8) C=4", 0xe96e_1d60_8ad8_bb74, 0x0c15_9929_0303_4605),
+    ("hopping channel-lagged C=4", 0x4d0b_af7c_3523_ca16, 0xbde0_548b_6dcc_58f5),
+    ("epoch-hopping channel-lagged C=4", 0x9859_88e0_f02e_a7da, 0x935b_986e_2e43_bf2e),
+    ("hopping adaptive(w=8,r=0.5) C=4", 0x5949_a779_26ee_8654, 0x94a0_711b_b31c_5289),
+    ("epoch-hopping adaptive(w=8,r=0.5) C=4", 0x1db3_c43e_686e_2f98, 0xf4a9_3b9e_9ebd_65f4),
+];
+
+#[test]
+fn gossip_matches_pinned_digests() {
+    // One entry per (protocol, strategy, C): an FNV-1a digest of the
+    // rendered outcomes (trace included, telemetry stripped) and one of
+    // the `Engine*` counters a recording collector saw, each folded over
+    // seed {1, 2} × trace capacity {0, 7}. The runs loop entries
+    // innermost, all through one scratch.
+    let counter_ids = [
+        MetricId::EngineSlots,
+        MetricId::EngineWakeDrains,
+        MetricId::EngineWakeDrained,
+        MetricId::EngineListenerPasses,
+        MetricId::EngineListenersResolved,
+        MetricId::EngineInertSlots,
+        MetricId::EngineSettledListens,
+        MetricId::EngineRngDraws,
+        MetricId::EngineAdversaryPlans,
+    ];
+    let entries = gossip_entries();
+    let mut hashes = vec![[0xcbf2_9ce4_8422_2325u64; 2]; entries.len()];
+    let mut scratch = ScenarioScratch::new();
+    for seed in [1u64, 2] {
+        for trace in [0usize, 7] {
+            for ((label, builder), [outcomes, counters]) in entries.iter().zip(&mut hashes) {
+                let collector = Arc::new(RecordingCollector::new());
+                let mut builder = builder.clone().telemetry(collector.clone());
+                if trace > 0 {
+                    builder = builder.trace(trace);
+                }
+                let scenario = builder.build().expect("valid gossip cell");
+                let mut outcome = scenario.run_in(&mut scratch, seed);
+                if !label.contains("silent") {
+                    assert_eq!(
+                        outcome.carol_spend(),
+                        GOSSIP_POOL,
+                        "{label} seed={seed}: pool not spent"
+                    );
+                }
+                outcome.telemetry = None;
+                *outcomes = fnv1a(*outcomes, format!("{outcome:?}").as_bytes());
+                let counts = counter_ids.map(|id| collector.counter(id));
+                *counters = fnv1a(*counters, format!("{counts:?}").as_bytes());
+            }
+        }
+    }
+    let actual: Vec<(String, u64, u64)> = entries
+        .into_iter()
+        .zip(hashes)
+        .map(|((label, _), [outcomes, counters])| (label, outcomes, counters))
+        .collect();
+    let expected: Vec<(String, u64, u64)> = GOSSIP_PINS
+        .iter()
+        .map(|&(label, outcomes, counters)| (label.to_string(), outcomes, counters))
+        .collect();
+    assert_eq!(actual, expected, "gossip digests drifted");
 }
 
 /// One direct run of the exact driver under a [`Probe`] that does not
