@@ -46,11 +46,14 @@ where
 /// scaling: `RCB_THREADS=1 cargo run --release -p rcb-analysis --bin reproduce ...`.
 pub const THREADS_ENV_VAR: &str = "RCB_THREADS";
 
-/// Resolves the worker count: explicit override (zero is clamped to 1 —
-/// an explicit request never silently falls back to the environment),
-/// else [`THREADS_ENV_VAR`], else `available_parallelism`, always
-/// clamped to the trial count.
-fn resolve_worker_count(requested: Option<usize>, trials: u32) -> usize {
+/// Resolves the workspace's worker count: the explicit override (zero
+/// is clamped to 1 — an explicit request never silently falls back to
+/// the environment), else [`THREADS_ENV_VAR`], else
+/// `available_parallelism`. Both the batch runner and `rcb-sweep`'s
+/// scheduler size their pools with it; the batch runner also caps it at
+/// the trial count.
+#[must_use]
+pub fn resolve_workers(requested: Option<usize>) -> usize {
     requested
         .map(|w| w.max(1))
         .or_else(|| {
@@ -64,7 +67,6 @@ fn resolve_worker_count(requested: Option<usize>, trials: u32) -> usize {
                 .map(|p| p.get())
                 .unwrap_or(4)
         })
-        .min(trials.max(1) as usize)
 }
 
 /// Like [`run_trials`], but each worker thread owns a scratch value built
@@ -114,7 +116,7 @@ where
         .map(|i| tree.leaf_seed("trial", i.into()))
         .collect();
 
-    let workers = resolve_worker_count(workers, trials);
+    let workers = resolve_workers(workers).min(trials.max(1) as usize);
 
     if workers <= 1 || trials <= 1 {
         let mut scratch = init();

@@ -151,7 +151,9 @@ mod batch;
 mod outcome;
 mod scenario;
 
-pub use batch::{run_trials, run_trials_scoped, run_trials_scoped_with, THREADS_ENV_VAR};
+pub use batch::{
+    resolve_workers, run_trials, run_trials_scoped, run_trials_scoped_with, THREADS_ENV_VAR,
+};
 pub use outcome::{pearson, ScenarioOutcome};
 pub use scenario::{
     Engine, EpidemicSpec, EpochHoppingSpec, HoppingSpec, KpsySpec, KsySpec, NaiveSpec,

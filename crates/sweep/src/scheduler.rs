@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::sync::mpsc;
 
 use rcb_rng::SeedTree;
-use rcb_sim::{Scenario, ScenarioScratch, THREADS_ENV_VAR};
+use rcb_sim::{resolve_workers, Scenario, ScenarioScratch};
 use rcb_telemetry::{Collector, MetricId};
 
 use crate::progress::SweepProgress;
@@ -52,24 +52,6 @@ struct CellState {
     /// The checkpoint the current wave runs to.
     target: u32,
     done: bool,
-}
-
-/// Resolves the worker count: explicit config, then the workspace's
-/// `RCB_THREADS` convention, then `available_parallelism`.
-fn resolve_workers(requested: Option<usize>) -> usize {
-    requested
-        .map(|w| w.max(1))
-        .or_else(|| {
-            std::env::var(THREADS_ENV_VAR)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&w| w > 0)
-        })
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-        })
 }
 
 /// Issues shards covering `[state.issued, state.target)`; returns how
