@@ -30,9 +30,13 @@
 //! this family does".
 
 use rcb_adversary::StrategySpec;
-use rcb_core::{execute_hopping_soa, HoppingConfig};
-use rcb_radio::{Adversary, AdversaryCtx, AdversaryMove, Budget, Slot, SlotObservation, Spectrum};
+use rcb_core::run_gossip_with;
+use rcb_radio::{
+    Adversary, AdversaryCtx, AdversaryMove, Budget, GossipSoaScratch, GossipSpec, Slot,
+    SlotObservation, Spectrum,
+};
 use rcb_sim::{pearson, HoppingSpec, Scenario, ScenarioOutcome};
+use rcb_telemetry::NoopCollector;
 
 use super::{ExperimentReport, Scale};
 use crate::table::fmt_f;
@@ -146,16 +150,16 @@ fn chase_correlation(plan: &Plan, strategy: StrategySpec, channels: u16, seed: u
         .schedule_free_slot_adversary_on(spectrum, seed)
         .expect("channel strategies are schedule-free");
     let mut probe = ChaseProbe::new(inner, spectrum);
-    let config = HoppingConfig {
-        n: plan.n,
-        horizon: plan.horizon,
-        listen_p: 0.5,
-        relay_rate: 1.0,
-        carol_budget: Budget::limited(plan.budget),
-        trace_capacity: 0,
+    let _ = run_gossip_with(
+        &GossipSpec::hopping(plan.n, plan.horizon, 0.5, 1.0),
+        spectrum,
+        Budget::limited(plan.budget),
+        0,
+        &mut probe,
         seed,
-    };
-    let _ = execute_hopping_soa(&config, spectrum, &mut probe);
+        &mut GossipSoaScratch::new(),
+        &NoopCollector,
+    );
     pearson(&probe.traffic, &probe.jammed)
 }
 

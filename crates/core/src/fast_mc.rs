@@ -31,9 +31,10 @@ pub const DEFAULT_PHASE_LEN: u64 = 32;
 
 /// Configuration for a phase-level multi-channel run.
 ///
-/// The protocol shape mirrors [`crate::HoppingConfig`]; the spectrum is
-/// passed separately to [`run_fast_mc_with`] so one config can be swept
-/// across channel counts.
+/// The protocol shape mirrors
+/// [`GossipSpec::hopping`](rcb_radio::GossipSpec::hopping); the
+/// spectrum is passed separately to [`run_fast_mc_with`] so one config
+/// can be swept across channel counts.
 #[derive(Debug, Clone, Copy)]
 pub struct McConfig {
     /// Number of receiver nodes.
@@ -151,8 +152,10 @@ pub fn run_fast_mc_with<C: Collector + ?Sized>(
 }
 
 /// Runs the **epoch-structured** hopping broadcast (the Chen–Zheng
-/// schedule of [`crate::execute_epoch_hopping_soa`]) at phase
-/// granularity, one phase per epoch, drawing Alice's channel each epoch.
+/// schedule of
+/// [`GossipSpec::epoch_hopping`](rcb_radio::GossipSpec::epoch_hopping))
+/// at phase granularity, one phase per epoch, drawing Alice's channel
+/// each epoch.
 ///
 /// The phase length *is* the epoch length (`config.phase_len` is
 /// ignored); the adversary is consulted once per epoch through the same

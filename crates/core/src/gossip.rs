@@ -1,195 +1,71 @@
-//! Multi-channel epidemic-style random-hopping broadcast — the first
-//! `C > 1` workload.
+//! The one entry point of the gossip-shaped protocols: the §1.1 naive
+//! strawman, epidemic gossip, and the memoryless and epoch-structured
+//! channel-hopping broadcasts of the multi-channel successors (Chen &
+//! Zheng 2019/2020).
 //!
-//! The protocol generalises epidemic gossip to a multi-channel spectrum
-//! in the spirit of the multi-channel successors of the source paper
-//! (Chen & Zheng 2019/2020): every active device retunes to a uniformly
-//! random channel each slot. Alice transmits `m` on her hop; uninformed
-//! nodes listen on theirs; informed nodes relay at rate `λ/n`. Delivery
-//! happens whenever a listener's hop coincides with exactly one
-//! transmitter's hop on an un-jammed channel.
-//!
-//! The point of the workload: a jammer can no longer blanket the network
-//! for one unit per slot. Blocking *every* rendezvous costs `C` units per
-//! slot (the budget-splitting [`SplitJammer`](../../rcb_adversary) — her
-//! budget drains `C×` faster), while anything cheaper leaves un-jammed
-//! channels through which hops rendezvous. Experiment E11 measures the
-//! resulting cost-competitiveness improvement as `C` grows.
+//! Each protocol is one row of [`GossipSpec`]'s table, written once as
+//! its constructor, and all four run on `rcb-radio`'s sleep-skipping
+//! driver ([`run_gossip_soa_with`]); [`run_gossip_with`] adds the
+//! [`BroadcastOutcome`]. On a multi-channel spectrum the hopping rows
+//! are the workloads where a jammer can no longer blanket the network
+//! for one unit per slot: blocking every rendezvous costs `C` units per
+//! slot, so her budget drains `C×` faster (experiments E11 and E17).
 
-use rcb_auth::{Authority, Payload as MessageBytes};
 use rcb_radio::{
-    run_gossip_soa_with, Adversary, Budget, CostBreakdown, EngineConfig, GossipSoaScratch,
-    GossipSpec, Payload, RunReport, Spectrum,
+    run_gossip_soa_with, Adversary, Budget, CostBreakdown, GossipSoaScratch, GossipSpec, RunReport,
+    Spectrum,
 };
 use rcb_rng::SeedTree;
-use rcb_telemetry::{Collector, NoopCollector};
+use rcb_telemetry::Collector;
 
 use crate::outcome::{BroadcastOutcome, EngineKind};
 
-/// Configuration for a random-hopping broadcast run.
+/// Runs a gossip-shaped protocol on the exact sleep-skipping engine and
+/// reports its [`BroadcastOutcome`] (through [`gossip_outcome`]) and the
+/// raw [`RunReport`], whose trace holds up to `trace_capacity` slot
+/// records and whose channel stats carry the per-channel accounting.
 ///
-/// The spectrum is passed separately to [`execute_hopping_soa`] so one
-/// config can be swept across channel counts.
-#[derive(Debug, Clone)]
-pub struct HoppingConfig {
-    /// Number of receiver nodes.
-    pub n: u64,
-    /// Hard stop.
-    pub horizon: u64,
-    /// Per-slot listen probability of uninformed nodes.
-    pub listen_p: f64,
-    /// Relay probability is `relay_rate / n`.
-    pub relay_rate: f64,
-    /// Carol's pooled budget.
-    pub carol_budget: Budget,
-    /// Retain at most this many slot records in the report's trace
-    /// (0 disables tracing).
-    pub trace_capacity: usize,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl HoppingConfig {
-    /// The default gossip shape: `listen_p = 0.5`, `relay_rate = 1.0`,
-    /// no tracing.
-    #[must_use]
-    pub fn new(n: u64, horizon: u64, carol_budget: Budget, seed: u64) -> Self {
-        Self {
-            n,
-            horizon,
-            listen_p: 0.5,
-            relay_rate: 1.0,
-            carol_budget,
-            trace_capacity: 0,
-            seed,
-        }
-    }
-}
-
-/// Reusable scratch for batched hopping runs on the sleep-skipping SoA
-/// engine.
-#[derive(Debug, Default)]
-pub struct HoppingSoaScratch {
-    budgets: Vec<Budget>,
-    soa: GossipSoaScratch,
-}
-
-impl HoppingSoaScratch {
-    /// Creates an empty scratch; buffers are shaped on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Runs random-hopping broadcast over `spectrum` on the sleep-skipping
-/// SoA engine and reports the outcome plus the raw engine report (whose
-/// [`channel_stats`](RunReport::channel_stats) carry the per-channel
-/// accounting). Time is proportional to the events in a run rather than
-/// `n × slots`.
+/// Every device has an unlimited budget; the run mints Alice's signed
+/// `m` from `seed`'s `"auth-domain"` leaf and lasts at most
+/// `spec.horizon + 2` slots (see [`run_gossip_soa_with`]). Time is
+/// proportional to the events in a run rather than `n × slots`.
 ///
-/// This is the execution engine behind `rcb_sim::Scenario::hopping`;
-/// prefer the `Scenario` builder in application code. Batched callers
-/// should use [`execute_hopping_soa_in`] with a per-worker
-/// [`HoppingSoaScratch`].
+/// This is the execution engine behind `rcb_sim::Scenario::{naive,
+/// epidemic, hopping, epoch_hopping}` on the exact engine; prefer the
+/// `Scenario` builder in application code, and keep one
+/// [`GossipSoaScratch`] per worker to reuse its buffers across runs.
 ///
 /// # Panics
 ///
-/// Panics if `listen_p` is not a probability (the `Scenario` builder
-/// rejects this with a typed error instead).
+/// Panics if a probability in `spec` is outside `[0, 1]` (the
+/// `Scenario` builder rejects this with a typed error instead).
 #[must_use]
-pub fn execute_hopping_soa(
-    config: &HoppingConfig,
+#[allow(clippy::too_many_arguments)]
+pub fn run_gossip_with<C: Collector + ?Sized>(
+    spec: &GossipSpec,
     spectrum: Spectrum,
+    carol_budget: Budget,
+    trace_capacity: usize,
     adversary: &mut dyn Adversary,
-) -> (BroadcastOutcome, RunReport) {
-    execute_hopping_soa_in(config, spectrum, adversary, &mut HoppingSoaScratch::new())
-}
-
-/// Like [`execute_hopping_soa`], reusing caller-owned scratch
-/// allocations — the batched-trials entry point.
-///
-/// # Panics
-///
-/// Panics if `listen_p` is not a probability.
-#[must_use]
-pub fn execute_hopping_soa_in(
-    config: &HoppingConfig,
-    spectrum: Spectrum,
-    adversary: &mut dyn Adversary,
-    scratch: &mut HoppingSoaScratch,
-) -> (BroadcastOutcome, RunReport) {
-    execute_hopping_soa_with(config, spectrum, adversary, scratch, &NoopCollector)
-}
-
-/// [`execute_hopping_soa_in`] with a telemetry collector attached; the
-/// collector receives the era-2 engine's [`EngineProfile`] flush
-/// (wake-drain batches, listener passes, RNG draws, settled listens).
-///
-/// [`EngineProfile`]: rcb_telemetry::EngineProfile
-///
-/// # Panics
-///
-/// Panics if `listen_p` is not a probability.
-#[must_use]
-pub fn execute_hopping_soa_with<C: Collector + ?Sized>(
-    config: &HoppingConfig,
-    spectrum: Spectrum,
-    adversary: &mut dyn Adversary,
-    scratch: &mut HoppingSoaScratch,
+    seed: u64,
+    scratch: &mut GossipSoaScratch,
     collector: &C,
 ) -> (BroadcastOutcome, RunReport) {
-    assert!(
-        (0.0..=1.0).contains(&config.listen_p),
-        "listen_p must be a probability"
-    );
-    let seeds = SeedTree::new(config.seed);
-    let mut authority = Authority::new(seeds.leaf_seed("auth-domain", 0));
-    let alice_key = authority.issue_key();
-    let verifier = authority.verifier();
-    let signed_m = alice_key.sign(&MessageBytes::from_static(b"hopping payload m"));
-    let alice_id = alice_key.id();
-
-    let spec = GossipSpec {
-        n: config.n,
-        horizon: config.horizon,
-        alice_send_p: 0.5,
-        listen_p: config.listen_p,
-        relay_p: (config.relay_rate / config.n as f64).clamp(0.0, 1.0),
-        hop_channels: true,
-        terminate_on_inform: false,
-        epoch_len: 0,
-        payload: Payload::Broadcast(signed_m),
-    };
-    scratch.budgets.clear();
-    scratch
-        .budgets
-        .resize(config.n as usize + 1, Budget::unlimited());
-    let engine_config = EngineConfig {
-        max_slots: config.horizon + 2,
-        trace_capacity: config.trace_capacity,
-        spectrum,
-    };
     let report = run_gossip_soa_with(
-        &engine_config,
-        &spec,
-        &scratch.budgets,
-        config.carol_budget,
+        spec,
+        spectrum,
+        carol_budget,
+        trace_capacity,
         adversary,
-        &seeds,
-        &mut |payload| {
-            matches!(payload, Payload::Broadcast(signed)
-                if signed.signer() == alice_id && verifier.verify_signed(signed))
-        },
-        &mut scratch.soa,
+        &SeedTree::new(seed),
+        scratch,
         collector,
     );
-
-    (gossip_outcome(config.n, &report), report)
+    (gossip_outcome(spec.n, &report), report)
 }
 
 /// Assembles the gossip-shaped [`BroadcastOutcome`] from an engine
-/// report (shared by the hopping paths and by the baseline drivers in
+/// report (shared by [`run_gossip_with`] and by the KPSY driver in
 /// `rcb-baselines`).
 #[must_use]
 pub fn gossip_outcome(n: u64, report: &RunReport) -> BroadcastOutcome {
@@ -216,70 +92,56 @@ pub fn gossip_outcome(n: u64, report: &RunReport) -> BroadcastOutcome {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rcb_radio::SilentAdversary;
+/// One memoryless hopping run in one struct: the
+/// [`GossipSpec::hopping`] row plus Carol's budget, the trace capacity
+/// and the seed.
+///
+/// The benchmark harness (`perfbench/`) still drives the hopping
+/// workload through this struct, [`HoppingSoaScratch`] and
+/// [`execute_hopping_soa_with`]; new code calls [`run_gossip_with`].
+#[derive(Debug, Clone)]
+pub struct HoppingConfig {
+    /// Number of receiver nodes.
+    pub n: u64,
+    /// Hard stop.
+    pub horizon: u64,
+    /// Per-slot listen probability of uninformed nodes.
+    pub listen_p: f64,
+    /// Relay probability is `relay_rate / n`.
+    pub relay_rate: f64,
+    /// Carol's pooled budget.
+    pub carol_budget: Budget,
+    /// Retain at most this many slot records in the report's trace
+    /// (0 disables tracing).
+    pub trace_capacity: usize,
+    /// Master seed.
+    pub seed: u64,
+}
 
-    #[test]
-    fn hops_spread_activity_across_the_spectrum() {
-        let cfg = HoppingConfig::new(16, 8_000, Budget::unlimited(), 3);
-        let (_, report) = execute_hopping_soa(&cfg, Spectrum::new(4), &mut SilentAdversary);
-        for (i, stats) in report.channel_stats.iter().enumerate() {
-            assert!(stats.correct_sends > 0, "channel {i} never carried a send");
-            assert!(
-                stats.correct_listens > 0,
-                "channel {i} never hosted a listener"
-            );
-        }
-    }
+/// The scratch of [`execute_hopping_soa_with`].
+pub type HoppingSoaScratch = GossipSoaScratch;
 
-    #[test]
-    #[should_panic(expected = "listen_p must be a probability")]
-    fn rejects_bad_listen_p() {
-        let mut cfg = HoppingConfig::new(4, 10, Budget::unlimited(), 0);
-        cfg.listen_p = -0.5;
-        let _ = execute_hopping_soa(&cfg, Spectrum::single(), &mut SilentAdversary);
-    }
-
-    #[test]
-    fn era2_quiet_hopping_delivers_on_any_spectrum() {
-        for channels in [1u16, 2, 8] {
-            let cfg = HoppingConfig::new(24, 20_000, Budget::unlimited(), 7);
-            let (outcome, report) =
-                execute_hopping_soa(&cfg, Spectrum::new(channels), &mut SilentAdversary);
-            assert_eq!(
-                outcome.informed_nodes, 24,
-                "C={channels}: everyone informs on a quiet spectrum"
-            );
-            assert!(outcome.alice_terminated);
-            assert_eq!(report.channel_stats.len(), channels as usize);
-        }
-    }
-
-    #[test]
-    fn era2_runs_are_deterministic_by_seed() {
-        let cfg = HoppingConfig::new(12, 5_000, Budget::unlimited(), 11);
-        let (a, ra) = execute_hopping_soa(&cfg, Spectrum::new(4), &mut SilentAdversary);
-        let (b, rb) = execute_hopping_soa(&cfg, Spectrum::new(4), &mut SilentAdversary);
-        assert_eq!(a.slots, b.slots);
-        assert_eq!(a.node_total_cost, b.node_total_cost);
-        assert_eq!(a.node_costs, b.node_costs);
-        assert_eq!(ra.channel_stats, rb.channel_stats);
-    }
-
-    #[test]
-    fn run_shape_is_pinned_by_the_horizon() {
-        // The engine stops one slot past the horizon (every device
-        // sleeps from `horizon` on), independent of seed and spectrum —
-        // the timeline-shape invariant the retired oracle engine used to
-        // cross-check.
-        for (channels, seed) in [(1u16, 13u64), (2, 13), (4, 99)] {
-            let cfg = HoppingConfig::new(24, 20_000, Budget::unlimited(), seed);
-            let (outcome, report) =
-                execute_hopping_soa(&cfg, Spectrum::new(channels), &mut SilentAdversary);
-            assert_eq!(report.slots_elapsed, 20_001, "C={channels} seed={seed}");
-            assert!(outcome.alice_terminated);
-        }
-    }
+/// [`run_gossip_with`] on the [`GossipSpec::hopping`] row of `config`.
+///
+/// # Panics
+///
+/// Panics if `listen_p` is not a probability.
+#[must_use]
+pub fn execute_hopping_soa_with<C: Collector + ?Sized>(
+    config: &HoppingConfig,
+    spectrum: Spectrum,
+    adversary: &mut dyn Adversary,
+    scratch: &mut HoppingSoaScratch,
+    collector: &C,
+) -> (BroadcastOutcome, RunReport) {
+    run_gossip_with(
+        &GossipSpec::hopping(config.n, config.horizon, config.listen_p, config.relay_rate),
+        spectrum,
+        config.carol_budget,
+        config.trace_capacity,
+        adversary,
+        config.seed,
+        scratch,
+        collector,
+    )
 }

@@ -43,9 +43,10 @@
 //! * [`BroadcastSoaScratch`] — the exact Figure 1/2 state machines as
 //!   one sleep-skipping driver on `rcb-radio`'s wake queue, with in-place
 //!   state reuse across runs, producing a [`BroadcastOutcome`];
-//! * [`execute_hopping_soa`] / [`HoppingConfig`] — the multi-channel
-//!   epidemic-style random-hopping broadcast, the first `C > 1`
-//!   workload;
+//! * [`run_gossip_with`] — the one entry point of the gossip-shaped
+//!   protocols on the exact engine: the naive strawman, epidemic
+//!   gossip, and the memoryless and epoch-structured channel-hopping
+//!   broadcasts, each one row of [`GossipSpec`](rcb_radio::GossipSpec);
 //! * [`phase`] — the phase kernel: one recurrence per schedule (the two
 //!   hopping schedules and ε-BROADCAST's rounds) and the one
 //!   [`phase::PhaseJammer`] trait, realized twice —
@@ -75,12 +76,11 @@
 #![warn(missing_docs)]
 
 mod broadcast;
-mod epoch_hopping;
 mod era2;
 pub mod fast;
 pub mod fast_mc;
 pub mod fluid;
-mod hopping;
+mod gossip;
 mod outcome;
 mod params;
 pub mod phase;
@@ -88,14 +88,9 @@ pub mod probabilities;
 mod schedule;
 
 pub use broadcast::{stopped_cleanly, RunConfig};
-pub use epoch_hopping::{
-    execute_epoch_hopping_soa, execute_epoch_hopping_soa_in, execute_epoch_hopping_soa_with,
-    EpochHoppingConfig, EpochHoppingSoaScratch,
-};
 pub use era2::BroadcastSoaScratch;
-pub use hopping::{
-    execute_hopping_soa, execute_hopping_soa_in, execute_hopping_soa_with, gossip_outcome,
-    HoppingConfig, HoppingSoaScratch,
+pub use gossip::{
+    execute_hopping_soa_with, gossip_outcome, run_gossip_with, HoppingConfig, HoppingSoaScratch,
 };
 pub use outcome::{BroadcastOutcome, EngineKind};
 pub use params::{DecoyConfig, Params, ParamsBuilder, ParamsError, SizeKnowledge, Variant};

@@ -12,11 +12,13 @@
 //!
 //! This module writes each schedule's recurrence once, in `f64`:
 //!
-//! * the **memoryless** schedule of [`crate::execute_hopping_soa`], where
+//! * the **memoryless** schedule of
+//!   [`GossipSpec::hopping`](rcb_radio::GossipSpec::hopping), where
 //!   every device retunes each slot;
-//! * the **epoch** schedule of [`crate::execute_epoch_hopping_soa`], where
-//!   every device holds one channel for a whole epoch (one phase per
-//!   epoch);
+//! * the **epoch** schedule of
+//!   [`GossipSpec::epoch_hopping`](rcb_radio::GossipSpec::epoch_hopping),
+//!   where every device holds one channel for a whole epoch (one phase
+//!   per epoch);
 //! * the **ε-BROADCAST** schedule of the paper's Figures 1–2 on one
 //!   channel — inform, the propagation steps, then request with its
 //!   noise-count termination test — whose model and approximations

@@ -23,30 +23,6 @@ use crate::slot::Slot;
 use crate::spectrum::{ChannelId, Spectrum};
 use crate::trace::{SlotRecord, Trace};
 
-/// Engine configuration.
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// Hard stop after this many slots (protects against non-terminating
-    /// protocols; the ε-BROADCAST cap is `O(n^{1+1/k})` so orchestration
-    /// sets this comfortably above the final round).
-    pub max_slots: u64,
-    /// Retain at most this many slot records (0 disables tracing).
-    pub trace_capacity: usize,
-    /// The channels available to this run (default: the single-channel
-    /// model of the source paper).
-    pub spectrum: Spectrum,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            max_slots: 10_000_000,
-            trace_capacity: 0,
-            spectrum: Spectrum::single(),
-        }
-    }
-}
-
 /// Per-channel activity and spend tallies for one run.
 ///
 /// Index-aligned with the spectrum's channels in
@@ -71,7 +47,7 @@ pub struct ChannelStats {
 pub enum StopReason {
     /// Every participant terminated its protocol.
     AllTerminated,
-    /// The [`EngineConfig::max_slots`] cap was reached first.
+    /// The driver's slot cap was reached first.
     SlotCapReached,
 }
 

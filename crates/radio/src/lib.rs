@@ -44,8 +44,8 @@
 //! * the [`EnergyLedger`] attributes every charge to its channel, and the
 //!   engine's [`RunReport::channel_stats`] reports the split.
 //!
-//! **The `C = 1` equivalence guarantee.** With [`Spectrum::single`] (the
-//! default [`EngineConfig`]), every operation lands on channel 0, the
+//! **The `C = 1` equivalence guarantee.** With [`Spectrum::single`],
+//! every operation lands on channel 0, the
 //! per-channel resolution degenerates to [`resolve_for_listener`], no
 //! extra RNG draws occur, and runs are bit-for-bit identical to the
 //! pre-spectrum engine — the single-channel model of the source paper is
@@ -102,10 +102,10 @@ pub use channel::{
     JamPlanIntoIter,
 };
 pub use energy::{Budget, ChargeOutcome, CostBreakdown, EnergyLedger, Op};
-pub use engine::{ChannelStats, EngineConfig, Medium, RunReport, StopReason};
+pub use engine::{ChannelStats, Medium, RunReport, StopReason};
 pub use message::{Payload, PayloadKind};
 pub use participant::{ParticipantId, Reception};
 pub use slot::Slot;
-pub use soa::{run_gossip_soa_in, run_gossip_soa_with, GossipSoaScratch, GossipSpec, WakeQueue};
+pub use soa::{run_gossip_soa_with, GossipSoaScratch, GossipSpec, WakeQueue};
 pub use spectrum::{ChannelId, Spectrum};
 pub use trace::{SlotRecord, Trace};

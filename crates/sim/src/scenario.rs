@@ -6,19 +6,14 @@ use std::sync::Arc;
 
 use rcb_adversary::StrategySpec;
 use rcb_baselines::ksy::{run_ksy, KsyConfig, KsyOutcome};
-use rcb_baselines::{
-    execute_epidemic_soa_with, execute_kpsy_with, execute_naive_soa_with, EpidemicConfig,
-    EpidemicSoaScratch, KpsyConfig, KpsyScratch, NaiveConfig, NaiveSoaScratch,
-};
+use rcb_baselines::{execute_kpsy_with, KpsyConfig, KpsyScratch};
 use rcb_core::fast::{run_fast_with, FastConfig};
 use rcb_core::fast_mc::{run_fast_mc_epoch_with, run_fast_mc_with, McConfig};
 use rcb_core::fluid::{run_fluid_epoch_with, run_fluid_with, FluidConfig};
 use rcb_core::{
-    execute_epoch_hopping_soa_with, execute_hopping_soa_with, BroadcastOutcome,
-    BroadcastSoaScratch, EngineKind, EpochHoppingConfig, EpochHoppingSoaScratch, HoppingConfig,
-    HoppingSoaScratch, Params, RunConfig,
+    run_gossip_with, BroadcastOutcome, BroadcastSoaScratch, EngineKind, Params, RunConfig,
 };
-use rcb_radio::{Budget, CostBreakdown, Spectrum};
+use rcb_radio::{Budget, CostBreakdown, GossipSoaScratch, GossipSpec, Spectrum};
 use rcb_telemetry::{Collector, NoopCollector};
 
 /// The statically-dispatched default collector: a `&NOOP` coerces to
@@ -404,18 +399,16 @@ pub struct Scenario {
 
 /// Reusable per-worker scratch for batched scenario execution.
 ///
-/// Holds one scratch per exact-engine protocol family (per-device state,
-/// wake queues, and the engine's [`rcb_radio::Medium`]); a batch worker
-/// resets them in place across its trials, so steady-state trial
-/// execution performs little per-trial allocation beyond the outcome
-/// itself.
+/// Holds one scratch per exact driver (per-device state, wake queues,
+/// and the engine's [`rcb_radio::Medium`]): ε-BROADCAST's, KPSY's, and
+/// the gossip driver's, which all four gossip-shaped protocols share. A
+/// batch worker resets them in place across its trials, so steady-state
+/// trial execution performs little per-trial allocation beyond the
+/// outcome itself.
 #[derive(Debug, Default)]
 pub struct ScenarioScratch {
     broadcast_soa: BroadcastSoaScratch,
-    hopping_soa: HoppingSoaScratch,
-    naive_soa: NaiveSoaScratch,
-    epidemic_soa: EpidemicSoaScratch,
-    epoch_hopping_soa: EpochHoppingSoaScratch,
+    gossip: GossipSoaScratch,
     kpsy: KpsyScratch,
 }
 
@@ -553,18 +546,52 @@ impl Scenario {
     /// the single-threaded counterpart of [`run_batch`](Self::run_batch).
     #[must_use]
     pub fn run_in(&self, scratch: &mut ScenarioScratch, seed: u64) -> ScenarioOutcome {
-        match &self.protocol {
-            ProtocolSpec::Broadcast(params) => match self.engine {
-                Engine::Exact => self.run_broadcast_exact(scratch, params, seed),
-                Engine::Fast => self.run_broadcast_fast(params, seed),
-                Engine::Fluid => unreachable!("validated at build: fluid runs hopping only"),
-            },
-            ProtocolSpec::Naive(spec) => self.run_naive(scratch, *spec, seed),
-            ProtocolSpec::Epidemic(spec) => self.run_epidemic(scratch, *spec, seed),
-            ProtocolSpec::Ksy(spec) => self.run_ksy(*spec, seed),
-            ProtocolSpec::Hopping(spec) => self.run_hopping(scratch, *spec, seed),
-            ProtocolSpec::EpochHopping(spec) => self.run_epoch_hopping(scratch, *spec, seed),
-            ProtocolSpec::Kpsy(spec) => self.run_kpsy(scratch, *spec, seed),
+        match (&self.protocol, self.engine) {
+            (ProtocolSpec::Broadcast(params), Engine::Exact) => {
+                self.run_broadcast_exact(scratch, params, seed)
+            }
+            (ProtocolSpec::Broadcast(params), Engine::Fast) => {
+                self.run_broadcast_fast(params, seed)
+            }
+            (ProtocolSpec::Broadcast(_), Engine::Fluid) => {
+                unreachable!("validated at build: fluid runs hopping only")
+            }
+            (ProtocolSpec::Ksy(spec), _) => self.run_ksy(*spec, seed),
+            (ProtocolSpec::Kpsy(spec), _) => self.run_kpsy(scratch, *spec, seed),
+            (ProtocolSpec::Hopping(spec), Engine::Fast | Engine::Fluid) => {
+                self.run_phase_tier(*spec, None, seed)
+            }
+            (ProtocolSpec::EpochHopping(s), Engine::Fast | Engine::Fluid) => {
+                let shape = HoppingSpec {
+                    n: s.n,
+                    horizon: s.horizon,
+                    listen_p: s.listen_p,
+                    relay_rate: s.relay_rate,
+                };
+                self.run_phase_tier(shape, Some(s.epoch_len), seed)
+            }
+            // The exact gossip driver: one row of `GossipSpec` each.
+            (ProtocolSpec::Naive(s), _) => {
+                self.run_gossip(scratch, GossipSpec::naive(s.n, s.horizon), seed)
+            }
+            (ProtocolSpec::Epidemic(s), _) => {
+                let row = GossipSpec::epidemic(s.n, s.horizon, s.listen_p, s.relay_rate);
+                self.run_gossip(scratch, row, seed)
+            }
+            (ProtocolSpec::Hopping(s), Engine::Exact) => {
+                let row = GossipSpec::hopping(s.n, s.horizon, s.listen_p, s.relay_rate);
+                self.run_gossip(scratch, row, seed)
+            }
+            (ProtocolSpec::EpochHopping(s), Engine::Exact) => {
+                let row = GossipSpec::epoch_hopping(
+                    s.n,
+                    s.horizon,
+                    s.listen_p,
+                    s.relay_rate,
+                    s.epoch_len,
+                );
+                self.run_gossip(scratch, row, seed)
+            }
         }
     }
 
@@ -645,42 +672,23 @@ impl Scenario {
         self.exact_outcome(broadcast, report, seed)
     }
 
-    fn run_hopping(
+    /// The exact gossip driver (`rcb_core::run_gossip_with`), which runs
+    /// the naive, epidemic, hopping and epoch-hopping protocols, each as
+    /// its row of [`GossipSpec`]'s table.
+    fn run_gossip(
         &self,
         scratch: &mut ScenarioScratch,
-        spec: HoppingSpec,
+        row: GossipSpec,
         seed: u64,
     ) -> ScenarioOutcome {
-        match self.engine {
-            Engine::Exact => self.run_hopping_exact(scratch, spec, seed),
-            Engine::Fast | Engine::Fluid => self.run_phase_tier(spec, None, seed),
-        }
-    }
-
-    fn run_hopping_exact(
-        &self,
-        scratch: &mut ScenarioScratch,
-        spec: HoppingSpec,
-        seed: u64,
-    ) -> ScenarioOutcome {
-        let config = HoppingConfig {
-            n: spec.n,
-            horizon: spec.horizon,
-            listen_p: spec.listen_p,
-            relay_rate: spec.relay_rate,
-            carol_budget: self.carol_budget_as_budget(),
-            trace_capacity: self.trace_capacity,
-            seed,
-        };
-        let mut adversary = self
-            .adversary
-            .schedule_free_slot_adversary_on(self.spectrum(), seed)
-            .expect("validated at build: strategy is schedule-free");
-        let (broadcast, report) = execute_hopping_soa_with(
-            &config,
+        let (broadcast, report) = run_gossip_with(
+            &row,
             self.spectrum(),
-            adversary.as_mut(),
-            &mut scratch.hopping_soa,
+            self.carol_budget_as_budget(),
+            self.trace_capacity,
+            self.schedule_free_adversary(seed).as_mut(),
+            seed,
+            &mut scratch.gossip,
             self.collector(),
         );
         self.exact_outcome(broadcast, report, seed)
@@ -747,56 +755,6 @@ impl Scenario {
         outcome
     }
 
-    fn run_epoch_hopping(
-        &self,
-        scratch: &mut ScenarioScratch,
-        spec: EpochHoppingSpec,
-        seed: u64,
-    ) -> ScenarioOutcome {
-        match self.engine {
-            Engine::Exact => self.run_epoch_hopping_exact(scratch, spec, seed),
-            Engine::Fast | Engine::Fluid => {
-                let shape = HoppingSpec {
-                    n: spec.n,
-                    horizon: spec.horizon,
-                    listen_p: spec.listen_p,
-                    relay_rate: spec.relay_rate,
-                };
-                self.run_phase_tier(shape, Some(spec.epoch_len), seed)
-            }
-        }
-    }
-
-    fn run_epoch_hopping_exact(
-        &self,
-        scratch: &mut ScenarioScratch,
-        spec: EpochHoppingSpec,
-        seed: u64,
-    ) -> ScenarioOutcome {
-        let config = EpochHoppingConfig {
-            n: spec.n,
-            horizon: spec.horizon,
-            listen_p: spec.listen_p,
-            relay_rate: spec.relay_rate,
-            epoch_len: spec.epoch_len,
-            carol_budget: self.carol_budget_as_budget(),
-            trace_capacity: self.trace_capacity,
-            seed,
-        };
-        let mut adversary = self
-            .adversary
-            .schedule_free_slot_adversary_on(self.spectrum(), seed)
-            .expect("validated at build: strategy is schedule-free");
-        let (broadcast, report) = execute_epoch_hopping_soa_with(
-            &config,
-            self.spectrum(),
-            adversary.as_mut(),
-            &mut scratch.epoch_hopping_soa,
-            self.collector(),
-        );
-        self.exact_outcome(broadcast, report, seed)
-    }
-
     /// KPSY on the exact engine: players park in the wake queue until
     /// their next secret slot (see `rcb_baselines::execute_kpsy`).
     fn run_kpsy(
@@ -853,54 +811,8 @@ impl Scenario {
 
     fn schedule_free_adversary(&self, seed: u64) -> Box<dyn rcb_radio::Adversary> {
         self.adversary
-            .schedule_free_slot_adversary(seed)
+            .schedule_free_slot_adversary_on(self.spectrum(), seed)
             .expect("validated at build: strategy is schedule-free")
-    }
-
-    fn run_naive(
-        &self,
-        scratch: &mut ScenarioScratch,
-        spec: NaiveSpec,
-        seed: u64,
-    ) -> ScenarioOutcome {
-        let config = NaiveConfig {
-            n: spec.n,
-            horizon: spec.horizon,
-            carol_budget: self.carol_budget_as_budget(),
-            trace_capacity: self.trace_capacity,
-            seed,
-        };
-        let (broadcast, report) = execute_naive_soa_with(
-            &config,
-            self.schedule_free_adversary(seed).as_mut(),
-            &mut scratch.naive_soa,
-            self.collector(),
-        );
-        self.exact_outcome(broadcast, report, seed)
-    }
-
-    fn run_epidemic(
-        &self,
-        scratch: &mut ScenarioScratch,
-        spec: EpidemicSpec,
-        seed: u64,
-    ) -> ScenarioOutcome {
-        let config = EpidemicConfig {
-            n: spec.n,
-            listen_p: spec.listen_p,
-            relay_rate: spec.relay_rate,
-            horizon: spec.horizon,
-            carol_budget: self.carol_budget_as_budget(),
-            trace_capacity: self.trace_capacity,
-            seed,
-        };
-        let (broadcast, report) = execute_epidemic_soa_with(
-            &config,
-            self.schedule_free_adversary(seed).as_mut(),
-            &mut scratch.epidemic_soa,
-            self.collector(),
-        );
-        self.exact_outcome(broadcast, report, seed)
     }
 
     fn run_ksy(&self, spec: KsySpec, seed: u64) -> ScenarioOutcome {

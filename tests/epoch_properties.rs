@@ -17,11 +17,13 @@
 //!   spends past her `T`, and nodes are never refused an operation.
 
 use evildoers::adversary::{SplitJammer, StrategySpec};
-use evildoers::core::{execute_epoch_hopping_soa, EpochHoppingConfig};
+use evildoers::core::run_gossip_with;
 use evildoers::radio::{
-    Adversary, AdversaryCtx, AdversaryMove, Budget, Slot, SlotObservation, Spectrum,
+    Adversary, AdversaryCtx, AdversaryMove, Budget, GossipSoaScratch, GossipSpec, Slot,
+    SlotObservation, Spectrum,
 };
 use evildoers::sim::{EpidemicSpec, EpochHoppingSpec, KpsySpec, Scenario, ScenarioOutcome};
+use evildoers::telemetry::NoopCollector;
 
 /// Wraps a jammer and records `(slot, participant, channel)` for every
 /// listener in every slot, without perturbing the inner strategy.
@@ -55,22 +57,21 @@ fn channel_redraws_happen_only_at_epoch_boundaries() {
     const EPOCH_LEN: u64 = 32;
     const HORIZON: u64 = 8 * EPOCH_LEN;
     let n = 6u64;
-    let config = EpochHoppingConfig {
-        n,
-        horizon: HORIZON,
-        listen_p: 1.0,
-        relay_rate: 1.0,
-        epoch_len: EPOCH_LEN,
-        carol_budget: Budget::unlimited(),
-        trace_capacity: 0,
-        seed: 3,
-    };
     let spectrum = Spectrum::new(4);
     let mut probe = ListenerProbe {
         inner: SplitJammer::new(spectrum),
         seen: Vec::new(),
     };
-    let (outcome, _) = execute_epoch_hopping_soa(&config, spectrum, &mut probe);
+    let (outcome, _) = run_gossip_with(
+        &GossipSpec::epoch_hopping(n, HORIZON, 1.0, 1.0, EPOCH_LEN),
+        spectrum,
+        Budget::unlimited(),
+        0,
+        &mut probe,
+        3,
+        &mut GossipSoaScratch::new(),
+        &NoopCollector,
+    );
     assert_eq!(
         outcome.informed_nodes, 0,
         "a blanket jam must block every delivery"

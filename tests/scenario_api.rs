@@ -494,3 +494,52 @@ fn run_batch_scales_and_matches_solo_runs() {
     assert_eq!(solo.slots, batch[5].slots);
     assert_eq!(solo.broadcast.node_costs, batch[5].broadcast.node_costs);
 }
+
+#[test]
+fn empty_gossip_rosters_run_on_every_engine_they_accept() {
+    use evildoers::sim::EpochHoppingSpec;
+
+    // With no nodes there is no one to relay to: a relay rate of 0 over
+    // n = 0 lowers to relay probability 0 (not 0 / 0), on every tier.
+    // Alice alone sends to her horizon and stops one slot past it.
+    let (horizon, listen_p, relay_rate) = (10u64, 0.5, 0.0);
+    let protocols = [
+        Scenario::epidemic(EpidemicSpec {
+            n: 0,
+            horizon,
+            listen_p,
+            relay_rate,
+        }),
+        Scenario::hopping(HoppingSpec {
+            n: 0,
+            horizon,
+            listen_p,
+            relay_rate,
+        }),
+        Scenario::epoch_hopping(EpochHoppingSpec {
+            n: 0,
+            horizon,
+            listen_p,
+            relay_rate,
+            epoch_len: 4,
+        }),
+    ];
+    let mut cells = 0;
+    for builder in protocols {
+        for engine in [Engine::Exact, Engine::Fast, Engine::Fluid] {
+            for channels in [1u16, 4] {
+                let Ok(scenario) = builder.clone().engine(engine).channels(channels).build() else {
+                    continue;
+                };
+                let cell = format!("{} {engine:?} C={channels}", scenario.protocol());
+                let outcome = scenario.run();
+                assert_eq!(outcome.informed_nodes, 0, "{cell}");
+                assert_eq!(outcome.slots, horizon + 1, "{cell}");
+                cells += 1;
+            }
+        }
+    }
+    // Epidemic on the exact engine; both hopping protocols on all three
+    // engines at either channel count.
+    assert_eq!(cells, 13);
+}
