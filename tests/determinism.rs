@@ -194,6 +194,22 @@ fn shared_scratch_reuse_is_invisible_across_protocols() {
     // protocol families, adversaries, and channel counts must reproduce
     // fresh-scratch runs bit for bit — across C ∈ {1, 4} and every
     // exact-engine protocol family.
+    //
+    // Epoch hopping keeps per-node noise flags and per-channel noise
+    // counts that a run leaves set only if it ends with uninformed
+    // nodes: a blanket jam that outlasts the horizon, traced (every
+    // listener hears noise) and untraced (noisy slots are counted), each
+    // followed by a run that a stale flag or count would change.
+    let epoch = |strategy: StrategySpec| {
+        Scenario::epoch_hopping(EpochHoppingSpec::new(12, 600, 16))
+            .channels(4)
+            .adversary(strategy)
+            .seed(5)
+    };
+    let after_jam = epoch(StrategySpec::Random(0.3))
+        .carol_budget(200)
+        .build()
+        .unwrap();
     let combos: Vec<(&str, Scenario)> = vec![
         (
             "broadcast/continuous",
@@ -264,6 +280,16 @@ fn shared_scratch_reuse_is_invisible_across_protocols() {
                 .build()
                 .unwrap(),
         ),
+        (
+            "epoch-hopping-c4/blanket-traced",
+            epoch(StrategySpec::SplitUniform).trace(16).build().unwrap(),
+        ),
+        ("epoch-hopping-c4/random", after_jam.clone()),
+        (
+            "epoch-hopping-c4/blanket",
+            epoch(StrategySpec::SplitUniform).build().unwrap(),
+        ),
+        ("epoch-hopping-c4/random", after_jam),
     ];
     let mut scratch = ScenarioScratch::new();
     for pass in 0..2u64 {
