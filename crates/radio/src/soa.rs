@@ -387,7 +387,8 @@ impl GossipSpec {
 
     /// [`hopping`](Self::hopping) on the Chen–Zheng schedule: every
     /// device holds its channel for `epoch_len` slots (see
-    /// [`epoch_len`](Self::epoch_len)).
+    /// [`epoch_len`](Self::epoch_len)). An `epoch_len` of 0 is the
+    /// memoryless `hopping` row; `rcb_sim`'s builder rejects it.
     #[must_use]
     pub fn epoch_hopping(
         n: u64,
