@@ -45,11 +45,11 @@
 //!   engine's [`RunReport::channel_stats`] reports the split.
 //!
 //! **The `C = 1` equivalence guarantee.** With [`Spectrum::single`],
-//! every operation lands on channel 0, the
-//! per-channel resolution degenerates to [`resolve_for_listener`], no
-//! extra RNG draws occur, and runs are bit-for-bit identical to the
-//! pre-spectrum engine — the single-channel model of the source paper is
-//! a special case, not a compatibility mode.
+//! every operation lands on channel 0, the per-channel resolution
+//! degenerates to [`resolve_for_listener`], no extra RNG draws occur,
+//! and runs are bit-for-bit identical to the pre-spectrum engine — the
+//! single-channel model of the source paper is a special case, not a
+//! compatibility mode.
 //!
 //! # Quick start
 //!
