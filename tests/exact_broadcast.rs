@@ -38,7 +38,12 @@
 //! shared `ScenarioScratch`, protocols and spectra interleaved, so a
 //! scratch that leaks state from one protocol's run into the next fails
 //! it. Traced and untraced gossip runs are only identically
-//! distributed, so that table does not compare them.
+//! distributed, so that table does not compare them. A tail table pins
+//! the stretch after a gossip run's last uninformed node is informed,
+//! when only Alice and the relays still act, at its edges: Carol solvent
+//! or broke when it starts, pools that run dry inside it, stretches that
+//! start on an epoch boundary, empty and one-node rosters, and runs
+//! longer than the driver's windows.
 
 use std::sync::{Arc, OnceLock};
 
@@ -774,6 +779,158 @@ fn gossip_matches_pinned_digests() {
         .map(|&(label, outcomes, counters)| (label.to_string(), outcomes, counters))
         .collect();
     assert_eq!(actual, expected, "gossip digests drifted");
+}
+
+/// The gossip tail table's entries, in pin order: (label, builder).
+///
+/// Each reaches an edge of the stretch after the last uninformed node
+/// is informed, when only Alice and the relays still act: a pool that
+/// is solvent when that stretch starts and runs dry inside a later
+/// burst, unlimited `Continuous` and `Bursty` pools (which never run
+/// dry), a stretch that starts on an epoch boundary (`L = 1`, where
+/// every slot is one), naive mode (Alice alone), epidemic gossip with
+/// no relays, rosters of 0 and 1 nodes, C ∈ {1, 4}, strategies that
+/// promise nothing ahead (random, lagged-reactive, split-uniform,
+/// adaptive), and two runs of 10,000 slots.
+fn gossip_tail_entries() -> Vec<(String, ScenarioBuilder)> {
+    let naive = |n, horizon| Scenario::naive(NaiveSpec { n, horizon });
+    let epidemic = |n, horizon, relay_rate| {
+        Scenario::epidemic(EpidemicSpec {
+            n,
+            horizon,
+            listen_p: 0.5,
+            relay_rate,
+        })
+    };
+    let hopping = |n, horizon, c| Scenario::hopping(HoppingSpec::new(n, horizon)).channels(c);
+    let epoch = |n, horizon, epoch_len, c| {
+        Scenario::epoch_hopping(EpochHoppingSpec::new(n, horizon, epoch_len)).channels(c)
+    };
+    let (silent, continuous) = (StrategySpec::Silent, StrategySpec::Continuous);
+    let bursty = StrategySpec::Bursty { burst: 16, gap: 48 };
+    let adaptive = StrategySpec::Adaptive {
+        window: 8,
+        reactivity: 0.5,
+    };
+    // (label, builder, strategy, Carol's pool; `None` is unlimited)
+    #[rustfmt::skip]
+    let cells: Vec<(&str, ScenarioBuilder, StrategySpec, Option<u64>)> = vec![
+        ("naive n=16", naive(16, 400), silent, None),
+        ("naive n=16", naive(16, 400), continuous, Some(50)),
+        ("naive n=16", naive(16, 400), bursty, None),
+        ("naive n=0", naive(0, 300), continuous, Some(100)),
+        ("epidemic relay=0 n=8", epidemic(8, 600, 0.0), silent, None),
+        ("epidemic n=4", epidemic(4, 400, 2.0), bursty, Some(40)),
+        ("epidemic n=8", epidemic(8, 600, 2.0), bursty, None),
+        ("epidemic n=0", epidemic(0, 300, 1.0), continuous, None),
+        ("epidemic n=1", epidemic(1, 500, 1.0), StrategySpec::LaggedReactive, Some(30)),
+        ("epidemic n=8", epidemic(8, 600, 2.0), StrategySpec::Random(0.4), Some(30)),
+        ("hopping n=8 C=4", hopping(8, 800, 4), continuous, None),
+        ("hopping n=8 C=4", hopping(8, 800, 4), bursty, None),
+        ("hopping n=1 C=4", hopping(1, 500, 4), silent, None),
+        ("hopping n=8 C=4", hopping(8, 800, 4), StrategySpec::SplitUniform, Some(60)),
+        ("hopping n=8 C=1", hopping(8, 800, 1), bursty, Some(40)),
+        ("epoch-hopping L=1 n=8 C=4", epoch(8, 600, 1, 4), silent, None),
+        ("epoch-hopping L=1 n=8 C=4", epoch(8, 600, 1, 4), continuous, Some(20)),
+        ("epoch-hopping L=16 n=8 C=4", epoch(8, 800, 16, 4), continuous, None),
+        ("epoch-hopping L=16 n=4 C=4", epoch(4, 800, 16, 4), bursty, Some(40)),
+        ("epoch-hopping L=16 n=0 C=4", epoch(0, 300, 16, 4), silent, None),
+        ("epoch-hopping L=8 n=8 C=4", epoch(8, 800, 8, 4), adaptive, Some(60)),
+        ("epoch-hopping L=16 n=8 C=1", epoch(8, 800, 16, 1), bursty, None),
+        ("epidemic long n=8", epidemic(8, 10_000, 2.0), bursty, None),
+        ("epoch-hopping long L=16 n=8 C=4", epoch(8, 10_000, 16, 4), continuous, Some(3_000)),
+    ];
+    cells
+        .into_iter()
+        .map(|(label, builder, strategy, pool)| {
+            let builder = builder.adversary(strategy);
+            let (builder, pool) = match pool {
+                Some(units) => (builder.carol_budget(units), format!("pool={units}")),
+                None => (builder.carol_unlimited(), "unlimited".to_string()),
+            };
+            (format!("{label} {} {pool}", strategy.name()), builder)
+        })
+        .collect()
+}
+
+/// `gossip_tail_matches_pinned_digests`: (entry, outcome digest, engine
+/// counter digest), each folded over seed {1, 2} × trace capacity
+/// {0, 7}.
+#[rustfmt::skip]
+const GOSSIP_TAIL_PINS: [(&str, u64, u64); 24] = [
+    ("naive n=16 silent unlimited", 0x73ea_365a_ccd9_f29f, 0xb31c_7a39_d106_ab69),
+    ("naive n=16 continuous pool=50", 0x0214_86b3_2952_d5a3, 0x1064_a4a8_eb4b_7c65),
+    ("naive n=16 bursty(16/48) unlimited", 0x17d8_abea_b0ac_9011, 0xf031_fca4_59ef_1c2b),
+    ("naive n=0 continuous pool=100", 0x3fe4_1356_289d_98e7, 0x615b_e41e_c173_7b4d),
+    ("epidemic relay=0 n=8 silent unlimited", 0x7c07_75fa_14be_830a, 0x6376_dfe0_0173_63fd),
+    ("epidemic n=4 bursty(16/48) pool=40", 0x271e_a893_3cf9_e53c, 0xbddc_ef64_79da_f4b2),
+    ("epidemic n=8 bursty(16/48) unlimited", 0x5b5c_b105_4d7e_5d80, 0xa415_f12e_e07e_a2ef),
+    ("epidemic n=0 continuous unlimited", 0xd040_b7ec_9742_d6a4, 0xd981_f07a_6cf1_5155),
+    ("epidemic n=1 lagged-reactive pool=30", 0xf59c_740d_f194_830a, 0x26d4_2c68_6855_21e4),
+    ("epidemic n=8 random(p=0.4) pool=30", 0xa91c_88b9_455b_7679, 0xd499_a05a_93f6_ebcf),
+    ("hopping n=8 C=4 continuous unlimited", 0xacc7_14f8_4022_db4f, 0x31a5_d336_7c34_690e),
+    ("hopping n=8 C=4 bursty(16/48) unlimited", 0x577a_29d7_6a06_1e15, 0x7ac7_2239_7a80_e71d),
+    ("hopping n=1 C=4 silent unlimited", 0x5b32_bd6f_7160_31f9, 0x1ad9_75df_b75f_8d9f),
+    ("hopping n=8 C=4 split-uniform pool=60", 0x5c6d_f736_b278_fd21, 0x1e16_c351_1741_9a4d),
+    ("hopping n=8 C=1 bursty(16/48) pool=40", 0x85f1_b6b6_8029_0f4d, 0x2201_b0a4_395f_a0cd),
+    ("epoch-hopping L=1 n=8 C=4 silent unlimited", 0x5253_2806_0a8e_7220, 0xd6b1_e855_e1dd_9636),
+    ("epoch-hopping L=1 n=8 C=4 continuous pool=20", 0xedf2_5f45_6e4f_29bf, 0xd944_192f_4c65_ae18),
+    ("epoch-hopping L=16 n=8 C=4 continuous unlimited", 0xeb5d_0a06_28ef_2a5c, 0x36e8_51d9_02c3_baf1),
+    ("epoch-hopping L=16 n=4 C=4 bursty(16/48) pool=40", 0x0e2b_976e_4bd3_a9f8, 0x2fc0_a5b7_031e_7ef7),
+    ("epoch-hopping L=16 n=0 C=4 silent unlimited", 0x4723_f028_90e6_d379, 0x591e_e1b6_1dc0_9831),
+    ("epoch-hopping L=8 n=8 C=4 adaptive(w=8,r=0.5) pool=60", 0xd41e_28af_4e66_19b8, 0x9614_d2ea_b0d2_01e6),
+    ("epoch-hopping L=16 n=8 C=1 bursty(16/48) unlimited", 0x8c8e_d3f0_9985_c973, 0x2201_b0a4_395f_a0cd),
+    ("epidemic long n=8 bursty(16/48) unlimited", 0xa94b_8014_b524_e93c, 0x7c93_df41_9223_a32a),
+    ("epoch-hopping long L=16 n=8 C=4 continuous pool=3000", 0xef9f_91d3_cc94_e52b, 0xaacb_07f6_744d_619b),
+];
+
+#[test]
+fn gossip_tail_matches_pinned_digests() {
+    // Most of a gossip run can come after its last uninformed node is
+    // informed: Alice and the relays keep sending to nobody until the
+    // horizon. One entry per tail edge (see `gossip_tail_entries`): an
+    // FNV-1a digest of the rendered outcomes (trace included, telemetry
+    // stripped) and one of the six `Engine*` counters that count the
+    // run's own work, each folded over seed {1, 2} × trace capacity
+    // {0, 7}, all through one scratch.
+    let counter_ids = [
+        MetricId::EngineSlots,
+        MetricId::EngineListenerPasses,
+        MetricId::EngineListenersResolved,
+        MetricId::EngineInertSlots,
+        MetricId::EngineSettledListens,
+        MetricId::EngineRngDraws,
+    ];
+    let entries = gossip_tail_entries();
+    let mut hashes = vec![[0xcbf2_9ce4_8422_2325u64; 2]; entries.len()];
+    let mut scratch = ScenarioScratch::new();
+    for seed in [1u64, 2] {
+        for trace in [0usize, 7] {
+            for ((_, builder), [outcomes, counters]) in entries.iter().zip(&mut hashes) {
+                let collector = Arc::new(RecordingCollector::new());
+                let mut builder = builder.clone().telemetry(collector.clone());
+                if trace > 0 {
+                    builder = builder.trace(trace);
+                }
+                let scenario = builder.build().expect("valid gossip cell");
+                let mut outcome = scenario.run_in(&mut scratch, seed);
+                outcome.telemetry = None;
+                *outcomes = fnv1a(*outcomes, format!("{outcome:?}").as_bytes());
+                let counts = counter_ids.map(|id| collector.counter(id));
+                *counters = fnv1a(*counters, format!("{counts:?}").as_bytes());
+            }
+        }
+    }
+    let actual: Vec<(String, u64, u64)> = entries
+        .into_iter()
+        .zip(hashes)
+        .map(|((label, _), [outcomes, counters])| (label, outcomes, counters))
+        .collect();
+    let expected: Vec<(String, u64, u64)> = GOSSIP_TAIL_PINS
+        .iter()
+        .map(|&(label, outcomes, counters)| (label.to_string(), outcomes, counters))
+        .collect();
+    assert_eq!(actual, expected, "gossip tail digests drifted");
 }
 
 /// One direct run of the exact driver under a [`Probe`] that does not
