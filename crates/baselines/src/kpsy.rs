@@ -24,6 +24,12 @@
 //! [`Medium`]. The phase-level engines have no KPSY model, so
 //! `rcb_sim::Scenario::kpsy` rejects them with a typed error.
 //!
+//! A plan is Floyd's sample of the epoch's `R_e` slots, read back in
+//! ascending order from a bitset shared by all players
+//! ([`SortedSampler`]): the picks of [`sample_distinct`] from the same
+//! words, with no hash set, no sort and, once the scratch is warm, no
+//! allocation. `R_e` comes from a table built once per run.
+//!
 //! Late epochs are mostly dead air: epoch `e` holds `2^e` slots but
 //! only `R_e ≈ 2^{0.62e}` secret slots per player. Once Carol's capped
 //! pool is spent ([`Medium::carol_broke`]), nothing she plans can air,
@@ -35,6 +41,8 @@
 //! counts the slots simulated. Outcomes are byte-identical either way,
 //! so the loop costs `O(wakes)` rather than `O(horizon)` once she is
 //! broke.
+//!
+//! [`sample_distinct`]: rcb_rng::subset::sample_distinct
 
 use rcb_auth::{Authority, Payload as MessageBytes};
 use rcb_core::{gossip_outcome, BroadcastOutcome};
@@ -42,7 +50,7 @@ use rcb_radio::{
     Adversary, Budget, ChannelId, Medium, Payload, Reception, RunReport, Slot, Spectrum,
     StopReason, WakeQueue,
 };
-use rcb_rng::{subset::sample_distinct, SeedTree, SimRng};
+use rcb_rng::{subset::SortedSampler, SeedTree, SimRng};
 use rcb_telemetry::{Collector, EngineProfile, MetricId, NoopCollector};
 
 use crate::ksy::PHI;
@@ -100,6 +108,18 @@ fn epoch_of(slot: u64) -> u32 {
     63 - (slot + 2).leading_zeros()
 }
 
+/// `R_e` for every epoch `e` that starts below `horizon`, at index `e`
+/// (index 0 is unused). Epoch 63 is the last a `u64` slot reaches.
+fn quota_table(horizon: u64, quotas: &mut Vec<u64>) {
+    quotas.clear();
+    quotas.push(0);
+    quotas.extend(
+        (1..64)
+            .take_while(|&epoch| epoch_start(epoch) < horizon)
+            .map(|epoch| epoch_quota(1 << epoch)),
+    );
+}
+
 /// One player's secret schedule: its private stream and the sorted
 /// plan of the epoch it is in.
 #[derive(Debug)]
@@ -123,23 +143,36 @@ impl Plan {
         }
     }
 
+    /// Rewinds the plan to before its first draw on a new stream,
+    /// keeping its buffer.
+    fn reset(&mut self, rng: SimRng) {
+        self.rng = rng;
+        self.epoch = 0;
+        self.slots.clear();
+        self.cursor = 0;
+    }
+
     /// The player's next secret slot below `horizon`. A spent plan draws
-    /// the next epoch's `R_e` distinct slots from the private stream —
-    /// but never for an epoch starting at or past the horizon, where the
-    /// player has terminated.
-    fn next_slot(&mut self, horizon: u64) -> Option<u64> {
+    /// the next epoch's `R_e` (`quotas[e]`, see [`quota_table`]) distinct
+    /// slots from the private stream — but never for an epoch starting at
+    /// or past the horizon, where the player has terminated.
+    fn next_slot(
+        &mut self,
+        horizon: u64,
+        quotas: &[u64],
+        sampler: &mut SortedSampler,
+    ) -> Option<u64> {
         if self.cursor == self.slots.len() {
             let epoch = self.epoch + 1;
             let start = epoch_start(epoch);
             if start >= horizon {
                 return None;
             }
-            let len = 1u64 << epoch;
-            self.slots = sample_distinct(&mut self.rng, len, epoch_quota(len));
-            self.slots.sort_unstable();
-            for s in &mut self.slots {
-                *s += start;
-            }
+            let slots = &mut self.slots;
+            slots.clear();
+            sampler.sample(&mut self.rng, 1 << epoch, quotas[epoch as usize], |s| {
+                slots.push(start + s);
+            });
             self.epoch = epoch;
             self.cursor = 0;
         }
@@ -155,6 +188,10 @@ pub struct KpsyScratch {
     budgets: Vec<Budget>,
     /// Index 0 = Alice, `1..=n` = nodes.
     plans: Vec<Plan>,
+    /// `R_e` by epoch (see [`quota_table`]).
+    quotas: Vec<u64>,
+    /// Draws every player's plans.
+    sampler: SortedSampler,
     /// Epoch in which each player became informed (`u32::MAX` while
     /// uninformed; Alice holds `m` from epoch 0): a player relays in the
     /// epochs after it, and an informed node sits out the rest of its
@@ -237,6 +274,8 @@ pub fn execute_kpsy_with<C: Collector + ?Sized>(
     let KpsyScratch {
         budgets,
         plans,
+        quotas,
+        sampler,
         informed_epoch,
         wake,
         due,
@@ -253,11 +292,16 @@ pub fn execute_kpsy_with<C: Collector + ?Sized>(
     informed_epoch.clear();
     informed_epoch.resize(n + 1, u32::MAX);
     informed_epoch[0] = 0;
-    plans.clear();
-    plans.extend((0..=n).map(|i| Plan::new(seeds.stream("participant", i as u64))));
+    quota_table(horizon, quotas);
+    let stream = |i: usize| seeds.stream("participant", i as u64);
+    plans.truncate(n + 1);
+    for (i, plan) in plans.iter_mut().enumerate() {
+        plan.reset(stream(i));
+    }
+    plans.extend((plans.len()..=n).map(|i| Plan::new(stream(i))));
     wake.reset_with_buckets(n + 1, horizon, WAKE_BUCKETS);
     for (i, plan) in plans.iter_mut().enumerate() {
-        if let Some(slot) = plan.next_slot(horizon) {
+        if let Some(slot) = plan.next_slot(horizon, quotas, sampler) {
             wake.schedule(i as u32, slot);
         }
     }
@@ -292,7 +336,7 @@ pub fn execute_kpsy_with<C: Collector + ?Sized>(
             } else if plan.epoch > informed_epoch[i] {
                 medium.send(player, ChannelId::ZERO, m.clone());
             }
-            if let Some(next) = plan.next_slot(horizon) {
+            if let Some(next) = plan.next_slot(horizon, quotas, sampler) {
                 wake.schedule(player, next);
             }
         }
@@ -323,7 +367,7 @@ pub fn execute_kpsy_with<C: Collector + ?Sized>(
         // Floyd sampling draws once per planned slot.
         prof.rng_draws = plans
             .iter()
-            .map(|p| (1..=p.epoch).map(|e| epoch_quota(1 << e)).sum::<u64>())
+            .map(|p| quotas[1..=p.epoch as usize].iter().sum::<u64>())
             .sum();
         prof.flush(collector);
     }
@@ -404,6 +448,46 @@ mod tests {
             "mean node cost {} vs T={t}",
             outcome.mean_node_cost()
         );
+    }
+
+    #[test]
+    fn quota_table_covers_every_epoch_below_the_horizon() {
+        let mut quotas = Vec::new();
+        quota_table(0, &mut quotas);
+        assert_eq!(quotas, [0], "a player terminates before epoch 1");
+        quota_table((1 << 13) - 2, &mut quotas);
+        assert_eq!(quotas.len(), 13, "epochs 1-12");
+        quota_table((1 << 13) - 1, &mut quotas);
+        assert_eq!(quotas.len(), 14, "epoch 13 starts at slot 2^13 - 2");
+        for (e, &quota) in quotas.iter().enumerate().skip(1) {
+            assert_eq!(quota, epoch_quota(1 << e), "epoch {e}");
+        }
+        quota_table(u64::MAX, &mut quotas);
+        assert_eq!(quotas.len(), 64, "epochs 1-63");
+    }
+
+    #[test]
+    fn scratch_reuse_reproduces_fresh_runs() {
+        // Plans keep their buffers across runs; a run on a warm scratch
+        // of another shape must equal a fresh one.
+        let first = KpsyConfig::new(6, 2_000, Budget::limited(300), 4);
+        let (fresh, _) = execute_kpsy(&first, &mut ContinuousJammer);
+        let mut scratch = KpsyScratch::new();
+        for config in [
+            KpsyConfig::new(20, 5_000, Budget::unlimited(), 5),
+            KpsyConfig::new(2, 100, Budget::limited(10), 6),
+            first,
+        ] {
+            let (warm, _) = execute_kpsy_in(&config, &mut ContinuousJammer, &mut scratch);
+            let (cold, _) = execute_kpsy(&config, &mut ContinuousJammer);
+            assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
+        }
+        let (again, _) = execute_kpsy_in(
+            &KpsyConfig::new(6, 2_000, Budget::limited(300), 4),
+            &mut ContinuousJammer,
+            &mut scratch,
+        );
+        assert_eq!(format!("{again:?}"), format!("{fresh:?}"));
     }
 
     #[test]

@@ -23,8 +23,11 @@
 //!   wherever the table provably returns the logarithmic formula's value,
 //!   and through the formula everywhere else.
 //! * [`sample_distinct`](subset::sample_distinct) — Floyd's algorithm for
-//!   uniform distinct index subsets (used to pick *which* listeners a
-//!   successful slot informs).
+//!   uniform distinct index subsets, and
+//!   [`SortedSampler`](subset::SortedSampler), the same picks from the
+//!   same words read back in ascending order from a reusable bitset (used
+//!   to pick *which* listeners a slot materializes, and KPSY's secret
+//!   slots).
 //! * [`math`] — `ln Γ`, log-space binomial pmf/cdf used by the fast
 //!   simulator's termination-probability computations.
 //! * [`stats`] — Welford accumulators and χ² helpers used by the test
