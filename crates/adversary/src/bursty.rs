@@ -1,7 +1,7 @@
 //! The bursty jammer: alternating jam bursts and quiet gaps.
 
 use rcb_core::phase::{PhaseJamCtx, PhaseJamPlan, PhaseJammer};
-use rcb_radio::{Adversary, AdversaryCtx, AdversaryMove, Slot};
+use rcb_radio::{Adversary, AdversaryCtx, AdversaryMove, Commitment, Slot};
 
 /// Jams in fixed-length bursts separated by fixed-length gaps — the
 /// rate-limited bursty pattern of Awerbuch et al. \[4\] and Richa et al.
@@ -76,6 +76,34 @@ impl Adversary for BurstyJammer {
         } else {
             AdversaryMove::idle()
         }
+    }
+
+    /// The rest of the current burst (its channel-0 blanket) or gap
+    /// (idle); a pattern without gaps or without bursts holds to the end
+    /// of any run.
+    fn commitment(&self, slot: Slot) -> Option<Commitment> {
+        let slot = slot.index();
+        let period = self.burst + self.gap;
+        let phase = (slot + self.phase_offset) % period;
+        let (left, other) = if phase < self.burst {
+            (self.burst - phase, self.gap)
+        } else {
+            (period - phase, self.burst)
+        };
+        let until = if other == 0 {
+            u64::MAX
+        } else {
+            slot.saturating_add(left)
+        };
+        let jam = if phase < self.burst {
+            AdversaryMove::jam_all()
+        } else {
+            AdversaryMove::idle()
+        };
+        Some(Commitment {
+            until,
+            jam: jam.jam,
+        })
     }
 }
 
@@ -154,6 +182,45 @@ mod tests {
             [true, true, true, false, false, true, true, true, false, false]
         );
         assert!((carol.duty_cycle() - 0.6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn commitments_chain_through_the_pattern_it_plans() {
+        // Walking the chain of promises from any slot must reproduce the
+        // slot pattern, burst by burst and gap by gap, offset included.
+        let ctx = AdversaryCtx {
+            budget_remaining: None,
+            spent: 0,
+        };
+        for carol in [
+            BurstyJammer::new(3, 2),
+            BurstyJammer::new(3, 2).with_offset(4),
+            BurstyJammer::new(1, 5).with_offset(2),
+            BurstyJammer::new(16, 48),
+        ] {
+            let mut planner = carol;
+            for start in 0..12u64 {
+                let mut slot = start;
+                while slot < 200 {
+                    let promise = carol.commitment(Slot::new(slot)).expect("known ahead");
+                    assert!(promise.until > slot && promise.until < u64::MAX);
+                    for s in slot..promise.until {
+                        assert_eq!(promise.jam, planner.plan(Slot::new(s), &ctx).jam, "{s}");
+                    }
+                    // A stretch ends where the pattern turns.
+                    let next = planner.plan(Slot::new(promise.until), &ctx).jam;
+                    assert_ne!(next, promise.jam, "slot {}", promise.until);
+                    slot = promise.until;
+                }
+            }
+        }
+        // Without gaps or without bursts the pattern never turns.
+        let always = BurstyJammer::new(4, 0).commitment(Slot::new(9)).unwrap();
+        assert_eq!((always.until, always.jam.is_active()), (u64::MAX, true));
+        let never = BurstyJammer::new(0, 4).commitment(Slot::new(9)).unwrap();
+        assert_eq!((never.until, never.jam.is_active()), (u64::MAX, false));
+        let late = BurstyJammer::new(2, 2).commitment(Slot::new(u64::MAX - 1));
+        assert_eq!(late.unwrap().until, u64::MAX);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The continuous jammer: scorched earth until the budget runs out.
 
-use rcb_radio::{Adversary, AdversaryCtx, AdversaryMove, Slot};
+use rcb_radio::{Adversary, AdversaryCtx, AdversaryMove, Commitment, Slot};
 
 /// Jams every slot of every phase while the pooled budget lasts.
 ///
@@ -29,6 +29,15 @@ pub struct ContinuousJammer;
 impl Adversary for ContinuousJammer {
     fn plan(&mut self, _slot: Slot, _ctx: &AdversaryCtx) -> AdversaryMove {
         AdversaryMove::jam_all()
+    }
+
+    /// The channel-0 blanket, to the end of any run (her budget decides
+    /// how much of it executes).
+    fn commitment(&self, _slot: Slot) -> Option<Commitment> {
+        Some(Commitment {
+            until: u64::MAX,
+            jam: AdversaryMove::jam_all().jam,
+        })
     }
 }
 
@@ -69,6 +78,22 @@ mod tests {
             large > small,
             "a 40x budget must delay termination: {small} vs {large}"
         );
+    }
+
+    #[test]
+    fn promises_the_blanket_it_plans() {
+        let mut carol = ContinuousJammer;
+        let ctx = AdversaryCtx {
+            budget_remaining: Some(3),
+            spent: 0,
+        };
+        for slot in [0u64, 1, 1 << 40] {
+            let promise = carol.commitment(Slot::new(slot)).expect("known ahead");
+            assert_eq!(promise.until, u64::MAX);
+            let plan = carol.plan(Slot::new(slot), &ctx);
+            assert_eq!(promise.jam, plan.jam);
+            assert!(plan.sends.is_empty());
+        }
     }
 
     #[test]

@@ -155,6 +155,20 @@ impl SlotObservation<'_> {
     }
 }
 
+/// Carol's promise about a stretch of slots ahead of them, returned by
+/// [`Adversary::commitment`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Commitment {
+    /// The first slot past the stretch; `u64::MAX` promises the rest of
+    /// any run.
+    pub until: u64,
+    /// Her jam in every slot of the stretch, with no Byzantine frames.
+    /// Executing it costs what [`carol_turn`](crate::Medium::carol_turn)
+    /// charges: one unit per channel per slot, channels ascending, the
+    /// rest fizzling once her pool is spent.
+    pub jam: JamPlan,
+}
+
 /// Budget context handed to the adversary when planning.
 #[derive(Debug, Clone, Copy)]
 pub struct AdversaryCtx {
@@ -183,13 +197,24 @@ impl AdversaryCtx {
 pub trait Adversary {
     /// Decides this slot's move *before* seeing any current-slot activity.
     ///
-    /// Called once per simulated slot, with one exception. Once a capped
-    /// pool is spent, nothing Carol plans can air, so the untraced exact
-    /// ε-BROADCAST driver (`rcb_core::BroadcastSoaScratch`) and KPSY
-    /// driver (`rcb_baselines::execute_kpsy`) skip *dead air*, the slots
-    /// in which no device acts, without calling her. A traced run, or an
-    /// adversary that
-    /// [`wants_listener_identities`](Self::wants_listener_identities), is
+    /// Called once per simulated slot, with one exception: an untraced
+    /// run whose adversary does not
+    /// [`want listener identities`](Self::wants_listener_identities)
+    /// settles stretches whose every slot is known in advance without
+    /// calling her.
+    ///
+    /// * Once a capped pool is spent, nothing Carol plans can air, so the
+    ///   exact ε-BROADCAST driver (`rcb_core::BroadcastSoaScratch`) and
+    ///   KPSY driver (`rcb_baselines::execute_kpsy`) skip *dead air*, the
+    ///   slots in which no device acts.
+    /// * Once the gossip driver
+    ///   ([`run_gossip_soa_with`](crate::run_gossip_soa_with)) has no
+    ///   uninformed node left, only Alice and the relays act, and nobody
+    ///   listens. If Carol's pool is spent, or her
+    ///   [`commitment`](Self::commitment)s chain to the run's end, the
+    ///   driver settles the rest of the run in bulk.
+    ///
+    /// A traced run, or an adversary that wants listener identities, is
     /// called in every slot; outcomes are the same either way.
     fn plan(&mut self, slot: Slot, ctx: &AdversaryCtx) -> AdversaryMove;
 
@@ -210,11 +235,31 @@ pub trait Adversary {
 
     /// Full-information feedback after the slot resolves (adaptive power).
     ///
-    /// Called after every slot [`plan`](Self::plan) was called for: the
-    /// dead air that untraced ε-BROADCAST and KPSY runs skip once a capped
-    /// pool is spent goes unobserved too, since nothing happens in it.
+    /// Called once per simulated slot, after every slot
+    /// [`plan`](Self::plan) was called for, with the same exception: the
+    /// slots a driver settles without calling her (see `plan`) go
+    /// unobserved too.
     fn observe(&mut self, slot: Slot, observation: &SlotObservation<'_>) {
         let _ = (slot, observation);
+    }
+
+    /// Carol's moves from `slot` on, if she can promise them ahead.
+    ///
+    /// `Some(c)` promises that her plan in every slot of
+    /// `[slot, c.until)` is `c.jam` with no Byzantine frames, whatever
+    /// she observes and whatever her budget, and that skipping
+    /// [`plan`](Self::plan) and [`observe`](Self::observe) over the
+    /// stretch leaves her later moves unchanged. `c.until` must lie past
+    /// `slot`; a driver that reads a stretch asks again at `c.until` to
+    /// chain the next. The default, `None`, promises nothing. Drivers
+    /// never ask an adversary that [`is_reactive`](Self::is_reactive).
+    ///
+    /// The gossip driver asks once its last uninformed node is informed:
+    /// if the chain reaches the run's end, it charges each stretch's jam
+    /// in bulk instead of calling her slot by slot.
+    fn commitment(&self, slot: Slot) -> Option<Commitment> {
+        let _ = slot;
+        None
     }
 
     /// Whether [`observe`](Self::observe) needs exact per-listener
@@ -234,8 +279,9 @@ pub trait Adversary {
     /// whose strategy reads listener identities returns `true` here to
     /// force per-slot materialization (at the cost of a per-slot listener
     /// walk). Sends, jams, and deliveries are always exact regardless.
-    /// Returning `true` also makes the ε-BROADCAST and KPSY drivers call
-    /// Carol in every slot, dead air included (see [`plan`](Self::plan)).
+    /// Returning `true` also makes every exact driver call Carol in every
+    /// slot, dead air and the gossip driver's send-only tail included
+    /// (see [`plan`](Self::plan)).
     fn wants_listener_identities(&self) -> bool {
         false
     }
@@ -249,6 +295,14 @@ pub struct SilentAdversary;
 impl Adversary for SilentAdversary {
     fn plan(&mut self, _slot: Slot, _ctx: &AdversaryCtx) -> AdversaryMove {
         AdversaryMove::idle()
+    }
+
+    /// Idle to the end of any run.
+    fn commitment(&self, _slot: Slot) -> Option<Commitment> {
+        Some(Commitment {
+            until: u64::MAX,
+            jam: JamPlan::none(),
+        })
     }
 }
 
@@ -313,5 +367,22 @@ mod tests {
         // Default react keeps the planned move.
         let kept = carol.react(Slot::ZERO, true, AdversaryMove::jam_all());
         assert!(kept.jam.is_active());
+        // She promises the idle plan she makes, to the end of any run.
+        let promise = carol
+            .commitment(Slot::new(17))
+            .expect("silence is known ahead");
+        assert_eq!(promise.until, u64::MAX);
+        assert_eq!(promise.jam, carol.plan(Slot::new(17), &ctx).jam);
+    }
+
+    #[test]
+    fn adversaries_promise_nothing_by_default() {
+        struct Planner;
+        impl Adversary for Planner {
+            fn plan(&mut self, _: Slot, _: &AdversaryCtx) -> AdversaryMove {
+                AdversaryMove::jam_all()
+            }
+        }
+        assert_eq!(Planner.commitment(Slot::ZERO), None);
     }
 }

@@ -382,6 +382,28 @@ impl EnergyLedger {
         outcome
     }
 
+    /// Charges up to `count` units of `op` to Carol's pool on `channel`
+    /// in one call, returning how many were granted: the bulk form of
+    /// [`charge_carol_on`](Self::charge_carol_on), for a driver that
+    /// settles a stretch of her committed jams at once (the shortfall
+    /// counts as refusals).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel` is outside the ledger's spectrum.
+    pub fn charge_carol_many_on(&mut self, op: Op, count: u64, channel: ChannelId) -> u64 {
+        let granted = self.carol.try_charge_many(op, count);
+        if granted > 0 {
+            let entry = &mut self.carol_by_channel[channel.index() as usize];
+            match op {
+                Op::Send => entry.sends += granted,
+                Op::Listen => entry.listens += granted,
+                Op::Jam => entry.jams += granted,
+            }
+        }
+        granted
+    }
+
     /// A participant's spend so far.
     ///
     /// # Panics

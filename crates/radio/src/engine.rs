@@ -89,9 +89,14 @@ pub struct RunReport {
 /// [`carol_turn`](Self::carol_turn). A driver that draws a device's
 /// actions ahead of their slots charges them first
 /// ([`charge`](Self::charge)) and airs the charged ones in their slots
-/// ([`air_send`](Self::air_send), [`air_listener`](Self::air_listener)). [`report`](Self::report) closes the
-/// run. Held in a driver's scratch, it allocates nothing per run but the
-/// report once warm.
+/// ([`air_send`](Self::air_send), [`air_listener`](Self::air_listener)).
+/// A driver that settles a stretch of slots without Carol's turn, because
+/// nobody listens in it and her moves are known (her pool is spent, or
+/// she made a [`Commitment`](crate::Commitment)), charges her jams with
+/// [`charge_committed_jam`](Self::charge_committed_jam) and tallies the
+/// stretch's noisy slots with [`count_noisy_slots`](Self::count_noisy_slots).
+/// [`report`](Self::report) closes the run. Held in a driver's scratch,
+/// it allocates nothing per run but the report once warm.
 #[derive(Debug, Default)]
 pub struct Medium {
     /// Every correct participant's and Carol's spend.
@@ -211,6 +216,56 @@ impl Medium {
     #[inline]
     pub fn carol_broke(&self) -> bool {
         self.ledger.carol_remaining() == Some(0)
+    }
+
+    /// Charges Carol's committed `jam` for each of `slots` consecutive
+    /// slots at once, under [`carol_turn`](Self::carol_turn)'s rule: each
+    /// slot charges its channels in ascending order, and once her pool
+    /// runs dry the rest fizzles. Returns how many of the slots her jam
+    /// executed in (they lead the stretch), which are tallied as jammed
+    /// slots; the driver tallies the stretch's noisy slots, which also
+    /// count the slots that carried a transmission
+    /// ([`count_noisy_slots`](Self::count_noisy_slots)).
+    ///
+    /// Nobody may listen in a settled slot: nothing resolves, and Carol
+    /// neither plans nor observes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `jam` targets a channel outside the run's spectrum.
+    pub fn charge_committed_jam(&mut self, slots: u64, jam: &JamPlan) -> u64 {
+        let entries = jam.entries();
+        for &(channel, _) in entries {
+            assert!(
+                self.spectrum.contains(channel),
+                "jam directive targets {channel} outside the {}",
+                self.spectrum
+            );
+        }
+        let per_slot = entries.len() as u64;
+        if per_slot == 0 || slots == 0 {
+            return 0;
+        }
+        // Whole slots, then the channels of one partial slot.
+        let (whole, partial) = match self.ledger.carol_remaining() {
+            None => (slots, 0),
+            Some(left) if left / per_slot >= slots => (slots, 0),
+            Some(left) => (left / per_slot, left % per_slot),
+        };
+        for (i, &(channel, _)) in entries.iter().enumerate() {
+            let units = whole + u64::from((i as u64) < partial);
+            self.ledger.charge_carol_many_on(Op::Jam, units, channel);
+        }
+        let executed = whole + u64::from(partial > 0);
+        self.jammed_slots += executed;
+        executed
+    }
+
+    /// Tallies `slots` noisy slots (a transmission or an executed jam) of
+    /// a stretch the driver settled without
+    /// [`carol_turn`](Self::carol_turn).
+    pub fn count_noisy_slots(&mut self, slots: u64) {
+        self.noisy_slots += slots;
     }
 
     /// The listeners charged so far this slot, in roster order.
@@ -429,6 +484,7 @@ impl Medium {
 mod tests {
     use super::*;
     use crate::adversary::{AdversaryMove, SilentAdversary, Transmission};
+    use crate::channel::IdSet;
 
     /// Carol's move every slot, forever.
     struct Fixed(AdversaryMove);
@@ -600,6 +656,105 @@ mod tests {
         assert!(!r0.jammed());
         let r1 = report.trace.get(Slot::new(1)).unwrap();
         assert_eq!((r1.listeners, r1.delivered), (0, 0), "the ear stopped");
+    }
+
+    #[test]
+    fn committed_jams_settle_as_carol_turn_charges_them() {
+        // Random stretches of random jam plans, settled in bulk, against
+        // the same plans played slot by slot through Carol's turn: the
+        // spend, the per-channel jams and the jammed slots must agree,
+        // whether the pool is unlimited, runs dry at a slot boundary or
+        // inside a slot, or is empty from the start.
+        use rand::Rng;
+        use rcb_rng::CounterRng;
+
+        /// Plays stretch after stretch of fixed plans.
+        struct Stretches(Vec<(u64, JamPlan)>);
+        impl Adversary for Stretches {
+            fn plan(&mut self, slot: Slot, _: &AdversaryCtx) -> AdversaryMove {
+                let mut start = 0;
+                for (len, jam) in &self.0 {
+                    if slot.index() < start + len {
+                        return AdversaryMove {
+                            jam: jam.clone(),
+                            sends: Vec::new(),
+                        };
+                    }
+                    start += len;
+                }
+                AdversaryMove::idle()
+            }
+        }
+
+        let mut rng = CounterRng::new(0x7a11_c0de);
+        let directives = |rng: &mut CounterRng| match rng.gen_range(0..3u32) {
+            0 => JamDirective::All,
+            1 => JamDirective::Only([1u32].into_iter().map(ParticipantId::new).collect()),
+            _ => JamDirective::AllExcept(IdSet::new()),
+        };
+        let (mut dry_mid_slot, mut unlimited) = (0, 0);
+        for case in 0..300 {
+            let channels = [1u16, 2, 4][case % 3];
+            let spectrum = Spectrum::new(channels);
+            let stretches: Vec<(u64, JamPlan)> = (0..rng.gen_range(1..5u32))
+                .map(|_| {
+                    let mut jam = JamPlan::none();
+                    for c in 0..channels {
+                        if rng.gen_bool(0.6) {
+                            jam.set(ChannelId::new(c), directives(&mut rng));
+                        }
+                    }
+                    (rng.gen_range(0..40), jam)
+                })
+                .collect();
+            let needed: u64 = stretches
+                .iter()
+                .map(|(len, jam)| len * jam.active_channel_count() as u64)
+                .sum();
+            let budget = match case % 4 {
+                0 => Budget::unlimited(),
+                1 => Budget::limited(0),
+                _ => Budget::limited(rng.gen_range(0..=needed + 3)),
+            };
+            let slots: u64 = stretches.iter().map(|(len, _)| len).sum();
+
+            let mut slotted = Medium::new();
+            slotted.reset(&[Budget::unlimited()], budget, spectrum, 0);
+            let mut carol = Stretches(stretches.clone());
+            for s in 0..slots {
+                slotted.carol_turn(Slot::new(s), &mut carol, |_| {});
+            }
+            let slotted = slotted.report(slots, StopReason::AllTerminated, vec![true], vec![true]);
+
+            let mut bulk = Medium::new();
+            bulk.reset(&[Budget::unlimited()], budget, spectrum, 0);
+            for (len, jam) in &stretches {
+                let executed = bulk.charge_committed_jam(*len, jam);
+                assert!(executed <= *len);
+                bulk.count_noisy_slots(executed);
+            }
+            let bulk = bulk.report(slots, StopReason::AllTerminated, vec![true], vec![true]);
+
+            let label = format!("case {case}: {budget:?} over {stretches:?}");
+            assert_eq!(bulk.carol_cost, slotted.carol_cost, "{label}");
+            assert_eq!(bulk.channel_stats, slotted.channel_stats, "{label}");
+            assert_eq!(bulk.jammed_slots, slotted.jammed_slots, "{label}");
+            assert_eq!(bulk.noisy_slots, slotted.noisy_slots, "{label}");
+            match budget.cap() {
+                None => unlimited += 1,
+                Some(cap) if cap < needed => {
+                    let per_slot = stretches.iter().map(|(_, j)| j.active_channel_count());
+                    if per_slot.clone().any(|c| c > 1) {
+                        dry_mid_slot += 1;
+                    }
+                }
+                Some(_) => {}
+            }
+        }
+        assert!(
+            unlimited > 50 && dry_mid_slot > 30,
+            "{unlimited} {dry_mid_slot}"
+        );
     }
 
     #[test]

@@ -95,7 +95,8 @@ mod spectrum;
 mod trace;
 
 pub use adversary::{
-    Adversary, AdversaryCtx, AdversaryMove, SilentAdversary, SlotObservation, Transmission,
+    Adversary, AdversaryCtx, AdversaryMove, Commitment, SilentAdversary, SlotObservation,
+    Transmission,
 };
 pub use channel::{
     resolve_for_listener, resolve_for_listener_on, ChannelLoad, IdSet, JamDirective, JamPlan,

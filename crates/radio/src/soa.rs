@@ -43,14 +43,16 @@
 //!
 //! [`SlotObservation::listeners`]: crate::SlotObservation::listeners
 
+use std::ops::Range;
+
 use rand::Rng;
 use rcb_auth::{Authority, Payload as MessageBytes};
-use rcb_rng::subset::sample_distinct;
+use rcb_rng::subset::SortedSampler;
 use rcb_rng::{Binomial, CounterRng, Geometric, SeedTree};
 use rcb_telemetry::{Collector, EngineProfile, MetricId};
 
 use crate::adversary::Adversary;
-use crate::channel::JamDirective;
+use crate::channel::{JamDirective, JamPlan};
 use crate::energy::{Budget, EnergyLedger, Op};
 use crate::engine::{Medium, RunReport, StopReason};
 use crate::message::Payload;
@@ -128,7 +130,7 @@ impl WakeQueue {
     /// Re-shapes the queue in place for `nodes` participants and wakes
     /// strictly below `horizon`, reusing its allocations.
     pub fn reset(&mut self, nodes: usize, horizon: u64) {
-        let buckets = horizon.max(1).next_power_of_two().min(MAX_BUCKETS);
+        let buckets = horizon.clamp(1, MAX_BUCKETS).next_power_of_two();
         self.reset_with_buckets(nodes, horizon, buckets);
     }
 
@@ -417,9 +419,11 @@ pub struct GossipSoaScratch {
     wake: WakeQueue,
     due: Vec<(u64, u32)>,
     ids: Vec<u32>,
+    sampler: SortedSampler,
     epoch_channel: Vec<u16>,
     epoch_detected: Vec<bool>,
     epoch_noisy: Vec<u64>,
+    tail: TailBuffers,
 }
 
 impl GossipSoaScratch {
@@ -427,6 +431,164 @@ impl GossipSoaScratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// Slots per pass of the send-only tail's slot bitmap: 64 words.
+const TAIL_WINDOW: u64 = 1 << 12;
+
+/// The send-only tail's buffers, sized by the roster and [`TAIL_WINDOW`]
+/// alone, never by the horizon.
+#[derive(Debug, Default)]
+struct TailBuffers {
+    /// Per device, its next send (`u64::MAX`: none before the horizon).
+    next: Vec<u64>,
+    /// One bit per slot of the current window: a send or an executed jam.
+    noisy: Vec<u64>,
+}
+
+/// How the devices of a send-only tail act: what
+/// [`run_gossip_soa_with`]'s per-slot loop draws for a sender, in its
+/// order.
+struct Senders<'a> {
+    hop: bool,
+    channels: u16,
+    /// The epoch length in epoch mode, 0 otherwise.
+    epoch_len: u64,
+    alice_geo: Option<&'a Geometric>,
+    relay_geo: Option<&'a Geometric>,
+    horizon: u64,
+}
+
+impl Senders<'_> {
+    /// Plays device `node`'s actions in `window` from its own stream, in
+    /// the per-slot loop's order: at an epoch boundary a channel redraw,
+    /// then at a send slot the channel (drawn unless held for the
+    /// epoch), the charged send and the gap to the next send. Marks each
+    /// send in `noisy` (bit `slot - window.start`).
+    #[allow(clippy::too_many_arguments)]
+    fn play(
+        &self,
+        node: u32,
+        window: &Range<u64>,
+        rng: &mut CounterRng,
+        epoch_channel: &mut [u16],
+        next: &mut u64,
+        medium: &mut Medium,
+        noisy: &mut [u64],
+    ) {
+        let i = node as usize;
+        let mut boundary = if self.epoch_len > 0 {
+            window.start.max(1).next_multiple_of(self.epoch_len)
+        } else {
+            u64::MAX
+        };
+        loop {
+            if boundary < window.end && boundary <= *next {
+                epoch_channel[i] = rng.gen_range(0..self.channels);
+                boundary = boundary.saturating_add(self.epoch_len);
+            } else if *next < window.end {
+                let slot = *next;
+                let channel = if self.epoch_len > 0 {
+                    ChannelId::new(epoch_channel[i])
+                } else {
+                    pick_channel(rng, self.hop, self.channels)
+                };
+                medium.charge(node, channel, Op::Send);
+                let bit = slot - window.start;
+                noisy[(bit / 64) as usize] |= 1 << (bit % 64);
+                let geo = if node == 0 {
+                    self.alice_geo
+                } else {
+                    self.relay_geo
+                };
+                *next = geo
+                    .map(|geo| slot.saturating_add(1).saturating_add(geo.sample(rng)))
+                    .filter(|&wake| wake < self.horizon)
+                    .unwrap_or(u64::MAX);
+            } else {
+                break;
+            }
+        }
+    }
+}
+
+/// Whether Carol's [`commitment`](Adversary::commitment)s chain from
+/// `slots.start` through `slots.end`.
+fn commits_through(adversary: &dyn Adversary, slots: &Range<u64>) -> bool {
+    let mut slot = slots.start;
+    while slot < slots.end {
+        match adversary.commitment(Slot::new(slot)) {
+            Some(promise) if promise.until > slot => slot = promise.until,
+            _ => return false,
+        }
+    }
+    true
+}
+
+/// Settles a run's send-only tail, `slots`, without the per-slot loop:
+/// nobody listens in it, so what is left is each device's sends and
+/// Carol's jams, and their tallies.
+///
+/// Window by window ([`TAIL_WINDOW`] slots), each device plays its
+/// actions node-major ([`Senders::play`]), and Carol's committed
+/// stretches are charged in bulk ([`Medium::charge_committed_jam`]),
+/// walking the chain of `carol`'s commitments; `carol` is `None` once
+/// her pool is spent. The window's slot bitmap counts the noisy slots.
+#[allow(clippy::too_many_arguments)]
+fn settle_send_only_tail(
+    medium: &mut Medium,
+    carol: Option<&dyn Adversary>,
+    senders: &Senders<'_>,
+    slots: Range<u64>,
+    rngs: &mut [CounterRng],
+    epoch_channel: &mut [u16],
+    wake: &WakeQueue,
+    tail: &mut TailBuffers,
+) {
+    let devices = rngs.len() as u32;
+    tail.next.clear();
+    tail.next
+        .extend((0..devices).map(|node| wake.next_wake(node).unwrap_or(u64::MAX)));
+    tail.noisy.clear();
+    tail.noisy.resize((TAIL_WINDOW / 64) as usize, 0);
+    // Carol's current stretch ends at `until` (fetched when reached).
+    let (mut until, mut jam) = (slots.start, JamPlan::none());
+    let mut start = slots.start;
+    while start < slots.end {
+        let window = start..slots.end.min(start.saturating_add(TAIL_WINDOW));
+        for (node, rng) in (0..devices).zip(rngs.iter_mut()) {
+            senders.play(
+                node,
+                &window,
+                rng,
+                epoch_channel,
+                &mut tail.next[node as usize],
+                medium,
+                &mut tail.noisy,
+            );
+        }
+        if let Some(carol) = carol {
+            let mut slot = window.start;
+            while slot < window.end && !medium.carol_broke() {
+                if slot == until {
+                    let promise = carol
+                        .commitment(Slot::new(slot))
+                        .expect("the chain was checked to the end");
+                    (until, jam) = (promise.until, promise.jam);
+                }
+                let stretch = until.min(window.end) - slot;
+                let executed = medium.charge_committed_jam(stretch, &jam);
+                for bit in slot - window.start..slot - window.start + executed {
+                    tail.noisy[(bit / 64) as usize] |= 1 << (bit % 64);
+                }
+                slot += stretch;
+            }
+        }
+        let noisy: u32 = tail.noisy.iter().map(|w| w.count_ones()).sum();
+        medium.count_noisy_slots(u64::from(noisy));
+        tail.noisy.fill(0);
+        start = window.end;
     }
 }
 
@@ -593,7 +755,7 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
     );
     let channels = spectrum.channel_count();
     let hop = spec.hop_channels;
-    let max_slots = spec.horizon + 2;
+    let max_slots = spec.horizon.saturating_add(2);
     let materialize_all = trace_capacity > 0 || adversary.wants_listener_identities();
     // Telemetry: one hoisted bool gates all bookkeeping; counts batch in
     // a plain-integer profile and flush once after the loop.
@@ -610,9 +772,11 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
         wake,
         due,
         ids,
+        sampler,
         epoch_channel,
         epoch_detected,
         epoch_noisy,
+        tail,
     } = scratch;
 
     let mut authority = Authority::new(seeds.leaf_seed("auth-domain", 0));
@@ -666,7 +830,16 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
         wake.schedule(0, first);
     }
 
+    let senders = Senders {
+        hop,
+        channels,
+        epoch_len: if epoch_mode { spec.epoch_len } else { 0 },
+        alice_geo: alice_geo.as_ref(),
+        relay_geo: relay_geo.as_ref(),
+        horizon: spec.horizon,
+    };
     let mut inert_slots = 0u64;
+    let mut settled_slots = 0u64;
     let mut slot_idx = 0u64;
     let stop_reason = loop {
         if slot_idx >= max_slots {
@@ -684,6 +857,31 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
         };
         if alice_terminated && nodes_terminated {
             break StopReason::AllTerminated;
+        }
+        // The send-only tail: with no uninformed node left, nobody listens
+        // again, and every device terminates once slot `horizon` has been
+        // acted. If Carol's moves to then are known too (her pool is
+        // spent, or her commitments chain there), settle the rest in bulk.
+        if !materialize_all && pool.is_empty() {
+            let rest = slot_idx..spec.horizon.saturating_add(1);
+            let carol_known = medium.carol_broke()
+                || (!adversary.is_reactive() && commits_through(adversary, &rest));
+            if carol_known {
+                let carol = (!medium.carol_broke()).then_some(&*adversary);
+                settled_slots = rest.end - rest.start;
+                slot_idx = rest.end;
+                settle_send_only_tail(
+                    medium,
+                    carol,
+                    &senders,
+                    rest,
+                    rngs,
+                    epoch_channel,
+                    wake,
+                    tail,
+                );
+                break StopReason::AllTerminated;
+            }
         }
         // Epoch boundary: settle every dormant node's deferred listens
         // for the finished epoch and redraw channels, in roster order.
@@ -792,16 +990,14 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
                     .sample(&mut engine_rng)
             };
             ids.clear();
+            let roster = n as u64 + 1;
+            let push = |id: u64| ids.push(id as u32);
             if k == u {
-                ids.extend_from_slice(pool);
+                sampler.ascending(pool.iter().map(|&node| u64::from(node)), roster, push);
             } else {
-                ids.extend(
-                    sample_distinct(&mut engine_rng, u, k)
-                        .into_iter()
-                        .map(|i| pool[i as usize]),
-                );
+                let member = |i: u64| u64::from(pool[i as usize]);
+                sampler.sample_mapped(&mut engine_rng, u, k, roster, member, push);
             }
-            ids.sort_unstable();
             for &node in ids.iter() {
                 let channel = if epoch_mode {
                     ChannelId::new(epoch_channel[node as usize])
@@ -910,9 +1106,10 @@ pub fn run_gossip_soa_with<C: Collector + ?Sized>(
 
     if telemetry {
         prof.slots = slot_idx;
-        // The adversary plans once per simulated slot; inert slots were
-        // counted (not simulated) on the listener side.
-        prof.adversary_plans = slot_idx;
+        // The adversary plans once per slot of the per-slot loop; inert
+        // slots were counted (not simulated) on the listener side, and
+        // the send-only tail was settled without her.
+        prof.adversary_plans = slot_idx - settled_slots;
         prof.inert_slots = inert_slots;
         // Exact: a stream's counter is the number of words it drew.
         prof.rng_draws = rngs.iter().map(CounterRng::counter).sum::<u64>() + engine_rng.counter();
@@ -936,6 +1133,7 @@ mod tests {
     use crate::adversary::{AdversaryCtx, AdversaryMove, SilentAdversary};
     use crate::spectrum::Spectrum;
 
+    use rcb_rng::subset::sample_distinct;
     use rcb_telemetry::NoopCollector;
 
     fn quiet_spec(n: u64, horizon: u64) -> GossipSpec {
@@ -998,6 +1196,22 @@ mod tests {
         assert_eq!(q.next_wake(5), None);
         q.drain_due(11, &mut out);
         assert_eq!(out, vec![(11, 7)]);
+    }
+
+    #[test]
+    fn wake_queue_takes_any_horizon() {
+        // Past 2^63 the next power of two overflows; the wheel is capped
+        // long before, so any horizon shapes the same 2^16 buckets.
+        let mut q = WakeQueue::new();
+        for horizon in [0, 1, 1 << 16, (1 << 63) + 1, u64::MAX - 1, u64::MAX] {
+            q.reset(3, horizon);
+            assert_eq!(
+                q.heads.len() as u64,
+                horizon.clamp(1, MAX_BUCKETS).next_power_of_two()
+            );
+            q.schedule(2, horizon.saturating_sub(1));
+            assert_eq!(q.len(), usize::from(horizon > 0), "horizon {horizon}");
+        }
     }
 
     #[test]

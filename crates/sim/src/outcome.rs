@@ -3,8 +3,8 @@
 use std::ops::Deref;
 
 use rcb_baselines::ksy::KsyOutcome;
-use rcb_core::BroadcastOutcome;
-use rcb_radio::{ChannelStats, StopReason, Trace};
+use rcb_core::{BroadcastOutcome, EngineKind};
+use rcb_radio::{Budget, ChannelStats, CostBreakdown, StopReason, Trace};
 
 use crate::scenario::ProtocolKind;
 
@@ -110,6 +110,87 @@ impl ScenarioOutcome {
             .unwrap_or_default()
     }
 
+    /// Checks the energy ledger's conservation identities, and returns the
+    /// first one this outcome breaks. `carol_budget` is the pool the run
+    /// gave Carol.
+    ///
+    /// On every engine: at most `n` nodes are informed, Carol spent at
+    /// most her budget, and where per-node costs are kept they sum to
+    /// `node_total_cost`. Where an exact-engine run kept per-channel stats,
+    /// also: the channels' correct sends and listens sum to Alice's plus
+    /// the nodes', their Byzantine sends and jammed slots to Carol's sends
+    /// and jams, and no channel was jammed in more slots than the run
+    /// lasted. `Scenario::run_in` debug-asserts it after every exact-engine
+    /// run; the phase tiers' rounded tallies are not held to it.
+    ///
+    /// # Errors
+    ///
+    /// Names the broken identity and both of its sides.
+    pub fn check_invariants(&self, carol_budget: Budget) -> Result<(), String> {
+        let b = &self.broadcast;
+        let check = |holds: bool, what: &str, left: u64, right: u64| {
+            if holds {
+                Ok(())
+            } else {
+                Err(format!("{what}: {left} against {right}"))
+            }
+        };
+        check(
+            b.informed_nodes <= b.n,
+            "informed nodes exceed n",
+            b.informed_nodes,
+            b.n,
+        )?;
+        if let Some(cap) = carol_budget.cap() {
+            let spent = b.carol_cost.total();
+            check(spent <= cap, "Carol outspent her budget", spent, cap)?;
+        }
+        if let Some(nodes) = &b.node_costs {
+            let mut sum = CostBreakdown::default();
+            nodes.iter().for_each(|c| sum.absorb(c));
+            let (sum, total) = (sum.total(), b.node_total_cost.total());
+            check(
+                sum == total,
+                "node costs do not sum to the total",
+                sum,
+                total,
+            )?;
+        }
+        let Some(stats) = self
+            .channel_stats
+            .as_ref()
+            .filter(|_| b.engine == EngineKind::Exact)
+        else {
+            return Ok(());
+        };
+        let tally = |f: fn(&ChannelStats) -> u64| stats.iter().map(f).sum::<u64>();
+        let correct = b.alice_cost.sends + b.node_total_cost.sends;
+        let sends = tally(|s| s.correct_sends);
+        check(
+            sends == correct,
+            "channel sends against correct sends",
+            sends,
+            correct,
+        )?;
+        let correct = b.alice_cost.listens + b.node_total_cost.listens;
+        let listens = tally(|s| s.correct_listens);
+        let what = "channel listens against correct listens";
+        check(listens == correct, what, listens, correct)?;
+        let byz = tally(|s| s.byz_sends);
+        let what = "channel Byzantine sends against Carol's sends";
+        check(byz == b.carol_cost.sends, what, byz, b.carol_cost.sends)?;
+        let jammed = tally(|s| s.jammed_slots);
+        let what = "channel jammed slots against Carol's jams";
+        check(jammed == b.carol_cost.jams, what, jammed, b.carol_cost.jams)?;
+        let most = stats.iter().map(|s| s.jammed_slots).max().unwrap_or(0);
+        check(
+            most <= b.slots,
+            "a channel jammed past the run",
+            most,
+            b.slots,
+        )
+    }
+
     /// Pearson correlation between the per-channel correct traffic and
     /// the per-channel jam spend — the whole-run tally of how closely the
     /// jammer's budget split tracked where the traffic actually was.
@@ -166,8 +247,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcb_core::EngineKind;
-    use rcb_radio::CostBreakdown;
 
     fn outcome() -> ScenarioOutcome {
         ScenarioOutcome {
@@ -205,6 +284,64 @@ mod tests {
             trace: None,
             telemetry: None,
         }
+    }
+
+    #[test]
+    fn invariants_name_the_identity_an_outcome_breaks() {
+        let cost = |sends, listens, jams| CostBreakdown {
+            sends,
+            listens,
+            jams,
+        };
+        let stats = |correct_sends, correct_listens, byz_sends, jammed_slots| ChannelStats {
+            correct_sends,
+            correct_listens,
+            byz_sends,
+            jammed_slots,
+            delivered: 0,
+        };
+        let mut o = outcome();
+        o.broadcast.alice_cost = cost(5, 1, 0);
+        o.broadcast.node_costs = Some(vec![cost(1, 4, 0), cost(0, 6, 0)]);
+        o.broadcast.node_total_cost = cost(1, 10, 0);
+        o.broadcast.carol_cost = cost(2, 0, 5);
+        o.channel_stats = Some(vec![stats(4, 6, 2, 4), stats(2, 5, 0, 1)]);
+        assert_eq!(o.check_invariants(Budget::limited(7)), Ok(()));
+        assert_eq!(o.check_invariants(Budget::unlimited()), Ok(()));
+
+        let broken = |o: &ScenarioOutcome, budget| o.check_invariants(budget).unwrap_err();
+        assert!(broken(&o, Budget::limited(6)).contains("outspent"));
+        let mut bad = o.clone();
+        bad.broadcast.informed_nodes = 11;
+        assert!(broken(&bad, Budget::unlimited()).contains("informed"));
+        let mut bad = o.clone();
+        bad.broadcast.node_total_cost = cost(1, 9, 0);
+        assert!(broken(&bad, Budget::unlimited()).contains("node costs"));
+        for (channel, field, what) in [
+            (0, 0, "channel sends"),
+            (1, 1, "channel listens"),
+            (0, 2, "Byzantine"),
+            (1, 3, "jammed slots against"),
+        ] {
+            let mut bad = o.clone();
+            let entry = &mut bad.channel_stats.as_mut().unwrap()[channel];
+            match field {
+                0 => entry.correct_sends += 1,
+                1 => entry.correct_listens += 1,
+                2 => entry.byz_sends += 1,
+                _ => entry.jammed_slots += 1,
+            }
+            assert!(broken(&bad, Budget::unlimited()).contains(what), "{what}");
+        }
+        let mut bad = o.clone();
+        bad.broadcast.slots = 3;
+        assert!(broken(&bad, Budget::unlimited()).contains("past the run"));
+        // The phase tiers' tallies are rounded expectations: not held to
+        // the per-channel identities.
+        let mut fluid = o.clone();
+        fluid.broadcast.engine = EngineKind::Fluid;
+        fluid.channel_stats.as_mut().unwrap()[0].correct_sends += 1;
+        assert_eq!(fluid.check_invariants(Budget::unlimited()), Ok(()));
     }
 
     #[test]

@@ -30,6 +30,15 @@ static NOOP: NoopCollector = NoopCollector;
 /// `O(n · horizon)`.
 pub use rcb_core::fast_mc::DEFAULT_PHASE_LEN as DEFAULT_MC_PHASE_LEN;
 
+/// The longest horizon the exact gossip driver accepts: a run lasts up
+/// to `horizon + 2` slots, and its wake queue sizes its wheel from the
+/// horizon.
+const MAX_GOSSIP_HORIZON: u64 = 1 << 63;
+
+/// The longest KPSY horizon: epoch `e` starts at slot `2^e − 2`, so one
+/// past this would need epoch 64.
+const MAX_KPSY_HORIZON: u64 = (1 << 63) - 2;
+
 use crate::batch::run_trials_scoped_with;
 use crate::outcome::ScenarioOutcome;
 
@@ -544,8 +553,27 @@ impl Scenario {
 
     /// Runs the scenario once, reusing caller-owned scratch allocations —
     /// the single-threaded counterpart of [`run_batch`](Self::run_batch).
+    ///
+    /// Debug builds check every exact-engine outcome's ledger with
+    /// [`ScenarioOutcome::check_invariants`] and panic on a broken
+    /// identity.
     #[must_use]
     pub fn run_in(&self, scratch: &mut ScenarioScratch, seed: u64) -> ScenarioOutcome {
+        let outcome = self.dispatch(scratch, seed);
+        if cfg!(debug_assertions) && self.engine == Engine::Exact {
+            if let Err(broken) = outcome.check_invariants(self.carol_budget_as_budget()) {
+                panic!(
+                    "{} under {} (seed {seed}) broke a ledger invariant: {broken}",
+                    self.protocol.kind(),
+                    self.adversary.name()
+                );
+            }
+        }
+        outcome
+    }
+
+    /// Runs the protocol on its engine.
+    fn dispatch(&self, scratch: &mut ScenarioScratch, seed: u64) -> ScenarioOutcome {
         match (&self.protocol, self.engine) {
             (ProtocolSpec::Broadcast(params), Engine::Exact) => {
                 self.run_broadcast_exact(scratch, params, seed)
@@ -1187,6 +1215,27 @@ impl ScenarioBuilder {
                 return Err(ScenarioError::InvalidConfig(
                     "epoch-hopping epoch_len must be at least one slot".into(),
                 ));
+            }
+        }
+        // The exact engine's slot counters: naive and epidemic gossip run
+        // only there (the engine check above), hopping on the exact engine.
+        let horizon_cap = match (&self.protocol, self.engine) {
+            (ProtocolSpec::Naive(spec), _) => Some((spec.horizon, MAX_GOSSIP_HORIZON)),
+            (ProtocolSpec::Epidemic(spec), _) => Some((spec.horizon, MAX_GOSSIP_HORIZON)),
+            (ProtocolSpec::Hopping(spec), Engine::Exact) => {
+                Some((spec.horizon, MAX_GOSSIP_HORIZON))
+            }
+            (ProtocolSpec::EpochHopping(spec), Engine::Exact) => {
+                Some((spec.horizon, MAX_GOSSIP_HORIZON))
+            }
+            (ProtocolSpec::Kpsy(spec), _) => Some((spec.horizon, MAX_KPSY_HORIZON)),
+            _ => None,
+        };
+        if let Some((horizon, cap)) = horizon_cap {
+            if horizon > cap {
+                return Err(ScenarioError::InvalidConfig(format!(
+                    "{protocol} horizon must be at most {cap} on the exact engine, got {horizon}"
+                )));
             }
         }
         let gossip_shape = match &self.protocol {

@@ -3,9 +3,15 @@
 
 use evildoers::adversary::StrategySpec;
 use evildoers::core::{DecoyConfig, Params};
+use evildoers::radio::Budget;
 use evildoers::sim::{Scenario, ScenarioOutcome};
 
-fn check_invariants(outcome: &ScenarioOutcome, label: &str) {
+/// The library's ledger identities (`ScenarioOutcome::check_invariants`),
+/// plus the population and charge shapes of ε-BROADCAST.
+fn check_invariants(outcome: &ScenarioOutcome, carol_budget: Budget, label: &str) {
+    if let Err(broken) = outcome.check_invariants(carol_budget) {
+        panic!("{label}: {broken}");
+    }
     assert_eq!(
         outcome.informed_nodes + outcome.uninformed_terminated + outcome.unterminated_nodes,
         outcome.n,
@@ -60,7 +66,7 @@ fn every_strategy_with_finite_budget_lets_the_broadcast_through() {
             .build()
             .unwrap()
             .run();
-        check_invariants(&outcome, &spec.name());
+        check_invariants(&outcome, Budget::limited(budget), &spec.name());
         assert!(
             outcome.informed_fraction() > 0.9,
             "{}: informed only {}/{} (carol spent {})",
@@ -81,7 +87,7 @@ fn every_strategy_with_finite_budget_lets_the_broadcast_through() {
 fn quiet_run_informs_everyone_and_everyone_terminates() {
     let params = Params::builder(64).build().unwrap();
     let outcome = Scenario::broadcast(params).seed(5).build().unwrap().run();
-    check_invariants(&outcome, "silent");
+    check_invariants(&outcome, Budget::unlimited(), "silent");
     assert_eq!(outcome.informed_nodes, 64);
     assert_eq!(outcome.unterminated_nodes, 0);
     assert!(outcome.alice_terminated);
@@ -126,7 +132,7 @@ fn unlimited_continuous_jamming_blocks_everything_but_costs_forever() {
         .build()
         .unwrap()
         .run();
-    check_invariants(&outcome, "unlimited-continuous");
+    check_invariants(&outcome, Budget::unlimited(), "unlimited-continuous");
     assert_eq!(outcome.informed_nodes, 0);
     // Nobody terminates bogusly: all-noise request phases keep everyone up.
     assert_eq!(outcome.uninformed_terminated, 0);

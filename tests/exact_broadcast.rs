@@ -684,44 +684,44 @@ fn gossip_entries() -> Vec<(String, ScenarioBuilder)> {
 /// {0, 7}.
 #[rustfmt::skip]
 const GOSSIP_PINS: [(&str, u64, u64); 38] = [
-    ("naive silent C=1", 0x3f46_c25e_11a0_b483, 0xc893_96d3_2501_4a05),
-    ("epidemic silent C=1", 0x72f3_0611_7c33_b91b, 0xe6c7_a0af_52d9_619f),
-    ("hopping silent C=1", 0x50ea_28ac_cb7e_9e71, 0xe6c7_a0af_52d9_619f),
-    ("hopping silent C=4", 0x06bd_7ee5_91c3_7612, 0x0aff_f1c5_8e59_d5b8),
-    ("epoch-hopping silent C=1", 0x9b16_0cba_9be4_c2cb, 0xe6c7_a0af_52d9_619f),
-    ("epoch-hopping silent C=4", 0xd229_658a_6856_3287, 0x17a9_aea3_1bbb_b8c5),
-    ("naive continuous C=1", 0x1ef1_2214_2ed6_80ff, 0xea85_e4ee_6529_ca2d),
-    ("epidemic continuous C=1", 0x7ff2_1c26_e97b_ea07, 0x89ac_c6bb_5574_12bc),
-    ("hopping continuous C=1", 0xee51_8ee5_90b3_e2d7, 0x89ac_c6bb_5574_12bc),
-    ("hopping continuous C=4", 0x23b7_0c4a_b99d_466c, 0xb59c_7798_7092_4620),
-    ("epoch-hopping continuous C=1", 0x7ea1_1e1e_08bf_2fcf, 0x89ac_c6bb_5574_12bc),
-    ("epoch-hopping continuous C=4", 0xf137_b5cf_0cc5_5385, 0x6502_2028_71a8_242e),
-    ("naive random(p=0.4) C=1", 0xbb85_e43a_5d12_30ed, 0xc893_96d3_2501_4a05),
-    ("epidemic random(p=0.4) C=1", 0xfe26_7355_4802_3c2f, 0x0892_c18f_b670_361e),
-    ("hopping random(p=0.4) C=1", 0xd3a3_5f97_9889_5a4b, 0x0892_c18f_b670_361e),
-    ("hopping random(p=0.4) C=4", 0xf549_099d_b442_d9fa, 0x2278_b40c_2597_6d8b),
-    ("epoch-hopping random(p=0.4) C=1", 0x4ae9_0d52_28d6_6187, 0x0892_c18f_b670_361e),
-    ("epoch-hopping random(p=0.4) C=4", 0xc295_4c1d_14a2_38ac, 0x7eee_f5a6_7cd0_9141),
-    ("naive bursty(16/48) C=1", 0xd485_d798_b757_f4bb, 0x8702_6004_efa4_864b),
-    ("epidemic bursty(16/48) C=1", 0xebc5_d809_a072_6324, 0x49e0_075c_e109_9456),
-    ("hopping bursty(16/48) C=1", 0x6e0e_a1db_be60_fc16, 0x49e0_075c_e109_9456),
-    ("hopping bursty(16/48) C=4", 0x0afe_78f0_99c2_f2db, 0xa34a_7be0_a26b_ae21),
-    ("epoch-hopping bursty(16/48) C=1", 0xb19a_8785_6263_32a0, 0x49e0_075c_e109_9456),
-    ("epoch-hopping bursty(16/48) C=4", 0x3195_cba1_0ff7_f264, 0x23e0_5a84_f0cd_f5c6),
-    ("naive lagged-reactive C=1", 0x3138_9c68_288d_a2f5, 0xc893_96d3_2501_4a05),
-    ("epidemic lagged-reactive C=1", 0x7a5d_9d20_4c17_6327, 0xcf0e_4c7f_3db9_db12),
-    ("hopping lagged-reactive C=1", 0x2274_266e_7f80_6ae1, 0xcf0e_4c7f_3db9_db12),
-    ("hopping lagged-reactive C=4", 0x937d_caad_1d53_92d9, 0xe653_8eda_9645_6c40),
-    ("epoch-hopping lagged-reactive C=1", 0xc26b_dd67_020e_019b, 0xcf0e_4c7f_3db9_db12),
-    ("epoch-hopping lagged-reactive C=4", 0x41ff_479e_9710_6429, 0x1f65_b68e_9718_8930),
-    ("hopping split-uniform C=4", 0x3d42_806b_2acb_0a89, 0xa8ac_1da2_7a8b_2186),
-    ("epoch-hopping split-uniform C=4", 0xd444_7087_11b5_25c5, 0x88aa_becb_9f59_1fb5),
-    ("hopping channel-sweep(dwell=8) C=4", 0xe256_2a08_954a_7981, 0xf816_3554_9f00_ef66),
-    ("epoch-hopping channel-sweep(dwell=8) C=4", 0xe96e_1d60_8ad8_bb74, 0x0c15_9929_0303_4605),
-    ("hopping channel-lagged C=4", 0x4d0b_af7c_3523_ca16, 0xbde0_548b_6dcc_58f5),
-    ("epoch-hopping channel-lagged C=4", 0x9859_88e0_f02e_a7da, 0x935b_986e_2e43_bf2e),
-    ("hopping adaptive(w=8,r=0.5) C=4", 0x5949_a779_26ee_8654, 0x94a0_711b_b31c_5289),
-    ("epoch-hopping adaptive(w=8,r=0.5) C=4", 0x1db3_c43e_686e_2f98, 0xf4a9_3b9e_9ebd_65f4),
+    ("naive silent C=1", 0x3f46_c25e_11a0_b483, 0xdb37_6f19_2674_3d2d),
+    ("epidemic silent C=1", 0x72f3_0611_7c33_b91b, 0xb58c_2bc2_9fc2_71d1),
+    ("hopping silent C=1", 0x50ea_28ac_cb7e_9e71, 0xb58c_2bc2_9fc2_71d1),
+    ("hopping silent C=4", 0x06bd_7ee5_91c3_7612, 0x5189_8de7_95aa_6407),
+    ("epoch-hopping silent C=1", 0x9b16_0cba_9be4_c2cb, 0xb58c_2bc2_9fc2_71d1),
+    ("epoch-hopping silent C=4", 0xd229_658a_6856_3287, 0x5ecf_9354_9bc2_f4fc),
+    ("naive continuous C=1", 0x1ef1_2214_2ed6_80ff, 0xfc96_987d_aaf6_9e0d),
+    ("epidemic continuous C=1", 0x7ff2_1c26_e97b_ea07, 0x456c_d8e5_f941_76e9),
+    ("hopping continuous C=1", 0xee51_8ee5_90b3_e2d7, 0x456c_d8e5_f941_76e9),
+    ("hopping continuous C=4", 0x23b7_0c4a_b99d_466c, 0x6b48_65ae_d49a_c85d),
+    ("epoch-hopping continuous C=1", 0x7ea1_1e1e_08bf_2fcf, 0x456c_d8e5_f941_76e9),
+    ("epoch-hopping continuous C=4", 0xf137_b5cf_0cc5_5385, 0x598f_b81e_45c5_bf0f),
+    ("naive random(p=0.4) C=1", 0xbb85_e43a_5d12_30ed, 0xc4b7_a0dd_6bed_641d),
+    ("epidemic random(p=0.4) C=1", 0xfe26_7355_4802_3c2f, 0xefb6_18e7_5126_8f26),
+    ("hopping random(p=0.4) C=1", 0xd3a3_5f97_9889_5a4b, 0xefb6_18e7_5126_8f26),
+    ("hopping random(p=0.4) C=4", 0xf549_099d_b442_d9fa, 0x75e3_ed73_1c8e_0139),
+    ("epoch-hopping random(p=0.4) C=1", 0x4ae9_0d52_28d6_6187, 0xefb6_18e7_5126_8f26),
+    ("epoch-hopping random(p=0.4) C=4", 0xc295_4c1d_14a2_38ac, 0xe8d0_7cb4_7881_055e),
+    ("naive bursty(16/48) C=1", 0xd485_d798_b757_f4bb, 0x5189_32fd_0628_3811),
+    ("epidemic bursty(16/48) C=1", 0xebc5_d809_a072_6324, 0x002d_3e2a_93c1_bb5c),
+    ("hopping bursty(16/48) C=1", 0x6e0e_a1db_be60_fc16, 0x002d_3e2a_93c1_bb5c),
+    ("hopping bursty(16/48) C=4", 0x0afe_78f0_99c2_f2db, 0xf5b6_10d0_b6e7_1e0d),
+    ("epoch-hopping bursty(16/48) C=1", 0xb19a_8785_6263_32a0, 0x002d_3e2a_93c1_bb5c),
+    ("epoch-hopping bursty(16/48) C=4", 0x3195_cba1_0ff7_f264, 0x7c3e_752e_e2df_d44a),
+    ("naive lagged-reactive C=1", 0x3138_9c68_288d_a2f5, 0xa476_3467_dc60_a441),
+    ("epidemic lagged-reactive C=1", 0x7a5d_9d20_4c17_6327, 0x5350_1a12_5c22_3f32),
+    ("hopping lagged-reactive C=1", 0x2274_266e_7f80_6ae1, 0x5350_1a12_5c22_3f32),
+    ("hopping lagged-reactive C=4", 0x937d_caad_1d53_92d9, 0xc4fd_dfed_bc43_6a65),
+    ("epoch-hopping lagged-reactive C=1", 0xc26b_dd67_020e_019b, 0x5350_1a12_5c22_3f32),
+    ("epoch-hopping lagged-reactive C=4", 0x41ff_479e_9710_6429, 0xa0fb_231c_265c_8404),
+    ("hopping split-uniform C=4", 0x3d42_806b_2acb_0a89, 0x788b_22fa_f27f_388c),
+    ("epoch-hopping split-uniform C=4", 0xd444_7087_11b5_25c5, 0x9e42_f71a_c6d1_ab49),
+    ("hopping channel-sweep(dwell=8) C=4", 0xe256_2a08_954a_7981, 0xa2cd_714b_2333_5592),
+    ("epoch-hopping channel-sweep(dwell=8) C=4", 0xe96e_1d60_8ad8_bb74, 0x7de0_56af_8354_ea1e),
+    ("hopping channel-lagged C=4", 0x4d0b_af7c_3523_ca16, 0x3011_3b07_e979_c5ab),
+    ("epoch-hopping channel-lagged C=4", 0x9859_88e0_f02e_a7da, 0x9951_9cfa_9d9b_678f),
+    ("hopping adaptive(w=8,r=0.5) C=4", 0x5949_a779_26ee_8654, 0x7b7a_7d6d_0297_693c),
+    ("epoch-hopping adaptive(w=8,r=0.5) C=4", 0x1db3_c43e_686e_2f98, 0x768b_532b_0e1c_4b57),
 ];
 
 #[test]
@@ -792,7 +792,7 @@ fn gossip_matches_pinned_digests() {
 /// no relays, rosters of 0 and 1 nodes, C ∈ {1, 4}, strategies that
 /// promise nothing ahead (random, lagged-reactive, split-uniform,
 /// adaptive), and two runs of 10,000 slots.
-fn gossip_tail_entries() -> Vec<(String, ScenarioBuilder)> {
+fn gossip_tail_entries() -> Vec<(String, ScenarioBuilder, Budget)> {
     let naive = |n, horizon| Scenario::naive(NaiveSpec { n, horizon });
     let epidemic = |n, horizon, relay_rate| {
         Scenario::epidemic(EpidemicSpec {
@@ -844,11 +844,23 @@ fn gossip_tail_entries() -> Vec<(String, ScenarioBuilder)> {
         .into_iter()
         .map(|(label, builder, strategy, pool)| {
             let builder = builder.adversary(strategy);
-            let (builder, pool) = match pool {
-                Some(units) => (builder.carol_budget(units), format!("pool={units}")),
-                None => (builder.carol_unlimited(), "unlimited".to_string()),
+            let (builder, budget, pool) = match pool {
+                Some(units) => (
+                    builder.carol_budget(units),
+                    Budget::limited(units),
+                    format!("pool={units}"),
+                ),
+                None => (
+                    builder.carol_unlimited(),
+                    Budget::unlimited(),
+                    "unlimited".to_string(),
+                ),
             };
-            (format!("{label} {} {pool}", strategy.name()), builder)
+            (
+                format!("{label} {} {pool}", strategy.name()),
+                builder,
+                budget,
+            )
         })
         .collect()
 }
@@ -892,7 +904,8 @@ fn gossip_tail_matches_pinned_digests() {
     // FNV-1a digest of the rendered outcomes (trace included, telemetry
     // stripped) and one of the six `Engine*` counters that count the
     // run's own work, each folded over seed {1, 2} × trace capacity
-    // {0, 7}, all through one scratch.
+    // {0, 7}, all through one scratch. Every outcome must keep the
+    // ledger's identities.
     let counter_ids = [
         MetricId::EngineSlots,
         MetricId::EngineListenerPasses,
@@ -906,7 +919,8 @@ fn gossip_tail_matches_pinned_digests() {
     let mut scratch = ScenarioScratch::new();
     for seed in [1u64, 2] {
         for trace in [0usize, 7] {
-            for ((_, builder), [outcomes, counters]) in entries.iter().zip(&mut hashes) {
+            for ((label, builder, budget), [outcomes, counters]) in entries.iter().zip(&mut hashes)
+            {
                 let collector = Arc::new(RecordingCollector::new());
                 let mut builder = builder.clone().telemetry(collector.clone());
                 if trace > 0 {
@@ -914,6 +928,9 @@ fn gossip_tail_matches_pinned_digests() {
                 }
                 let scenario = builder.build().expect("valid gossip cell");
                 let mut outcome = scenario.run_in(&mut scratch, seed);
+                if let Err(broken) = outcome.check_invariants(*budget) {
+                    panic!("{label} seed={seed} trace={trace}: {broken}");
+                }
                 outcome.telemetry = None;
                 *outcomes = fnv1a(*outcomes, format!("{outcome:?}").as_bytes());
                 let counts = counter_ids.map(|id| collector.counter(id));
@@ -924,7 +941,7 @@ fn gossip_tail_matches_pinned_digests() {
     let actual: Vec<(String, u64, u64)> = entries
         .into_iter()
         .zip(hashes)
-        .map(|((label, _), [outcomes, counters])| (label, outcomes, counters))
+        .map(|((label, _, _), [outcomes, counters])| (label, outcomes, counters))
         .collect();
     let expected: Vec<(String, u64, u64)> = GOSSIP_TAIL_PINS
         .iter()

@@ -5,7 +5,8 @@
 use evildoers::adversary::StrategySpec;
 use evildoers::core::Params;
 use evildoers::sim::{
-    Engine, EpidemicSpec, HoppingSpec, KsySpec, NaiveSpec, ProtocolKind, Scenario, ScenarioError,
+    Engine, EpidemicSpec, EpochHoppingSpec, HoppingSpec, KpsySpec, KsySpec, NaiveSpec,
+    ProtocolKind, Scenario, ScenarioBuilder, ScenarioError,
 };
 
 fn params(n: u64) -> Params {
@@ -542,4 +543,50 @@ fn empty_gossip_rosters_run_on_every_engine_they_accept() {
     // Epidemic on the exact engine; both hopping protocols on all three
     // engines at either channel count.
     assert_eq!(cells, 13);
+}
+
+#[test]
+fn horizons_past_the_exact_engines_reach_are_typed_errors() {
+    // The exact gossip driver counts slots to `horizon + 2` and sizes its
+    // wake wheel from the horizon; KPSY's epoch e starts at slot
+    // 2^e - 2. Each protocol builds at its bound (never run: that would
+    // take 2^63 slots) and is refused one past it and at u64::MAX.
+    let gossip = 1u64 << 63;
+    let kpsy = (1u64 << 63) - 2;
+    type Protocol = fn(u64) -> ScenarioBuilder;
+    let protocols: [(&str, u64, Protocol); 5] = [
+        ("naive", gossip, |horizon| {
+            Scenario::naive(NaiveSpec { n: 4, horizon })
+        }),
+        ("epidemic", gossip, |horizon| {
+            Scenario::epidemic(EpidemicSpec::new(4, horizon))
+        }),
+        ("hopping", gossip, |horizon| {
+            Scenario::hopping(HoppingSpec::new(4, horizon)).channels(4)
+        }),
+        ("epoch-hopping", gossip, |horizon| {
+            Scenario::epoch_hopping(EpochHoppingSpec::new(4, horizon, 16)).channels(4)
+        }),
+        ("kpsy", kpsy, |horizon| {
+            Scenario::kpsy(KpsySpec { n: 4, horizon })
+        }),
+    ];
+    for (name, bound, protocol) in protocols {
+        assert!(protocol(bound).build().is_ok(), "{name} at its bound");
+        for horizon in [bound + 1, u64::MAX] {
+            match protocol(horizon).build() {
+                Err(ScenarioError::InvalidConfig(msg)) => {
+                    assert!(msg.contains("horizon"), "{name}: {msg}");
+                }
+                other => panic!("{name} at {horizon}: {:?}", other.err()),
+            }
+        }
+    }
+    // The phase tiers count phases, not slots: no such bound there.
+    for engine in [Engine::Fast, Engine::Fluid] {
+        let built = Scenario::hopping(HoppingSpec::new(4, u64::MAX))
+            .engine(engine)
+            .build();
+        assert!(built.is_ok(), "{engine:?}");
+    }
 }
