@@ -25,16 +25,34 @@
 //!   state. Such *inert* slots are counted, not simulated; when a node
 //!   leaves the dormant pool its inert listens are sampled in one
 //!   binomial draw and bulk-charged. Slots where a frame *could*
-//!   deliver materialize the full listener set exactly.
+//!   deliver materialize the full listener set exactly, drawing which
+//!   dormant nodes listen with Floyd's sampler ([`SortedSampler`]),
+//!   whose bitset hands them back in roster order.
+//! * **The send-only tail** — once no uninformed node is left, nobody
+//!   listens again: the rest of the run is Alice and the relays sending
+//!   to nobody until the horizon, often most of it. If Carol's moves to
+//!   the end are known too (her pool is spent, or her
+//!   [`commitment`](Adversary::commitment)s chain there), the driver
+//!   leaves the per-slot loop. Each device draws its remaining actions
+//!   node-major from its own stream, in the loop's order (epoch
+//!   redraw, channel, gap), and is charged through [`Medium::charge`];
+//!   Carol's committed jams are charged per stretch
+//!   ([`Medium::charge_committed_jam`]); and the noisy slots are counted
+//!   on a slot bitmap of a fixed window, reused pass after pass.
 //!
 //! The result is statistically equivalent to a per-slot roster walk but
 //! runs in time proportional to the *events* in a run rather than
 //! `n × slots`. What happens on the air — Carol's turn, listener
-//! resolution, the report — is the shared [`Medium`].
+//! resolution, the report — is the shared [`Medium`]. The send-only tail
+//! draws the same words and makes the same charges as the per-slot loop,
+//! so the two are byte-identical; only `EngineAdversaryPlans`,
+//! `EngineWakeDrains` and `EngineWakeDrained` count less, since they
+//! count what the loop did.
 //!
 //! Exactness boundaries: per-slot listener *identities* are not
 //! materialized in inert slots, so [`SlotObservation::listeners`] is
-//! empty there (aggregate energy accounting is still exact). Tracing
+//! empty there (aggregate energy accounting is still exact), and the
+//! send-only tail is not observed at all. Tracing
 //! (`trace_capacity > 0`) or an adversary returning `true` from
 //! [`Adversary::wants_listener_identities`] forces full per-slot
 //! materialization, restoring full observability at the cost of a
@@ -716,7 +734,9 @@ fn settle_epoch_inert(
 /// an unlimited budget, and the run stops after at most `horizon + 2`
 /// slots. Per the module docs, `trace_capacity > 0` or an adversary
 /// that [`wants_listener_identities`](Adversary::wants_listener_identities)
-/// switches the run to full per-slot listener materialization.
+/// switches the run to full per-slot listener materialization and keeps
+/// it in the per-slot loop to the end; otherwise the send-only tail is
+/// settled in bulk once Carol's moves are known to the end.
 ///
 /// Telemetry is purely observational: the collector never draws from
 /// the run's RNG streams, so instrumented and uninstrumented runs of
@@ -1203,12 +1223,18 @@ mod tests {
         // Past 2^63 the next power of two overflows; the wheel is capped
         // long before, so any horizon shapes the same 2^16 buckets.
         let mut q = WakeQueue::new();
-        for horizon in [0, 1, 1 << 16, (1 << 63) + 1, u64::MAX - 1, u64::MAX] {
+        for (horizon, buckets) in [
+            (0, 1),
+            (1, 1),
+            (3, 4),
+            (1 << 16, 1 << 16),
+            ((1 << 16) + 1, 1 << 16),
+            ((1 << 63) + 1, 1 << 16),
+            (u64::MAX - 1, 1 << 16),
+            (u64::MAX, 1 << 16),
+        ] {
             q.reset(3, horizon);
-            assert_eq!(
-                q.heads.len() as u64,
-                horizon.clamp(1, MAX_BUCKETS).next_power_of_two()
-            );
+            assert_eq!(q.heads.len(), buckets, "horizon {horizon}");
             q.schedule(2, horizon.saturating_sub(1));
             assert_eq!(q.len(), usize::from(horizon > 0), "horizon {horizon}");
         }

@@ -17,10 +17,9 @@
 //!   tests membership in a reusable bitset over the universe and reads
 //!   the bits back in order, so it hashes, sorts and allocates nothing
 //!   once warm. Where the universe is much larger than the sample (more
-//!   than [`BITSET_WORDS_PER_PICK`] bitset words per pick, and more than
-//!   [`BITSET_MIN_WORDS`] words), a bitset would cost more memory than
-//!   the picks; there it falls back to [`sample_distinct`] and a sort,
-//!   whose memory is `O(k)`.
+//!   than 16 bitset words, 128 bytes, per pick, and more than 8 KiB in
+//!   all), a bitset would cost more memory than the picks; there it falls
+//!   back to [`sample_distinct`] and a sort, whose memory is `O(k)`.
 //!
 //! Both draw the same words from the stream and pick the same set, so a
 //! caller can move from one to the other without changing a result.
@@ -68,11 +67,11 @@ pub fn sample_distinct<R: Rng + ?Sized>(rng: &mut R, n: u64, k: u64) -> Vec<u64>
 
 /// The most bitset words per pick [`SortedSampler`] spends before it
 /// takes the bounded-memory path: 128 bytes per pick.
-pub const BITSET_WORDS_PER_PICK: u64 = 16;
+const BITSET_WORDS_PER_PICK: u64 = 16;
 
 /// The bitset words [`SortedSampler`] spends whatever the sample size:
 /// 8 KiB, a universe of 65,536 values.
-pub const BITSET_MIN_WORDS: u64 = 1 << 10;
+const BITSET_MIN_WORDS: u64 = 1 << 10;
 
 /// Floyd's sampler with its picks read back in ascending order, holding
 /// its bitset across calls (see the [module docs](self)).
@@ -134,7 +133,7 @@ impl SortedSampler {
         mut emit: impl FnMut(u64),
     ) {
         assert!(k <= n, "cannot sample {k} distinct values from 0..{n}");
-        if !self.fits(universe, k) {
+        if !self.use_bitset(universe, k) {
             let mut picks = sample_distinct(rng, n, k);
             for pick in &mut picks {
                 *pick = map(*pick);
@@ -169,7 +168,7 @@ impl SortedSampler {
         universe: u64,
         mut emit: impl FnMut(u64),
     ) {
-        if !self.fits(universe, values.len() as u64) {
+        if !self.use_bitset(universe, values.len() as u64) {
             let mut sorted: Vec<u64> = values.collect();
             sorted.sort_unstable();
             sorted.into_iter().for_each(emit);
@@ -182,8 +181,8 @@ impl SortedSampler {
     }
 
     /// Whether a sample of `k` from a universe of `universe` values takes
-    /// the bitset path, growing the bitset to cover it if so.
-    fn fits(&mut self, universe: u64, k: u64) -> bool {
+    /// the bitset path, growing the bitset to cover the universe if so.
+    fn use_bitset(&mut self, universe: u64, k: u64) -> bool {
         let words = universe.div_ceil(64);
         if words > BITSET_MIN_WORDS.max(k.saturating_mul(BITSET_WORDS_PER_PICK)) {
             return false;

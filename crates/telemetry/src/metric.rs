@@ -17,13 +17,16 @@ pub enum MetricId {
     // --- exact-engine (era 2) hot-path profile ---
     /// Slots an exact run spanned (its length, dead air included).
     EngineSlots,
-    /// Wake-queue drain batches (slots that woke at least one device).
-    /// The request windows of exact ε-BROADCAST take their actions from
-    /// per-device masks, not the queue, so their slots are not counted.
+    /// Wake-queue drain batches (slots that woke at least one device),
+    /// counting what the per-slot loops did. The request windows of exact
+    /// ε-BROADCAST take their actions from per-device masks, and the
+    /// gossip driver settles its send-only tail (the stretch after its
+    /// last uninformed node is informed) node by node, neither through
+    /// the queue, so their slots are not counted.
     EngineWakeDrains,
     /// Devices drained from the wake queue; actions in ε-BROADCAST's
-    /// request windows are not counted (see
-    /// [`EngineWakeDrains`](Self::EngineWakeDrains)).
+    /// request windows and in the gossip driver's send-only tail are not
+    /// counted (see [`EngineWakeDrains`](Self::EngineWakeDrains)).
     EngineWakeDrained,
     /// Slots whose listener set was exactly materialized. In
     /// ε-BROADCAST's request windows, only slots that may deliver a
@@ -47,9 +50,12 @@ pub enum MetricId {
     /// secret slot it samples). A draw that needs no randomness, such as
     /// a `p = 1` geometric gap, draws none.
     EngineRngDraws,
-    /// Adversary plan invocations: one per simulated slot. Dead air the
-    /// ε-BROADCAST and KPSY drivers skip once Carol is broke has none, so
-    /// `EngineSlots` minus this counter is the dead air.
+    /// Adversary plan invocations: one per slot of a driver's per-slot
+    /// loop. The slots a driver settles without calling Carol have none:
+    /// the dead air the ε-BROADCAST and KPSY drivers skip once she is
+    /// broke, and the gossip driver's send-only tail, settled in bulk once
+    /// she is broke or has committed her moves to the run's end. So
+    /// `EngineSlots` minus this counter is the slots settled without her.
     EngineAdversaryPlans,
     /// Distribution of wake-queue drain batch sizes (devices per
     /// non-empty drain).
