@@ -168,11 +168,11 @@ impl Plan {
             if start >= horizon {
                 return None;
             }
+            let quota = quotas[epoch as usize];
             let slots = &mut self.slots;
             slots.clear();
-            sampler.sample(&mut self.rng, 1 << epoch, quotas[epoch as usize], |s| {
-                slots.push(start + s);
-            });
+            slots.reserve_exact(quota as usize);
+            sampler.sample(&mut self.rng, 1 << epoch, quota, |s| slots.push(start + s));
             self.epoch = epoch;
             self.cursor = 0;
         }

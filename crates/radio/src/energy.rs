@@ -320,7 +320,7 @@ impl EnergyLedger {
         let idx = id.into_index();
         let outcome = self.participants[idx].try_charge(op);
         if outcome.is_charged() {
-            charge_channel(&mut self.correct_by_channel, channel, op);
+            charge_channel(&mut self.correct_by_channel, channel, op, 1);
         }
         outcome
     }
@@ -352,14 +352,7 @@ impl EnergyLedger {
     ) -> u64 {
         let idx = id.into_index();
         let granted = self.participants[idx].try_charge_many(op, count);
-        if granted > 0 {
-            let entry = &mut self.correct_by_channel[channel.index() as usize];
-            match op {
-                Op::Send => entry.sends += granted,
-                Op::Listen => entry.listens += granted,
-                Op::Jam => entry.jams += granted,
-            }
-        }
+        charge_channel(&mut self.correct_by_channel, channel, op, granted);
         granted
     }
 
@@ -377,7 +370,7 @@ impl EnergyLedger {
     pub fn charge_carol_on(&mut self, op: Op, channel: ChannelId) -> ChargeOutcome {
         let outcome = self.carol.try_charge(op);
         if outcome.is_charged() {
-            charge_channel(&mut self.carol_by_channel, channel, op);
+            charge_channel(&mut self.carol_by_channel, channel, op, 1);
         }
         outcome
     }
@@ -393,14 +386,7 @@ impl EnergyLedger {
     /// Panics if `channel` is outside the ledger's spectrum.
     pub fn charge_carol_many_on(&mut self, op: Op, count: u64, channel: ChannelId) -> u64 {
         let granted = self.carol.try_charge_many(op, count);
-        if granted > 0 {
-            let entry = &mut self.carol_by_channel[channel.index() as usize];
-            match op {
-                Op::Send => entry.sends += granted,
-                Op::Listen => entry.listens += granted,
-                Op::Jam => entry.jams += granted,
-            }
-        }
+        charge_channel(&mut self.carol_by_channel, channel, op, granted);
         granted
     }
 
@@ -455,13 +441,13 @@ impl EnergyLedger {
     }
 }
 
-/// Records a successful charge in a per-channel breakdown table.
-fn charge_channel(table: &mut [CostBreakdown], channel: ChannelId, op: Op) {
+/// Records `units` granted charges in a per-channel breakdown table.
+fn charge_channel(table: &mut [CostBreakdown], channel: ChannelId, op: Op, units: u64) {
     let entry = &mut table[channel.index() as usize];
     match op {
-        Op::Send => entry.sends += 1,
-        Op::Listen => entry.listens += 1,
-        Op::Jam => entry.jams += 1,
+        Op::Send => entry.sends += units,
+        Op::Listen => entry.listens += units,
+        Op::Jam => entry.jams += units,
     }
 }
 
