@@ -43,18 +43,21 @@
 //! when only Alice and the relays still act, at its edges: Carol solvent
 //! or broke when it starts, pools that run dry inside it, stretches that
 //! start on an epoch boundary, empty and one-node rosters, and runs
-//! longer than the driver's windows.
+//! longer than the driver's windows. Each entry's report, jammed and
+//! noisy slot counts included, must also equal that of the same run
+//! kept in the per-slot loop for as long as Carol's pool lasts.
 
 use std::sync::{Arc, OnceLock};
 
 use evildoers::adversary::StrategySpec;
 use evildoers::baselines::{execute_kpsy, KpsyConfig};
 use evildoers::core::{
-    BroadcastSoaScratch, DecoyConfig, Params, PhaseKind, RoundSchedule, RunConfig, SizeKnowledge,
+    run_gossip_with, BroadcastSoaScratch, DecoyConfig, Params, PhaseKind, RoundSchedule, RunConfig,
+    SizeKnowledge,
 };
 use evildoers::radio::{
-    Adversary, AdversaryCtx, AdversaryMove, Budget, IdSet, JamDirective, ParticipantId, RunReport,
-    Slot, SlotObservation,
+    Adversary, AdversaryCtx, AdversaryMove, Budget, GossipSoaScratch, GossipSpec, IdSet,
+    JamDirective, ParticipantId, RunReport, Slot, SlotObservation, Spectrum,
 };
 use evildoers::sim::{
     EpidemicSpec, EpochHoppingSpec, HoppingSpec, KpsySpec, NaiveSpec, Scenario, ScenarioBuilder,
@@ -781,7 +784,18 @@ fn gossip_matches_pinned_digests() {
     assert_eq!(actual, expected, "gossip digests drifted");
 }
 
-/// The gossip tail table's entries, in pin order: (label, builder).
+/// One entry of the gossip tail table: a `Scenario` cell and the same
+/// run as the driver's `GossipSpec` row.
+struct TailEntry {
+    label: String,
+    builder: ScenarioBuilder,
+    row: GossipSpec,
+    channels: u16,
+    strategy: StrategySpec,
+    budget: Budget,
+}
+
+/// The gossip tail table's entries, in pin order.
 ///
 /// Each reaches an edge of the stretch after the last uninformed node
 /// is informed, when only Alice and the relays still act: a pool that
@@ -792,19 +806,32 @@ fn gossip_matches_pinned_digests() {
 /// no relays, rosters of 0 and 1 nodes, C ∈ {1, 4}, strategies that
 /// promise nothing ahead (random, lagged-reactive, split-uniform,
 /// adaptive), and two runs of 10,000 slots.
-fn gossip_tail_entries() -> Vec<(String, ScenarioBuilder, Budget)> {
-    let naive = |n, horizon| Scenario::naive(NaiveSpec { n, horizon });
+fn gossip_tail_entries() -> Vec<TailEntry> {
+    let naive = |n, horizon| {
+        let cell = Scenario::naive(NaiveSpec { n, horizon });
+        (cell, GossipSpec::naive(n, horizon), 1)
+    };
     let epidemic = |n, horizon, relay_rate| {
-        Scenario::epidemic(EpidemicSpec {
+        let cell = Scenario::epidemic(EpidemicSpec {
             n,
             horizon,
             listen_p: 0.5,
             relay_rate,
-        })
+        });
+        (cell, GossipSpec::epidemic(n, horizon, 0.5, relay_rate), 1)
     };
-    let hopping = |n, horizon, c| Scenario::hopping(HoppingSpec::new(n, horizon)).channels(c);
+    let hopping = |n, horizon, c| {
+        let cell = Scenario::hopping(HoppingSpec::new(n, horizon)).channels(c);
+        (cell, GossipSpec::hopping(n, horizon, 0.5, 1.0), c)
+    };
     let epoch = |n, horizon, epoch_len, c| {
-        Scenario::epoch_hopping(EpochHoppingSpec::new(n, horizon, epoch_len)).channels(c)
+        let cell =
+            Scenario::epoch_hopping(EpochHoppingSpec::new(n, horizon, epoch_len)).channels(c);
+        (
+            cell,
+            GossipSpec::epoch_hopping(n, horizon, 0.5, 1.0, epoch_len),
+            c,
+        )
     };
     let (silent, continuous) = (StrategySpec::Silent, StrategySpec::Continuous);
     let bursty = StrategySpec::Bursty { burst: 16, gap: 48 };
@@ -812,9 +839,10 @@ fn gossip_tail_entries() -> Vec<(String, ScenarioBuilder, Budget)> {
         window: 8,
         reactivity: 0.5,
     };
-    // (label, builder, strategy, Carol's pool; `None` is unlimited)
+    // (label, (cell, row, C), strategy, Carol's pool; `None` is unlimited)
+    type Run = (ScenarioBuilder, GossipSpec, u16);
     #[rustfmt::skip]
-    let cells: Vec<(&str, ScenarioBuilder, StrategySpec, Option<u64>)> = vec![
+    let cells: Vec<(&str, Run, StrategySpec, Option<u64>)> = vec![
         ("naive n=16", naive(16, 400), silent, None),
         ("naive n=16", naive(16, 400), continuous, Some(50)),
         ("naive n=16", naive(16, 400), bursty, None),
@@ -842,7 +870,7 @@ fn gossip_tail_entries() -> Vec<(String, ScenarioBuilder, Budget)> {
     ];
     cells
         .into_iter()
-        .map(|(label, builder, strategy, pool)| {
+        .map(|(label, (builder, row, channels), strategy, pool)| {
             let builder = builder.adversary(strategy);
             let (builder, budget, pool) = match pool {
                 Some(units) => (
@@ -856,11 +884,14 @@ fn gossip_tail_entries() -> Vec<(String, ScenarioBuilder, Budget)> {
                     "unlimited".to_string(),
                 ),
             };
-            (
-                format!("{label} {} {pool}", strategy.name()),
+            TailEntry {
+                label: format!("{label} {} {pool}", strategy.name()),
                 builder,
+                row,
+                channels,
+                strategy,
                 budget,
-            )
+            }
         })
         .collect()
 }
@@ -919,17 +950,16 @@ fn gossip_tail_matches_pinned_digests() {
     let mut scratch = ScenarioScratch::new();
     for seed in [1u64, 2] {
         for trace in [0usize, 7] {
-            for ((label, builder, budget), [outcomes, counters]) in entries.iter().zip(&mut hashes)
-            {
+            for (entry, [outcomes, counters]) in entries.iter().zip(&mut hashes) {
                 let collector = Arc::new(RecordingCollector::new());
-                let mut builder = builder.clone().telemetry(collector.clone());
+                let mut builder = entry.builder.clone().telemetry(collector.clone());
                 if trace > 0 {
                     builder = builder.trace(trace);
                 }
                 let scenario = builder.build().expect("valid gossip cell");
                 let mut outcome = scenario.run_in(&mut scratch, seed);
-                if let Err(broken) = outcome.check_invariants(*budget) {
-                    panic!("{label} seed={seed} trace={trace}: {broken}");
+                if let Err(broken) = outcome.check_invariants(entry.budget) {
+                    panic!("{} seed={seed} trace={trace}: {broken}", entry.label);
                 }
                 outcome.telemetry = None;
                 *outcomes = fnv1a(*outcomes, format!("{outcome:?}").as_bytes());
@@ -941,13 +971,101 @@ fn gossip_tail_matches_pinned_digests() {
     let actual: Vec<(String, u64, u64)> = entries
         .into_iter()
         .zip(hashes)
-        .map(|((label, _, _), [outcomes, counters])| (label, outcomes, counters))
+        .map(|(entry, [outcomes, counters])| (entry.label, outcomes, counters))
         .collect();
     let expected: Vec<(String, u64, u64)> = GOSSIP_TAIL_PINS
         .iter()
         .map(|&(label, outcomes, counters)| (label.to_string(), outcomes, counters))
         .collect();
     assert_eq!(actual, expected, "gossip tail digests drifted");
+}
+
+/// Forwards to a zoo adversary but claims the in-slot RSSI capability,
+/// which the gossip driver never asks for a commitment: its runs leave
+/// the per-slot loop only once Carol's pool is spent. Its `react` keeps
+/// the plan unless the adversary it wraps is reactive itself.
+struct PerSlot(Box<dyn Adversary>);
+
+impl Adversary for PerSlot {
+    fn plan(&mut self, slot: Slot, ctx: &AdversaryCtx) -> AdversaryMove {
+        self.0.plan(slot, ctx)
+    }
+
+    fn react(&mut self, slot: Slot, activity: bool, planned: AdversaryMove) -> AdversaryMove {
+        if self.0.is_reactive() {
+            self.0.react(slot, activity, planned)
+        } else {
+            planned
+        }
+    }
+
+    fn is_reactive(&self) -> bool {
+        true
+    }
+
+    fn observe(&mut self, slot: Slot, observation: &SlotObservation<'_>) {
+        self.0.observe(slot, observation);
+    }
+
+    fn wants_listener_identities(&self) -> bool {
+        self.0.wants_listener_identities()
+    }
+}
+
+#[test]
+fn gossip_tail_settles_what_the_per_slot_loop_would() {
+    // The tail table's digests see the outcome, not the report's jammed
+    // and noisy slot counts. So every entry also runs on the driver
+    // directly, untraced, twice: as is, and with Carol behind `PerSlot`,
+    // which keeps the run in the per-slot loop while her pool lasts. The
+    // two reports must agree on everything. Where her pool is unlimited
+    // and her strategy commits (silent, continuous, bursty), the first
+    // run must have settled its tail under her commitments: it planned
+    // fewer slots.
+    let mut scratch = GossipSoaScratch::new();
+    for entry in gossip_tail_entries() {
+        let spectrum = Spectrum::new(entry.channels);
+        for seed in [1u64, 2] {
+            let mut run = |per_slot: bool| {
+                let carol = entry
+                    .strategy
+                    .schedule_free_slot_adversary_on(spectrum, seed)
+                    .expect("schedule-free strategy");
+                let mut carol: Box<dyn Adversary> = if per_slot {
+                    Box::new(PerSlot(carol))
+                } else {
+                    carol
+                };
+                let collector = RecordingCollector::new();
+                let (outcome, report) = run_gossip_with(
+                    &entry.row,
+                    spectrum,
+                    entry.budget,
+                    0,
+                    carol.as_mut(),
+                    seed,
+                    &mut scratch,
+                    &collector,
+                );
+                let plans = collector.counter(MetricId::EngineAdversaryPlans);
+                (render_run(&outcome, &report), plans)
+            };
+            let (tail, plans) = run(false);
+            let (per_slot, per_slot_plans) = run(true);
+            let label = format!("{} seed={seed}", entry.label);
+            assert_eq!(tail, per_slot, "{label}");
+            let commits = matches!(
+                entry.strategy,
+                StrategySpec::Silent | StrategySpec::Continuous | StrategySpec::Bursty { .. }
+            );
+            if commits && entry.budget == Budget::unlimited() {
+                assert!(
+                    plans < per_slot_plans,
+                    "{label}: {plans} plans against {per_slot_plans}"
+                );
+            }
+        }
+    }
 }
 
 /// One direct run of the exact driver under a [`Probe`] that does not
