@@ -384,7 +384,7 @@ impl EnergyLedger {
     /// # Panics
     ///
     /// Panics if `channel` is outside the ledger's spectrum.
-    pub fn charge_carol_many_on(&mut self, op: Op, count: u64, channel: ChannelId) -> u64 {
+    pub(crate) fn charge_carol_many_on(&mut self, op: Op, count: u64, channel: ChannelId) -> u64 {
         let granted = self.carol.try_charge_many(op, count);
         charge_channel(&mut self.carol_by_channel, channel, op, granted);
         granted

@@ -93,8 +93,7 @@ pub struct RunReport {
 /// A driver that settles a stretch of slots without Carol's turn, because
 /// nobody listens in it and her moves are known (her pool is spent, or
 /// she made a [`Commitment`](crate::Commitment)), charges her jams with
-/// [`charge_committed_jam`](Self::charge_committed_jam) and tallies the
-/// stretch's noisy slots with [`count_noisy_slots`](Self::count_noisy_slots).
+/// [`charge_committed_jam`](Self::charge_committed_jam).
 /// [`report`](Self::report) closes the run. Held in a driver's scratch,
 /// it allocates nothing per run but the report once warm.
 #[derive(Debug, Default)]
@@ -223,9 +222,9 @@ impl Medium {
     /// slot charges its channels in ascending order, and once her pool
     /// runs dry the rest fizzles. Returns how many of the slots her jam
     /// executed in (they lead the stretch), which are tallied as jammed
-    /// slots; the driver tallies the stretch's noisy slots, which also
-    /// count the slots that carried a transmission
-    /// ([`count_noisy_slots`](Self::count_noisy_slots)).
+    /// slots. The stretch's noisy slots also count the slots that carried
+    /// a transmission, so the driver tallies them: the gossip driver
+    /// marks both on a slot bitmap.
     ///
     /// Nobody may listen in a settled slot: nothing resolves, and Carol
     /// neither plans nor observes.
@@ -264,7 +263,7 @@ impl Medium {
     /// Tallies `slots` noisy slots (a transmission or an executed jam) of
     /// a stretch the driver settled without
     /// [`carol_turn`](Self::carol_turn).
-    pub fn count_noisy_slots(&mut self, slots: u64) {
+    pub(crate) fn count_noisy_slots(&mut self, slots: u64) {
         self.noisy_slots += slots;
     }
 
