@@ -85,25 +85,17 @@ impl Adversary for BurstyJammer {
         let slot = slot.index();
         let period = self.burst + self.gap;
         let phase = (slot + self.phase_offset) % period;
-        let (left, other) = if phase < self.burst {
-            (self.burst - phase, self.gap)
+        let (mv, left, other) = if phase < self.burst {
+            (AdversaryMove::jam_all(), self.burst - phase, self.gap)
         } else {
-            (period - phase, self.burst)
+            (AdversaryMove::idle(), period - phase, self.burst)
         };
         let until = if other == 0 {
             u64::MAX
         } else {
             slot.saturating_add(left)
         };
-        let jam = if phase < self.burst {
-            AdversaryMove::jam_all()
-        } else {
-            AdversaryMove::idle()
-        };
-        Some(Commitment {
-            until,
-            jam: jam.jam,
-        })
+        Some(Commitment { until, jam: mv.jam })
     }
 }
 
