@@ -254,9 +254,10 @@ pub trait Adversary {
     /// chain the next. The default, `None`, promises nothing. Drivers
     /// never ask an adversary that [`is_reactive`](Self::is_reactive).
     ///
-    /// The gossip driver asks once its last uninformed node is informed:
-    /// if the chain reaches the run's end, it charges each stretch's jam
-    /// in bulk instead of calling her slot by slot.
+    /// The gossip driver asks in each slot after its last uninformed node
+    /// is informed, until the chain from that slot reaches the run's end;
+    /// from then on it charges each stretch's jam in bulk instead of
+    /// calling her slot by slot.
     fn commitment(&self, slot: Slot) -> Option<Commitment> {
         let _ = slot;
         None
